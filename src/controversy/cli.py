@@ -14,9 +14,10 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, asdict
 from datetime import datetime, timezone
+from functools import partial
 
 from . import graph as graphmod
 from .errors import (
@@ -219,19 +220,41 @@ def run_pipeline(cfg: PipelineConfig) -> ControversyReport:
     with _stage("output"):
         if cfg.layout_out and layout is None:
             layout = force_layout(g, iterations=cfg.layout_iterations, seed=cfg.seed)
+        writers = []
         if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
+            writers.append((cfg.out, partial(_write_text, text=report.to_json() + "\n")))
         if cfg.csv_out:
-            with open(cfg.csv_out, "w", encoding="utf-8") as fh:
-                fh.write(report.csv_header() + "\n" + report.to_csv_row() + "\n")
+            row = report.csv_header() + "\n" + report.to_csv_row() + "\n"
+            writers.append((cfg.csv_out, partial(_write_text, text=row)))
         if user_rows is not None:
-            write_user_scores(user_rows, cfg.user_scores_out)
+            writers.append((cfg.user_scores_out, partial(write_user_scores, user_rows)))
         if cfg.layout_out:
-            with open(cfg.layout_out, "w", encoding="utf-8") as fh:
-                for i, uid in enumerate(g.ids):
-                    fh.write(f"{uid}\t{layout[i, 0]!r}\t{layout[i, 1]!r}\n")
+            coords = "".join(f"{uid}\t{float(x)!r}\t{float(y)!r}\n"
+                             for uid, (x, y) in zip(g.ids, layout))
+            writers.append((cfg.layout_out, partial(_write_text, text=coords)))
+        _write_all(writers)
     return report
+
+
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_all(writers):
+    """Run every (path, write) pair on a temp file beside its path, then
+    move them all into place, so a failed write leaves no output behind."""
+    staged = []
+    try:
+        for path, write in writers:
+            staged.append(f"{path}.{os.getpid()}.tmp")
+            write(staged[-1])
+        for tmp, (path, _) in zip(staged, writers):
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 from urllib.parse import urlparse
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import InputDataError
 
@@ -81,14 +84,50 @@ class Topic:
         return normalize_tag(tag) in self.members
 
 
+class CSR(NamedTuple):
+    """Compressed sparse rows: the neighbours of vertex ``v`` are
+    ``indices[indptr[v]:indptr[v + 1]]`` (ascending), with arc weights
+    ``weights`` in the same slots."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def from_arcs(cls, n, src, dst, w):
+        """Sort the arcs by (src, dst) and sum the weights of parallel arcs."""
+        order = np.lexsort((dst, src))
+        src, dst, w = src[order], dst[order], w[order]
+        first = np.ones(len(src), dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        starts = np.flatnonzero(first)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src[starts], minlength=n), out=indptr[1:])
+        weights = np.add.reduceat(w, starts) if len(starts) else w
+        return cls(*map(_frozen, (indptr, dst[starts], weights)))
+
+    @property
+    def rows(self):
+        """Source vertex of every stored arc."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+    def matrix(self, weighted=True):
+        """The n x n scipy matrix (unit entries when not ``weighted``)."""
+        n = len(self.indptr) - 1
+        data = self.weights.astype(float) if weighted else np.ones(len(self.indices))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
 class ConversationGraph:
     """Immutable graph over dense vertex indices 0..n-1.
 
-    ``ids[i]`` is the user id of vertex ``i``. ``arcs`` holds directed
-    (src, dst, weight) records; for undirected graphs each edge is stored
-    once with src < dst. The undirected view merges both arc directions
-    and sums their weights. Instances never mutate after construction and
-    are safe to share across threads.
+    ``ids[i]`` is the user id of vertex ``i``. ``arcs`` may be a list of
+    (src, dst, weight) triples or an (m, 3) integer array; self-loops are
+    dropped and parallel arcs sum. The graph is stored once as CSR:
+    ``out_csr`` holds the directed view and ``csr`` the undirected view,
+    which merges both arc directions and sums their weights (for an
+    undirected graph the two are the same object). Instances never
+    mutate after construction and are safe to share across threads.
     """
 
     def __init__(self, ids, arcs, directed):
@@ -97,20 +136,21 @@ class ConversationGraph:
             raise InputDataError("duplicate user ids in vertex list")
         self._index = {u: i for i, u in enumerate(self._ids)}
         self.directed = bool(directed)
-        agg: Counter = Counter()
         n = len(self._ids)
-        for src, dst, w in arcs:
-            src, dst, w = int(src), int(dst), int(w)
-            if src == dst:
-                continue
-            if not (0 <= src < n and 0 <= dst < n):
-                raise InputDataError(f"arc ({src},{dst}) out of vertex range")
-            if w <= 0:
-                raise InputDataError(f"non-positive weight on arc ({src},{dst})")
-            if not self.directed and src > dst:
-                src, dst = dst, src
-            agg[(src, dst)] += w
-        self._arcs = tuple(sorted((u, v, w) for (u, v), w in agg.items()))
+        arcs = np.asarray(arcs if isinstance(arcs, np.ndarray) else list(arcs), dtype=np.int64)
+        src, dst, w = arcs.reshape(-1, 3).T
+        kept = src != dst
+        src, dst, w = src[kept], dst[kept], w[kept]
+        out_of_range = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        bad = np.flatnonzero(out_of_range | (w <= 0))
+        if len(bad):
+            i = bad[0]
+            if out_of_range[i]:
+                raise InputDataError(f"arc ({src[i]},{dst[i]}) out of vertex range")
+            raise InputDataError(f"non-positive weight on arc ({src[i]},{dst[i]})")
+        both = np.concatenate((src, dst)), np.concatenate((dst, src)), np.concatenate((w, w))
+        self.csr = CSR.from_arcs(n, *both)
+        self.out_csr = CSR.from_arcs(n, src, dst, w) if self.directed else self.csr
 
     # -- basic accessors ------------------------------------------------
 
@@ -122,9 +162,18 @@ class ConversationGraph:
     def n_vertices(self):
         return len(self._ids)
 
-    @property
+    @cached_property
+    def arc_array(self):
+        """(m, 3) array of the stored (src, dst, weight) arcs, sorted; an
+        undirected graph stores each edge once with src < dst."""
+        if not self.directed:
+            return self.edge_array
+        csr = self.out_csr
+        return _frozen(np.column_stack((csr.rows, csr.indices, csr.weights)))
+
+    @cached_property
     def arcs(self):
-        return self._arcs
+        return tuple(map(tuple, self.arc_array.tolist()))
 
     def index_of(self, user_id):
         try:
@@ -138,11 +187,11 @@ class ConversationGraph:
         return (
             self._ids == other._ids
             and self.directed == other.directed
-            and self._arcs == other._arcs
+            and np.array_equal(self.arc_array, other.arc_array)
         )
 
     def __hash__(self):
-        return hash((self._ids, self.directed, self._arcs))
+        return hash((self._ids, self.directed, self.arc_array.tobytes()))
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
@@ -154,51 +203,63 @@ class ConversationGraph:
     # -- undirected view --------------------------------------------------
 
     @cached_property
+    def edge_array(self):
+        """(m, 3) array of the undirected (u, v, weight) edges with u < v,
+        sorted; weight sums both arc directions."""
+        csr = self.csr
+        rows = csr.rows
+        upper = csr.indices > rows
+        return _frozen(np.column_stack((rows[upper], csr.indices[upper], csr.weights[upper])))
+
+    @cached_property
     def undirected_edges(self):
         """Sorted (u, v, weight) with u < v; weight sums both arc directions."""
-        if not self.directed:
-            return self._arcs
-        agg: Counter = Counter()
-        for u, v, w in self._arcs:
-            agg[(min(u, v), max(u, v))] += w
-        return tuple(sorted((u, v, w) for (u, v), w in agg.items()))
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @property
     def n_edges(self):
-        return len(self.undirected_edges)
+        return len(self.csr.indices) // 2
 
     @cached_property
-    def _adjacency(self):
-        nbrs = [[] for _ in range(self.n_vertices)]
-        for u, v, _ in self.undirected_edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return [np.array(sorted(a), dtype=np.int64) for a in nbrs]
+    def _neighbors(self):
+        # one view per vertex: the walk and betweenness loops call
+        # neighbors() in their inner loops, where slicing would cost more
+        return np.split(self.csr.indices, self.csr.indptr[1:-1])
 
     def neighbors(self, v):
         """Sorted undirected neighbor indices of v."""
-        return self._adjacency[v]
+        return self._neighbors[v]
 
     @cached_property
     def degrees(self):
         """Undirected degree (neighbor count) per vertex."""
-        return np.array([len(a) for a in self._adjacency], dtype=np.int64)
+        return _frozen(np.diff(self.csr.indptr))
+
+    @cached_property
+    def component_labels(self):
+        """Connected-component label of every vertex (undirected view)."""
+        return csgraph.connected_components(self.csr.matrix(), directed=False)[1]
 
     # -- directed view ----------------------------------------------------
 
-    @cached_property
-    def _out_adjacency(self):
-        if not self.directed:
-            return self._adjacency
-        outs = [[] for _ in range(self.n_vertices)]
-        for u, v, _ in self._arcs:
-            outs[u].append(v)
-        return [np.array(sorted(a), dtype=np.int64) for a in outs]
-
     def out_neighbors(self, v):
-        """Out-neighbors in the directed view (both directions when the
-        graph is undirected)."""
-        return self._out_adjacency[v]
+        """Sorted out-neighbors in the directed view (both directions when
+        the graph is undirected)."""
+        return self.out_csr.indices[self.out_csr.indptr[v] : self.out_csr.indptr[v + 1]]
+
+    @cached_property
+    def transition_t(self):
+        """Transpose of the uniform-step transition matrix of the directed
+        view (weights ignored; rows of vertices without out-arcs are zero),
+        laid out for left-multiplication of a distribution."""
+        csr = self.out_csr
+        probs = 1.0 / np.diff(csr.indptr)[csr.rows]
+        return csr._replace(weights=probs).matrix().T.tocsr()
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
 # -- construction helpers ----------------------------------------------
@@ -267,12 +328,7 @@ def build_follow_graph(follow_edges, active_users):
         if a == b or a not in active or b not in active:
             continue
         relations.add((a, b))
-    counts: Counter = Counter()
-    for a, b in relations:
-        counts[(min(a, b), max(a, b))] += 1
-    return graph_from_weighted_pairs(
-        [(a, b, w) for (a, b), w in counts.items()], directed=False
-    )
+    return graph_from_weighted_pairs([(a, b, 1) for a, b in relations], directed=False)
 
 
 def url_domain(url):
@@ -332,36 +388,23 @@ def build_content_graph(records, topic, mode):
 
 def connected_components(g):
     """Vertex index arrays of the undirected components, by smallest member."""
-    seen = np.zeros(g.n_vertices, dtype=bool)
-    comps = []
-    for root in range(g.n_vertices):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(np.array(sorted(comp), dtype=np.int64))
-    return comps
+    if g.n_vertices == 0:
+        return []
+    labels = g.component_labels
+    members = np.argsort(labels, kind="stable")
+    comps = np.split(members, np.cumsum(np.bincount(labels))[:-1])
+    return sorted(comps, key=lambda c: c[0])
 
 
 def induced_subgraph(g, vertices):
     """Subgraph on the given vertex indices, reindexed in ascending order."""
-    keep = np.array(sorted(set(int(v) for v in vertices)), dtype=np.int64)
-    old_to_new = {int(v): i for i, v in enumerate(keep)}
-    ids = [g.ids[v] for v in keep]
-    arcs = [
-        (old_to_new[u], old_to_new[v], w)
-        for u, v, w in g.arcs
-        if u in old_to_new and v in old_to_new
-    ]
-    return ConversationGraph(ids, arcs, g.directed)
+    keep = np.unique(np.fromiter(vertices, dtype=np.int64))
+    new_index = np.full(g.n_vertices, -1, dtype=np.int64)
+    new_index[keep] = np.arange(len(keep))
+    arcs = new_index[g.arc_array[:, :2]]
+    inside = (arcs >= 0).all(axis=1)
+    arcs = np.column_stack((arcs[inside], g.arc_array[inside, 2]))
+    return ConversationGraph([g.ids[v] for v in keep], arcs, g.directed)
 
 
 def largest_component(g):
@@ -443,8 +486,7 @@ def write_edgelist(g, path):
     the matching directedness.
     """
     rows = []
-    records = g.arcs if g.directed else g.undirected_edges
-    for u, v, w in records:
+    for u, v, w in g.arcs:
         a, b = g.ids[u], g.ids[v]
         if not g.directed and a > b:
             a, b = b, a

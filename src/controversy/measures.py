@@ -7,6 +7,8 @@ a label-propagation dipole score.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import warnings
@@ -14,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DegenerateStructureError
 from .partition import Partition, cut_edges
@@ -234,7 +235,7 @@ def force_layout(g, iterations=500, seed=0):
     if n <= 1 or iterations < 1:
         return pos
     k = math.sqrt(1.0 / n)
-    edges = np.array([(u, v) for u, v, _ in g.undirected_edges], dtype=np.int64)
+    edges = g.edge_array[:, :2]
     t0 = 0.1
     for it in range(iterations):
         temp = t0 * (1.0 - it / iterations)
@@ -296,31 +297,19 @@ def gmck(g, p: Partition) -> float:
     """
     n = g.n_vertices
     sides = p.sides
-    has_cross = np.zeros(n, dtype=bool)
-    for u in range(n):
-        nbrs = g.neighbors(u)
-        if len(nbrs) and (sides[nbrs] != sides[u]).any():
-            has_cross[u] = True
-    boundary = np.zeros(n, dtype=bool)
-    for u in range(n):
-        if not has_cross[u]:
-            continue
-        nbrs = g.neighbors(u)
-        same = nbrs[sides[nbrs] == sides[u]]
-        if len(same) and (~has_cross[same]).any():
-            boundary[u] = True
+    rows, cols = g.csr.rows, g.csr.indices
+    cross = sides[rows] != sides[cols]
+    has_cross = np.bincount(rows[cross], minlength=n) > 0
+    touches_interior = np.bincount(rows[~cross & ~has_cross[cols]], minlength=n) > 0
+    boundary = has_cross & touches_interior
     members = np.flatnonzero(boundary)
     if len(members) == 0:
         raise DegenerateStructureError(
             "no boundary (sides disconnected or fully mixed)"
         )
-    total = 0.0
-    for u in members:
-        nbrs = g.neighbors(u)
-        d_b = int(boundary[nbrs].sum())
-        d_i = len(nbrs) - d_b
-        total += d_i / (d_b + d_i)
-    return float(total / len(members) - 0.5)
+    d_b = np.bincount(rows, weights=boundary[cols], minlength=n)[members]
+    deg = g.degrees[members]
+    return float(((deg - d_b) / deg).mean() - 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +327,7 @@ def propagate_polarity(g, plus_seeds, minus_seeds, tol=1e-6, max_iters=1000):
     clamped = np.zeros(n, dtype=bool)
     clamped[list(plus_seeds)] = clamped[list(minus_seeds)] = True
     free = np.flatnonzero(~clamped)
-    rows, cols, vals = [], [], []
-    for u, v, _ in g.undirected_edges:
-        rows += [u, v]
-        cols += [v, u]
-        vals += [1.0, 1.0]
-    adj = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    adj = g.csr.matrix(weighted=False)
     deg = g.degrees
     inv_deg = np.zeros(n)
     nz = deg > 0
@@ -384,8 +368,7 @@ def mblb(g, p: Partition, seed_fraction=0.05, tol=1e-6, max_iters=1000) -> float
 
     def seeds_of(side):
         count = max(1, math.ceil(seed_fraction * len(side)))
-        ranked = sorted(side, key=lambda v: (-deg[v], v))
-        return [int(v) for v in ranked[:count]]
+        return side[np.argsort(-deg[side], kind="stable")][:count]
 
     values = propagate_polarity(g, seeds_of(p.x), seeds_of(p.y), tol, max_iters)
     return dipole_of_polarities(values, g.n_vertices)
@@ -457,4 +440,6 @@ class ControversyReport:
         cells = [self.topic, str(self.n_vertices), str(self.n_edges)]
         for name in MEASURE_NAMES:
             cells.append(repr(by_name[name]) if name in by_name else "")
-        return ",".join(cells)
+        line = io.StringIO()
+        csv.writer(line, lineterminator="").writerow(cells)
+        return line.getvalue()

@@ -59,18 +59,6 @@ def weighted_cut(g, p: Partition) -> int:
     return sum(w for u, v, w in g.undirected_edges if p.sides[u] != p.sides[v])
 
 
-def _weighted_laplacian(g):
-    n = g.n_vertices
-    us, vs, ws = [], [], []
-    for u, v, w in g.undirected_edges:
-        us.append(u)
-        vs.append(v)
-        ws.append(float(w))
-    a = sp.coo_matrix((ws + ws, (us + vs, vs + us)), shape=(n, n)).tocsr()
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    return sp.diags(deg) - a, deg
-
-
 def _fiedler_vector(g, seed, tol=1e-8, max_iters=10000):
     """Second-smallest Laplacian eigenvector by shifted power iteration.
 
@@ -79,7 +67,9 @@ def _fiedler_vector(g, seed, tol=1e-8, max_iters=10000):
     eigenvector of the smallest nonzero Laplacian eigenvalue.
     """
     n = g.n_vertices
-    lap, deg = _weighted_laplacian(g)
+    adj = g.csr.matrix()
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    lap = sp.diags(deg) - adj
     c = 2.0 * float(deg.max()) if n else 1.0
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -109,15 +99,12 @@ def _refine_single_sweep(g, sides):
     """One Kernighan-Lin style pass: greedy pair swaps that reduce the
     weighted cut, each vertex moving at most once."""
     n = len(sides)
-    wadj = [dict() for _ in range(n)]
-    for u, v, w in g.undirected_edges:
-        wadj[u][v] = w
-        wadj[v][u] = w
+    csr, rows = g.csr, g.csr.rows
+    weights = np.split(csr.weights, csr.indptr[1:-1])
+    wadj = [dict(zip(g.neighbors(u).tolist(), weights[u].tolist())) for u in range(n)]
     # gain of moving a vertex to the other side
-    gain = np.zeros(n)
-    for u in range(n):
-        for v, w in wadj[u].items():
-            gain[u] += w if sides[u] != sides[v] else -w
+    cross = sides[rows] != sides[csr.indices]
+    gain = np.bincount(rows, weights=np.where(cross, csr.weights, -csr.weights), minlength=n)
     locked = np.zeros(n, dtype=bool)
     while True:
         xs = [u for u in range(n) if sides[u] == 0 and not locked[u]]

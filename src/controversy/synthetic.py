@@ -45,17 +45,15 @@ def planted_two_community(cfg: PlantedConfig):
     """
     rng = np.random.default_rng(cfg.seed)
     half = cfg.n // 2
-    arcs = []
     iu, ju = np.triu_indices(half, k=1)
+    pairs = []
     for offset, prob in ((0, cfg.p1), (half, cfg.p1)):
         mask = rng.random(len(iu)) < prob
-        arcs.extend(
-            (int(a) + offset, int(b) + offset, 1)
-            for a, b in zip(iu[mask], ju[mask])
-        )
-    cross = rng.random((half, half)) < cfg.p2
-    xs, ys = np.nonzero(cross)
-    arcs.extend((int(a), int(b) + half, 1) for a, b in zip(xs, ys))
+        pairs.append(np.column_stack((iu[mask], ju[mask])) + offset)
+    xs, ys = np.nonzero(rng.random((half, half)) < cfg.p2)
+    pairs.append(np.column_stack((xs, ys + half)))
+    pairs = np.concatenate(pairs)
+    arcs = np.column_stack((pairs, np.ones(len(pairs), dtype=np.int64)))
     ids = [str(i) for i in range(cfg.n)]
     graph = ConversationGraph(ids, arcs, directed=False)
     sides = np.zeros(cfg.n, dtype=np.int8)
@@ -70,8 +68,7 @@ def _cell_seed(base_seed, i1, i2, run) -> int:
 def ground_truth_partition_for(sub, n):
     """Planted-block partition restricted to a subgraph (matched by vertex
     id); None when the subgraph lies entirely inside one block."""
-    half = n // 2
-    labels = np.array([0 if int(uid) < half else 1 for uid in sub.ids], dtype=np.int8)
+    labels = (np.array(sub.ids, dtype=np.int64) >= n // 2).astype(np.int8)
     if not (labels == 0).any() or not (labels == 1).any():
         return None
     return Partition(labels)

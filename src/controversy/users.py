@@ -1,6 +1,7 @@
 """Per-user controversy scores from restart walks and hitting times."""
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,19 +53,16 @@ def _strict_rank_fraction(values, rel_tol=1e-9) -> np.ndarray:
     """
     n = len(values)
     order = np.argsort(values, kind="stable")
-    ordered = values[order]
+    prev, val = values[order[:-1]], values[order[1:]]
+    either_inf = np.isinf(prev) | np.isinf(val)
+    with np.errstate(invalid="ignore"):
+        close = val - prev <= rel_tol * (1.0 + np.abs(val))
+    same = np.where(either_inf, np.isinf(prev) & np.isinf(val), close)
+    # each vertex ranks at the first index of its chain of ties
+    first = np.ones(n, dtype=bool)
+    first[1:] = ~same
     ranks = np.empty(n)
-    group_start = 0
-    for i in range(n):
-        if i > 0:
-            prev_val, val = ordered[i - 1], ordered[i]
-            if np.isinf(prev_val) or np.isinf(val):
-                same = np.isinf(prev_val) and np.isinf(val)
-            else:
-                same = val - prev_val <= rel_tol * (1.0 + abs(val))
-            if not same:
-                group_start = i
-        ranks[order[i]] = group_start
+    ranks[order] = np.maximum.accumulate(np.where(first, np.arange(n), 0))
     return ranks / n
 
 
@@ -97,8 +95,8 @@ def user_score_table(g, p: Partition, hds: HighDegreeSets, cfg: RestartWalkConfi
 
 
 def write_user_scores(rows, path):
-    """CSV table: user_id,side,rwc_user,rho."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("user_id,side,rwc_user,rho\n")
-        for r in rows:
-            fh.write(f"{r.user_id},{r.side},{r.rwc_user!r},{r.rho!r}\n")
+    """CSV table: user_id,side,rwc_user,rho (ids quoted where needed)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("user_id", "side", "rwc_user", "rho"))
+        writer.writerows((r.user_id, r.side, repr(r.rwc_user), repr(r.rho)) for r in rows)

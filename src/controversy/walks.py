@@ -58,8 +58,7 @@ def top_degree(g, p, k) -> HighDegreeSets:
     deg = g.degrees
 
     def pick(side):
-        ranked = sorted(side, key=lambda v: (-deg[v], v))
-        return tuple(int(v) for v in ranked[: min(k, len(side))])
+        return tuple(side[np.argsort(-deg[side], kind="stable")][:k].tolist())
 
     return HighDegreeSets(x_plus=pick(p.x), y_plus=pick(p.y), k=k)
 
@@ -72,23 +71,6 @@ class StationaryDistribution:
         """Total stationary probability on the given vertex indices."""
         idx = np.fromiter((int(v) for v in vertices), dtype=np.int64)
         return float(self.probs[idx].sum()) if idx.size else 0.0
-
-
-def _transition_matrix(g, dangling):
-    """Row-stochastic transitions of the directed view, with the rows of
-    dangling (and out-degree-0) vertices removed. Returns the transposed
-    matrix (for fast left-multiplication) and the restart-row mask."""
-    n = g.n_vertices
-    outs = [g.out_neighbors(v) for v in range(n)]
-    out_deg = np.array([len(a) for a in outs], dtype=np.int64)
-    restart_row = out_deg == 0
-    restart_row[[int(v) for v in dangling]] = True
-    kept = np.flatnonzero(~restart_row)
-    rows = np.repeat(kept, out_deg[kept])
-    cols = np.concatenate([outs[v] for v in kept]) if kept.size else rows
-    vals = 1.0 / out_deg[rows]
-    mat_t = sp.coo_matrix((vals, (cols, rows)), shape=(n, n)).tocsr()
-    return mat_t, restart_row
 
 
 def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None):
@@ -107,11 +89,13 @@ def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None
         raise ValueError("restart set is empty")
     r = np.zeros(n)
     r[restart] = 1.0 / len(restart)
-    mat_t, restart_row = _transition_matrix(g, dangling)
+    restart_row = np.diff(g.out_csr.indptr) == 0
+    restart_row[[int(v) for v in dangling]] = True
+    step_t = g.transition_t
     pi = r.copy()
     d = cfg.damping
     for _ in range(cfg.max_iters):
-        new = d * (mat_t @ pi)
+        new = d * (step_t @ np.where(restart_row, 0.0, pi))
         new += (d * float(pi[restart_row].sum()) + (1.0 - d)) * r
         residual = float(np.abs(new - pi).sum())
         pi = new
@@ -172,36 +156,13 @@ def expected_hitting_times(g, targets) -> np.ndarray:
     n = g.n_vertices
     times = np.full(n, np.inf)
     times[targets] = 0.0
-    target_set = set(targets)
-    # vertices that can reach a target: reverse-BFS over the undirected view
-    reach = set(targets)
-    stack = list(targets)
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            v = int(v)
-            if v not in reach:
-                reach.add(v)
-                stack.append(v)
-    free = sorted(reach - target_set)
-    if not free:
+    # vertices that can reach a target: those in a target's component
+    labels = g.component_labels
+    free = np.isin(labels, labels[targets])
+    free[targets] = False
+    free = np.flatnonzero(free)
+    if not free.size:
         return times
-    idx = {v: i for i, v in enumerate(free)}
-    m = len(free)
-    rows, cols, vals = [], [], []
-    for v in free:
-        nbrs = g.neighbors(v)
-        rows.append(idx[v])
-        cols.append(idx[v])
-        vals.append(1.0)
-        share = 1.0 / len(nbrs)
-        for w in nbrs:
-            w = int(w)
-            if w not in target_set:
-                rows.append(idx[v])
-                cols.append(idx[w])
-                vals.append(-share)
-    system = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
-    sol = spla.spsolve(system, np.ones(m))
-    times[free] = sol
+    steps = sp.diags(1.0 / g.degrees[free]) @ g.csr.matrix(weighted=False)[free][:, free]
+    times[free] = spla.spsolve(sp.identity(len(free), format="csr") - steps, np.ones(len(free)))
     return times

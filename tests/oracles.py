@@ -191,6 +191,47 @@ def dense_expected_steps(g, targets):
     return times
 
 
+def loop_gmck(g, sides):
+    """Boundary-connectivity score by per-vertex loops over the neighbor
+    lists; None when the boundary is empty."""
+    n = g.n_vertices
+    has_cross = [any(sides[v] != sides[u] for v in g.neighbors(u)) for u in range(n)]
+    boundary = [
+        has_cross[u]
+        and any(sides[v] == sides[u] and not has_cross[v] for v in g.neighbors(u))
+        for u in range(n)
+    ]
+    members = [u for u in range(n) if boundary[u]]
+    if not members:
+        return None
+    total = 0.0
+    for u in members:
+        d_b = sum(1 for v in g.neighbors(u) if boundary[v])
+        total += (len(g.neighbors(u)) - d_b) / len(g.neighbors(u))
+    return total / len(members) - 0.5
+
+
+def loop_strict_rank_fraction(values, rel_tol=1e-9):
+    """Fraction of values strictly smaller, walking the sorted values once:
+    a value within rel_tol of its predecessor joins the predecessor's tie
+    group (ties chain), inf ties only with inf."""
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(n)
+    group_start = 0
+    for i in range(n):
+        if i > 0:
+            prev, val = values[order[i - 1]], values[order[i]]
+            if np.isinf(prev) or np.isinf(val):
+                same = np.isinf(prev) and np.isinf(val)
+            else:
+                same = val - prev <= rel_tol * (1.0 + abs(val))
+            if not same:
+                group_start = i
+        ranks[order[i]] = group_start
+    return ranks / n
+
+
 def best_balanced_cut(g):
     """Minimum weighted cut over all floor(n/2)/ceil(n/2) bisections,
     by exhaustive enumeration (keep vertex 0 on one side)."""

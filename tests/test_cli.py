@@ -1,5 +1,7 @@
 """End-to-end command-line behavior."""
+import csv
 import json
+import math
 
 import pytest
 
@@ -78,7 +80,44 @@ class TestScore:
         ) == 0
         assert csv_out.read_text().splitlines()[0].startswith("topic,")
         assert len(users_out.read_text().splitlines()) == 35
-        assert len(layout_out.read_text().splitlines()) == 34
+        rows = [line.split("\t") for line in layout_out.read_text().splitlines()]
+        assert len(rows) == 34
+        for uid, x, y in rows:
+            assert math.isfinite(float(x)) and math.isfinite(float(y))
+
+    def test_csv_outputs_quote_commas_and_quotes(self, tmp_path):
+        edges = tmp_path / "g.tsv"
+        edges.write_text('a,1\tb"q\t1\nb"q\tc\t1\nc\td\t1\nd\ta,1\t1\n')
+        part = tmp_path / "p.tsv"
+        part.write_text('a,1\t0\nb"q\t0\nc\t1\nd\t1\n')
+        label = 'left, "right"'
+        csv_out, users_out = tmp_path / "row.csv", tmp_path / "users.csv"
+        assert run(
+            "score", "--edgelist", edges, "--partition-mode", "import",
+            "--partition-file", part, "--measures", "rwc_rwr,mblb",
+            "--topic-label", label, "--out", tmp_path / "r.json",
+            "--csv-out", csv_out, "--user-scores-out", users_out,
+        ) == 0
+        header, row = list(csv.reader(csv_out.open(newline="")))
+        assert len(row) == len(header) == 9
+        assert row[0] == label
+        users = list(csv.reader(users_out.open(newline="")))
+        assert users[0] == ["user_id", "side", "rwc_user", "rho"]
+        assert all(len(r) == 4 for r in users)
+        assert sorted(r[0] for r in users[1:]) == ["a,1", 'b"q', "c", "d"]
+
+    def test_failed_output_leaves_no_files(self, tmp_path, capsys):
+        out, csv_out = tmp_path / "report.json", tmp_path / "row.csv"
+        code = run(
+            "score", "--edgelist", KARATE_EDGES,
+            "--partition-mode", "import", "--partition-file", KARATE_FACTIONS,
+            "--measures", "gmck", "--out", out, "--csv-out", csv_out,
+            "--user-scores-out", tmp_path / "missing" / "users.csv",
+        )
+        assert code == 2
+        assert "missing" in capsys.readouterr().err
+        assert not out.exists() and not csv_out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_graph_is_input_error(self, tmp_path, capsys):
         records = tmp_path / "r.jsonl"

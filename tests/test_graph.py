@@ -175,6 +175,62 @@ class TestGraphStructure:
                 assert u in g.neighbors(int(v))
 
 
+class TestConstructorChecks:
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(cv.InputDataError, match="duplicate user ids"):
+            cv.ConversationGraph(["a", "b", "a"], [(0, 1, 1)], False)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_out_of_range_arc_rejected(self, directed):
+        with pytest.raises(cv.InputDataError, match=r"arc \(1,2\) out of vertex range"):
+            cv.ConversationGraph(["a", "b"], [(0, 1, 1), (1, 2, 1)], directed)
+        with pytest.raises(cv.InputDataError, match="out of vertex range"):
+            cv.ConversationGraph(["a", "b"], [(-1, 0, 1)], directed)
+
+    @pytest.mark.parametrize("weight", [0, -2])
+    def test_non_positive_weight_rejected(self, weight):
+        with pytest.raises(cv.InputDataError, match=r"non-positive weight on arc \(0,1\)"):
+            cv.ConversationGraph(["a", "b"], [(0, 1, weight)], True)
+
+    def test_first_bad_arc_is_reported(self):
+        with pytest.raises(cv.InputDataError, match="non-positive weight"):
+            cv.ConversationGraph(["a", "b"], [(0, 1, 0), (0, 5, 1)], False)
+        # a self-loop is dropped before it is checked
+        g = cv.ConversationGraph(["a", "b"], [(7, 7, 1), (1, 1, -1), (0, 1, 1)], False)
+        assert g.arcs == ((0, 1, 1),)
+
+    def test_self_loops_dropped_and_parallel_arcs_sum_directed(self):
+        g = cv.ConversationGraph(
+            ["a", "b", "c"], [(1, 1, 4), (0, 1, 1), (0, 1, 2), (1, 0, 5), (2, 1, 1)], True
+        )
+        assert g.arcs == ((0, 1, 3), (1, 0, 5), (2, 1, 1))
+        assert g.undirected_edges == ((0, 1, 8), (1, 2, 1))
+        assert list(g.out_neighbors(0)) == [1] and list(g.out_neighbors(2)) == [1]
+        assert list(g.degrees) == [1, 2, 1]
+
+    def test_self_loops_dropped_and_parallel_arcs_sum_undirected(self):
+        g = cv.ConversationGraph(["a", "b", "c"], [(2, 2, 1), (1, 0, 2), (0, 1, 3), (2, 0, 1)], False)
+        assert g.arcs == g.undirected_edges == ((0, 1, 5), (0, 2, 1))
+        assert list(g.neighbors(0)) == [1, 2]
+        assert list(g.out_neighbors(0)) == [1, 2]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_array_input_builds_the_same_graph(self, directed):
+        rng = np.random.default_rng(3)
+        triples = [
+            (int(a), int(b), int(w))
+            for a, b, w in zip(rng.integers(0, 9, 40), rng.integers(0, 9, 40), rng.integers(1, 4, 40))
+        ]
+        ids = [f"u{i}" for i in range(9)]
+        from_list = cv.ConversationGraph(ids, triples, directed)
+        from_array = cv.ConversationGraph(ids, np.array(triples, dtype=np.int64), directed)
+        assert from_array == from_list
+        assert hash(from_array) == hash(from_list)
+        assert from_array.arcs == from_list.arcs
+        empty = cv.ConversationGraph(ids, np.empty((0, 3), dtype=np.int64), directed)
+        assert empty == cv.ConversationGraph(ids, [], directed)
+
+
 class TestLargestComponent:
     def test_picks_the_biggest(self):
         # two triangles and a pentagon

@@ -6,6 +6,8 @@ import pytest
 import controversy as cv
 
 from conftest import random_connected_graph
+from controversy.users import _strict_rank_fraction
+from oracles import loop_gmck, loop_strict_rank_fraction
 
 N_GRAPHS = 100
 
@@ -48,6 +50,76 @@ def each_measure(g, p, seed):
     layout = cv.force_layout(g, iterations=FAST_LAYOUT_ITERS, seed=seed)
     values["ec"] = cv.ec(layout, p)
     return values
+
+
+def directed_corpus(count=40):
+    """(graph, raw arc array) pairs: random directed graphs with self-loops,
+    sinks, isolated vertices, parallel arcs and both arc directions."""
+    rng = np.random.default_rng(20261017)
+    pairs = []
+    for _ in range(count):
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(0, 2 * n))
+        arcs = np.column_stack(
+            (rng.integers(0, n, m), rng.integers(0, n, m), rng.integers(1, 4, m))
+        )
+        pairs.append((cv.ConversationGraph([f"u{i}" for i in range(n)], arcs, True), arcs))
+    return pairs
+
+
+class TestStructureAgainstNetworkx:
+    def test_components_degrees_neighbors_and_weights(self):
+        import networkx as nx
+
+        for g, arcs in [(g, g.arcs) for g, _ in CORPUS] + directed_corpus():
+            ref = nx.MultiDiGraph()
+            ref.add_nodes_from(range(g.n_vertices))
+            ref.add_weighted_edges_from((int(u), int(v), int(w)) for u, v, w in arcs if u != v)
+            und = nx.Graph(ref.to_undirected())
+            comps = sorted(sorted(c) for c in nx.connected_components(und))
+            assert [c.tolist() for c in cv.connected_components(g)] == comps
+            assert g.degrees.tolist() == [und.degree(v) for v in range(g.n_vertices)]
+            for v in range(g.n_vertices):
+                assert g.neighbors(v).tolist() == sorted(und.neighbors(v))
+                if g.directed:
+                    assert g.out_neighbors(v).tolist() == sorted(set(ref.successors(v)))
+            arc_w, edge_w = {}, {}
+            for u, v, w in ref.edges(data="weight"):
+                edge = (min(u, v), max(u, v))
+                arc = (u, v) if g.directed else edge
+                arc_w[arc] = arc_w.get(arc, 0) + w
+                edge_w[edge] = edge_w.get(edge, 0) + w
+            assert g.arcs == tuple(sorted((u, v, w) for (u, v), w in arc_w.items()))
+            assert g.undirected_edges == tuple(sorted((u, v, w) for (u, v), w in edge_w.items()))
+
+
+class TestVectorisedAgainstLoops:
+    def test_gmck_matches_loop_oracle(self):
+        checked = 0
+        for g, p in CORPUS:
+            want = loop_gmck(g, p.sides)
+            if want is None:
+                with pytest.raises(cv.DegenerateStructureError):
+                    cv.gmck(g, p)
+                continue
+            # the vectorised mean sums in another order than the loop
+            assert cv.gmck(g, p) == pytest.approx(want, abs=1e-12)
+            checked += 1
+        assert checked >= 60
+
+    def test_rank_fraction_matches_loop_oracle(self):
+        rng = np.random.default_rng(8)
+        cases = [np.array([]), np.array([np.inf]), np.array([2.0, 2.0 + 1e-12, np.inf, 0.0])]
+        for g, p in CORPUS[:40]:
+            hds = cv.top_degree(g, p, cv.default_k(p))
+            cases.append(cv.expected_hitting_times(g, hds.x_plus))
+        for _ in range(30):
+            # chains of near-ties, exact ties and infinities
+            vals = np.cumsum(rng.choice([0.0, 5e-10, 1.0], size=int(rng.integers(1, 25))))
+            vals[rng.random(len(vals)) < 0.2] = np.inf
+            cases.append(rng.permutation(vals))
+        for vals in cases:
+            assert np.array_equal(_strict_rank_fraction(vals), loop_strict_rank_fraction(vals))
 
 
 class TestSideSwapSymmetry:
