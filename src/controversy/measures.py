@@ -12,13 +12,12 @@ import io
 import json
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateStructureError
-from .partition import Partition, cut_edges
+from .partition import Partition
 from .walks import (
     RestartWalkConfig,
     default_k,
@@ -29,6 +28,12 @@ from .walks import (
 )
 
 DENSITY_FLOOR = 1e-12
+# Elements of one (n, b) temporary of the layout's repulsion step
+# (float64, 512 KiB): b = LAYOUT_BLOCK_ELEMENTS // n columns at a time.
+LAYOUT_BLOCK_ELEMENTS = 1 << 16
+# Elements of one (n, b) plus one (m, b) temporary of the batched Brandes
+# pass (2 MiB): b = BETWEENNESS_BLOCK_ELEMENTS // (n + m) sources at a time.
+BETWEENNESS_BLOCK_ELEMENTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -138,39 +143,50 @@ def rwc_rwr(g, p: Partition, k=None, cfg: RestartWalkConfig | None = None) -> fl
 
 def edge_betweenness(g):
     """Exact edge betweenness over ordered vertex pairs (both (s,t) and
-    (t,s) count), via Brandes' accumulation on the unweighted undirected
-    view. Returns {(u, v) with u < v: value}."""
+    (t,s) count) on the unweighted undirected view. Returns
+    {(u, v) with u < v: value}, keyed in ``g.edge_array`` order.
+
+    Brandes' accumulation in algebraic form, for a block of sources at
+    once: a level-synchronous BFS counts shortest paths (sigma) by sparse
+    x dense products, and a backward pass builds r = (1 + delta) / sigma
+    level by level, where r[w] = 1/sigma[w] + sum of r over w's
+    successors. Edge (u, v) with depth(v) = depth(u) + 1 then carries
+    sigma[u] * r[v] from every source.
+    """
     n = g.n_vertices
-    bc = {(u, v): 0.0 for u, v, _ in g.undirected_edges}
-    for s in range(n):
-        # single-source shortest paths
-        dist = np.full(n, -1, dtype=np.int64)
-        sigma = np.zeros(n)
-        preds = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = []
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in g.neighbors(u):
-                v = int(v)
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        # dependency accumulation onto edges
-        delta = np.zeros(n)
-        for w in reversed(order):
-            for u in preds[w]:
-                contribution = sigma[u] / sigma[w] * (1.0 + delta[w])
-                key = (u, w) if u < w else (w, u)
-                bc[key] += contribution
-                delta[u] += contribution
-    return bc
+    edges = g.edge_array
+    u, v = edges[:, 0], edges[:, 1]
+    adj = g.csr.matrix(weighted=False)
+    values = np.zeros(len(edges))
+    block = max(1, BETWEENNESS_BLOCK_ELEMENTS // (n + len(edges)))
+    for lo in range(0, n, block):
+        sources = np.arange(lo, min(n, lo + block))
+        cols = np.arange(len(sources))
+        sigma = np.zeros((n, len(sources)))
+        sigma[sources, cols] = 1.0
+        depth = np.full(sigma.shape, -1, dtype=np.int32)
+        depth[sources, cols] = 0
+        frontier, level = sigma, 0
+        while True:
+            frontier = adj @ frontier
+            frontier[depth >= 0] = 0.0
+            reached = frontier > 0.0
+            if not reached.any():
+                break
+            level += 1
+            depth[reached] = level
+            sigma += frontier
+        ratio = np.zeros(sigma.shape)  # successor sums, then r, level by level
+        for lv in range(level, 0, -1):
+            at = depth == lv
+            ratio[at] += 1.0 / sigma[at]
+            pull = adj @ np.where(at, ratio, 0.0)
+            prev = depth == lv - 1
+            ratio[prev] = pull[prev]
+        du, dv = depth[u], depth[v]
+        values += np.where(dv == du + 1, sigma[u] * ratio[v], 0.0).sum(axis=1)
+        values += np.where(du == dv + 1, sigma[v] * ratio[u], 0.0).sum(axis=1)
+    return dict(zip(map(tuple, edges[:, :2].tolist()), values.tolist()))
 
 
 def _scott_bandwidth(values):
@@ -183,7 +199,7 @@ def _kde_density(points, centers, bandwidth):
     """Gaussian KDE evaluated at ``points``, chunked to bound memory."""
     out = np.empty(len(points))
     norm = len(centers) * bandwidth * math.sqrt(2.0 * math.pi)
-    step = max(1, (1 << 22) // max(1, len(centers)))
+    step = max(1, (1 << 16) // max(1, len(centers)))
     for lo in range(0, len(points), step):
         z = (points[lo : lo + step, None] - centers[None, :]) / bandwidth
         out[lo : lo + step] = np.exp(-0.5 * z * z).sum(axis=1) / norm
@@ -198,10 +214,13 @@ def bcc(g, p: Partition, n_samples=10000, seed=0) -> float:
     points from the cut KDE, and maps through 1 - exp(-KL). Densities are
     floored at 1e-12; the result is clamped to [0, 1).
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     bc = edge_betweenness(g)
-    cut = set(cut_edges(g, p))
-    cut_vals = np.array([v for e, v in bc.items() if e in cut], dtype=float)
-    rest_vals = np.array([v for e, v in bc.items() if e not in cut], dtype=float)
+    values = np.fromiter(bc.values(), dtype=float, count=len(bc))
+    edges = g.edge_array
+    cut = p.sides[edges[:, 0]] != p.sides[edges[:, 1]]
+    cut_vals, rest_vals = values[cut], values[~cut]
     if len(cut_vals) == 0 or len(rest_vals) == 0:
         raise DegenerateStructureError(
             "degenerate partition for BCC: need both cut and non-cut edges"
@@ -227,8 +246,13 @@ def force_layout(g, iterations=500, seed=0):
     attraction ~ d^2/k along edges, annealed displacement cap).
 
     Deterministic given (graph, seed, iterations). Returns an (n, 2)
-    coordinate array indexed by vertex.
+    coordinate array indexed by vertex. The repulsion is summed over
+    (n, b) column blocks, b = LAYOUT_BLOCK_ELEMENTS // n: entry [j, i]
+    of a block is vertex j's push on vertex i, and each column sums its
+    n terms in index order.
     """
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
     n = g.n_vertices
     rng = np.random.default_rng(seed)
     pos = rng.random((n, 2))
@@ -236,15 +260,27 @@ def force_layout(g, iterations=500, seed=0):
         return pos
     k = math.sqrt(1.0 / n)
     edges = g.edge_array[:, :2]
+    block = max(1, LAYOUT_BLOCK_ELEMENTS // n)
+    disp = np.empty((n, 2))
     t0 = 0.1
     for it in range(iterations):
         temp = t0 * (1.0 - it / iterations)
-        delta = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((delta**2).sum(axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        dist = np.maximum(dist, 1e-9)
-        disp = (k * k / dist**2)[:, :, None] * delta
-        disp = disp.sum(axis=1)
+        xs, ys = pos.T.copy()
+        for lo in range(0, n, block):
+            hi = min(n, lo + block)
+            dx = xs[None, lo:hi] - xs[:, None]
+            dy = ys[None, lo:hi] - ys[:, None]
+            w = dx * dx
+            w += dy * dy
+            np.sqrt(w, out=w)
+            w[np.arange(lo, hi), np.arange(hi - lo)] = np.inf
+            np.maximum(w, 1e-9, out=w)
+            w *= w
+            np.divide(k * k, w, out=w)
+            dx *= w
+            dy *= w
+            disp[lo:hi, 0] = dx.sum(axis=0)
+            disp[lo:hi, 1] = dy.sum(axis=0)
         if len(edges):
             evec = pos[edges[:, 0]] - pos[edges[:, 1]]
             edist = np.maximum(np.sqrt((evec**2).sum(axis=-1)), 1e-9)

@@ -4,6 +4,7 @@ Everything here trades efficiency for obviousness: path enumeration
 instead of dependency accumulation, dense linear solves instead of power
 iteration, exhaustive enumeration instead of spectral splitting.
 """
+import math
 from collections import deque
 from itertools import combinations
 
@@ -61,6 +62,83 @@ def naive_edge_betweenness(g):
                     key = (a, b) if a < b else (b, a)
                     bc[key] += 1.0 / sigma
     return bc
+
+
+def loop_edge_betweenness(g):
+    """Brandes' accumulation one source at a time, with a Python BFS
+    queue and predecessor lists. Returns {(u, v) with u < v: value} over
+    ordered pairs."""
+    n = g.n_vertices
+    bc = {(u, v): 0.0 for u, v, _ in g.undirected_edges}
+    for s in range(n):
+        dist = np.full(n, -1, dtype=np.int64)
+        sigma = np.zeros(n)
+        preds = [[] for _ in range(n)]
+        dist[s] = 0
+        sigma[s] = 1.0
+        order = []
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for v in g.neighbors(u):
+                v = int(v)
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+                if dist[v] == dist[u] + 1:
+                    sigma[v] += sigma[u]
+                    preds[v].append(u)
+        delta = np.zeros(n)
+        for w in reversed(order):
+            for u in preds[w]:
+                contribution = sigma[u] / sigma[w] * (1.0 + delta[w])
+                key = (u, w) if u < w else (w, u)
+                bc[key] += contribution
+                delta[u] += contribution
+    return bc
+
+
+def networkx_edge_betweenness(g):
+    """networkx's unnormalised edge betweenness counts each unordered pair
+    once; doubled, it is the ordered-pair value keyed {(u, v) with u < v}."""
+    import networkx as nx
+
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n_vertices))
+    ref.add_edges_from((u, v) for u, v, _ in g.undirected_edges)
+    bc = nx.edge_betweenness_centrality(ref, normalized=False)
+    return {(min(e), max(e)): 2.0 * value for e, value in bc.items()}
+
+
+def dense_force_layout(g, iterations=500, seed=0):
+    """The spring-electrical layout with the full (n, n, 2) displacement
+    tensor per iteration; the library must reproduce it bit for bit."""
+    n = g.n_vertices
+    rng = np.random.default_rng(seed)
+    pos = rng.random((n, 2))
+    if n <= 1 or iterations < 1:
+        return pos
+    k = math.sqrt(1.0 / n)
+    edges = g.edge_array[:, :2]
+    t0 = 0.1
+    for it in range(iterations):
+        temp = t0 * (1.0 - it / iterations)
+        delta = pos[:, None, :] - pos[None, :, :]
+        dist = np.sqrt((delta**2).sum(axis=-1))
+        np.fill_diagonal(dist, np.inf)
+        dist = np.maximum(dist, 1e-9)
+        disp = (k * k / dist**2)[:, :, None] * delta
+        disp = disp.sum(axis=1)
+        if len(edges):
+            evec = pos[edges[:, 0]] - pos[edges[:, 1]]
+            edist = np.maximum(np.sqrt((evec**2).sum(axis=-1)), 1e-9)
+            pull = (edist / k)[:, None] * evec
+            np.subtract.at(disp, edges[:, 0], pull)
+            np.add.at(disp, edges[:, 1], pull)
+        length = np.maximum(np.sqrt((disp**2).sum(axis=-1)), 1e-12)
+        pos = pos + disp / length[:, None] * np.minimum(length, temp)[:, None]
+    return pos
 
 
 def dense_stationary_rwr(g, restart, dangling, damping):

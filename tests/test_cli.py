@@ -119,6 +119,21 @@ class TestScore:
         assert not out.exists() and not csv_out.exists()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "measure, option",
+        [("bcc", ("--n-samples", 0)), ("ec", ("--layout-iterations", -5))],
+    )
+    def test_invalid_measure_parameter_writes_no_report(self, tmp_path, capsys, measure, option):
+        out = tmp_path / "r.json"
+        code = run(
+            "score", "--edgelist", KARATE_EDGES,
+            "--partition-mode", "import", "--partition-file", KARATE_FACTIONS,
+            "--measures", measure, *option, "--out", out,
+        )
+        assert code == 2
+        assert "measure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_graph_is_input_error(self, tmp_path, capsys):
         records = tmp_path / "r.jsonl"
         records.write_text(json.dumps({"author": "a", "hashtags": ["go"]}) + "\n")

@@ -3,9 +3,15 @@ import numpy as np
 import pytest
 
 import controversy as cv
-from controversy.measures import dipole_of_polarities, propagate_polarity
+from controversy.measures import (
+    BETWEENNESS_BLOCK_ELEMENTS,
+    LAYOUT_BLOCK_ELEMENTS,
+    dipole_of_polarities,
+    propagate_polarity,
+)
 
 from conftest import (
+    KARATE_EDGES,
     barbell,
     complete,
     make_graph,
@@ -13,7 +19,12 @@ from conftest import (
     random_connected_graph,
     two_cliques,
 )
-from oracles import naive_edge_betweenness
+from oracles import (
+    dense_force_layout,
+    loop_edge_betweenness,
+    naive_edge_betweenness,
+    networkx_edge_betweenness,
+)
 
 
 def balanced_partition(n):
@@ -125,6 +136,31 @@ class TestEdgeBetweenness:
             for e in fast:
                 assert fast[e] == pytest.approx(slow[e], abs=1e-9)
 
+    @staticmethod
+    def assert_matches_networkx(g):
+        fast, ref = cv.edge_betweenness(g), networkx_edge_betweenness(g)
+        assert fast.keys() == ref.keys()
+        for e in ref:
+            assert fast[e] == pytest.approx(ref[e], rel=1e-12)
+
+    def test_larger_than_source_block_matches_networkx_and_loop(self):
+        g, _ = cv.planted_two_community(cv.PlantedConfig(300, 0.03, 0.002, seed=3))
+        assert g.n_vertices > BETWEENNESS_BLOCK_ELEMENTS // (g.n_vertices + g.n_edges)
+        self.assert_matches_networkx(g)
+        fast, loop = cv.edge_betweenness(g), loop_edge_betweenness(g)
+        assert list(fast) == list(loop)
+        for e in fast:
+            assert fast[e] == pytest.approx(loop[e], rel=1e-12)
+
+    def test_disconnected_matches_networkx(self):
+        # no cross edges: two blocks, plus isolated vertices at this density
+        g, _ = cv.planted_two_community(cv.PlantedConfig(400, 0.012, 0.0, seed=5))
+        assert len(cv.connected_components(g)) > 2
+        assert g.n_vertices > BETWEENNESS_BLOCK_ELEMENTS // (g.n_vertices + g.n_edges)
+        self.assert_matches_networkx(g)
+        self.assert_matches_networkx(make_graph(7, [(0, 1), (1, 2), (4, 5)]))
+        assert cv.edge_betweenness(make_graph(3, [])) == {}
+
 
 class TestBcc:
     def test_barbell_near_one(self):
@@ -145,6 +181,11 @@ class TestBcc:
         p = cv.Partition(np.array([0, 0, 1, 1], dtype=np.int8))
         with pytest.raises(cv.DegenerateStructureError):
             cv.bcc(g, p, seed=0)
+
+    def test_needs_a_sample(self, karate):
+        g, p = karate
+        with pytest.raises(ValueError, match="n_samples"):
+            cv.bcc(g, p, n_samples=0)
 
     def test_range_and_determinism(self, karate):
         g, p = karate
@@ -177,6 +218,27 @@ class TestForceLayout:
         a = cv.force_layout(g, iterations=120, seed=7)
         b = cv.force_layout(g, iterations=120, seed=7)
         assert (a == b).all()
+
+    @pytest.mark.parametrize("graph", ["karate", "barbell", "planted"])
+    def test_bit_identical_to_dense_oracle(self, graph):
+        iterations = 500
+        if graph == "karate":
+            g = cv.read_edgelist(KARATE_EDGES, directed=False)
+        elif graph == "barbell":
+            g, _ = barbell(5)
+        else:
+            g, _ = cv.planted_two_community(cv.PlantedConfig(300, 0.04, 0.004, seed=1))
+            assert g.n_vertices > LAYOUT_BLOCK_ELEMENTS // g.n_vertices
+            iterations = 60
+        fast = cv.force_layout(g, iterations=iterations, seed=2)
+        assert (fast == dense_force_layout(g, iterations=iterations, seed=2)).all()
+
+    def test_iterations(self):
+        g, _ = barbell(4)
+        start = cv.force_layout(g, iterations=0, seed=3)
+        assert (start == np.random.default_rng(3).random((g.n_vertices, 2))).all()
+        with pytest.raises(ValueError, match="iterations"):
+            cv.force_layout(g, iterations=-1, seed=3)
 
 
 class TestEc:

@@ -7,7 +7,7 @@ import controversy as cv
 
 from conftest import random_connected_graph
 from controversy.users import _strict_rank_fraction
-from oracles import loop_gmck, loop_strict_rank_fraction
+from oracles import loop_gmck, loop_strict_rank_fraction, networkx_edge_betweenness
 
 N_GRAPHS = 100
 
@@ -91,6 +91,13 @@ class TestStructureAgainstNetworkx:
                 edge_w[edge] = edge_w.get(edge, 0) + w
             assert g.arcs == tuple(sorted((u, v, w) for (u, v), w in arc_w.items()))
             assert g.undirected_edges == tuple(sorted((u, v, w) for (u, v), w in edge_w.items()))
+
+    def test_edge_betweenness(self):
+        for g, _ in CORPUS:
+            fast, ref = cv.edge_betweenness(g), networkx_edge_betweenness(g)
+            assert fast.keys() == ref.keys()
+            for e in ref:
+                assert fast[e] == pytest.approx(ref[e], rel=1e-12)
 
 
 class TestVectorisedAgainstLoops:
