@@ -331,6 +331,11 @@ def build_parser():
             p.add_argument("--expand-k", dest="expand_k", type=int)
             p.add_argument("--expand-alpha", dest="expand_alpha", type=float)
 
+    def add_walk_bound_flags(p):
+        p.add_argument("--tolerance", type=float, help="restart-walk error tolerance")
+        p.add_argument("--max-iters", dest="max_iters", type=int,
+                       help="restart-walk iteration budget (exit 3 when exceeded)")
+
     p = new_sub("build-graph", "build a conversation graph and write its edge list")
     add_source_flags(p)
     p.add_argument("--out", required=True)
@@ -364,6 +369,7 @@ def build_parser():
     p.add_argument("--measures", help=f"comma list from: {','.join(MEASURE_NAMES)}")
     p.add_argument("--k", type=int, help="authorities per side (default: 5%% of smaller side)")
     p.add_argument("--damping", type=float)
+    add_walk_bound_flags(p)
     p.add_argument("--n-walks", dest="n_walks", type=int)
     p.add_argument("--n-samples", dest="n_samples", type=int)
     p.add_argument("--layout-iterations", dest="layout_iterations", type=int)
@@ -382,6 +388,7 @@ def build_parser():
     p.add_argument("--partition-file", dest="partition_file")
     p.add_argument("--k", type=int)
     p.add_argument("--damping", type=float)
+    add_walk_bound_flags(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     _add_bool(p, "force", "overwrite existing outputs")

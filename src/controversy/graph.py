@@ -55,7 +55,7 @@ class InteractionRecord:
         return cls(
             author=author,
             endorsed=endorsed,
-            hashtags=frozenset(normalize_tag(t) for t in hashtags if normalize_tag(t)),
+            hashtags=frozenset(filter(None, map(normalize_tag, hashtags))),
             urls=frozenset(str(u).strip() for u in urls if str(u).strip()),
             timestamp=int(timestamp),
         )

@@ -6,14 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStructureError
+from .errors import ConvergenceError, DegenerateStructureError
 from .partition import Partition
-from .walks import (
-    HighDegreeSets,
-    RestartWalkConfig,
-    expected_hitting_times,
-    stationary_rwr,
-)
+from .walks import HighDegreeSets, RestartWalkConfig, expected_hitting_times
 
 
 @dataclass(frozen=True)
@@ -24,24 +19,73 @@ class UserScore:
     rho: float
 
 
+def _authority_hits(g, hds: HighDegreeSets, cfg: RestartWalkConfig | None) -> np.ndarray:
+    """Expected visits to X+ (column 0) and Y+ (column 1) per excursion of
+    the restart walk started at each vertex (one row per start vertex).
+
+    An excursion from u follows uniform out-arcs with probability
+    ``damping`` per step and ends at a restart; authorities and vertices
+    without out-arcs always restart. With Q the step matrix with those
+    rows zeroed, the visits are N = (I - d*Q)^-1 and the rows are
+    N @ [1_X+, 1_Y+]. Solved by the fixed-point iteration
+    H <- B + d*Q*H. Each step shrinks the max-norm change by a factor of
+    at least d, so the remaining error is at most change * d / (1 - d);
+    the iteration stops when that bound drops below the configured
+    tolerance.
+    """
+    cfg = cfg or RestartWalkConfig()
+    targets = np.zeros((g.n_vertices, 2))
+    targets[list(hds.x_plus), 0] = 1.0
+    targets[list(hds.y_plus), 1] = 1.0
+    restart_row = np.diff(g.out_csr.indptr) == 0
+    restart_row[list(hds.all)] = True
+    step = g.transition_t.T
+    d = cfg.damping
+    hits = targets
+    for _ in range(cfg.max_iters):
+        new = d * (step @ hits)
+        new[restart_row] = 0.0
+        new += targets
+        error_bound = float(np.abs(new - hits).max()) * d / (1.0 - d)
+        hits = new
+        if error_bound < cfg.tolerance:
+            return hits
+    raise ConvergenceError(
+        f"user restart walks did not converge in {cfg.max_iters} iterations "
+        f"(last error bound {error_bound:.3e})",
+        residual=error_bound,
+    )
+
+
+def _rwc_user_all(g, p: Partition, hds: HighDegreeSets, cfg: RestartWalkConfig | None) -> np.ndarray:
+    """rwc_user of every vertex; NaN where the walk reaches no authority."""
+    hits = _authority_hits(g, hds, cfg)
+    own = np.where(p.sides == 0, hits[:, 0], hits[:, 1])
+    with np.errstate(invalid="ignore"):
+        return own / (hits[:, 0] + hits[:, 1])
+
+
+def _unreached_error(g, values, u) -> DegenerateStructureError:
+    count = int(np.isnan(values).sum())
+    return DegenerateStructureError(
+        f"the restart walk of user {g.ids[u]!r} reaches no high-degree vertex "
+        f"({count} of {g.n_vertices} users)"
+    )
+
+
 def rwc_user(g, p: Partition, hds: HighDegreeSets, u, cfg: RestartWalkConfig | None = None) -> float:
     """Probability mass the user's restart walk puts on their own side's
     authorities, normalized over both sides.
 
     The walk starts and restarts at ``u``; top-degree vertices of both
     sides are dangling and teleport back to ``u`` with probability 1.
-    Returns a value in [0, 1].
+    Returns a value in [0, 1], read from the batched solve for all users.
     """
     u = int(u)
-    pi = stationary_rwr(g, [u], hds.all, cfg)
-    m_x = pi.mass(hds.x_plus)
-    m_y = pi.mass(hds.y_plus)
-    if m_x + m_y == 0.0:
-        raise DegenerateStructureError(
-            f"no high-degree vertex reachable from vertex {u}"
-        )
-    own = m_x if p.side_of(u) == "X" else m_y
-    return float(own / (m_x + m_y))
+    values = _rwc_user_all(g, p, hds, cfg)
+    if np.isnan(values[u]):
+        raise _unreached_error(g, values, u)
+    return float(values[u])
 
 
 def _strict_rank_fraction(values, rel_tol=1e-9) -> np.ndarray:
@@ -81,17 +125,14 @@ def hitting_score_all(g, p: Partition, hds: HighDegreeSets) -> np.ndarray:
 def user_score_table(g, p: Partition, hds: HighDegreeSets, cfg: RestartWalkConfig | None = None):
     """UserScore rows for every vertex (restart-walk score + hitting rank)."""
     rho = hitting_score_all(g, p, hds)
-    rows = []
-    for v in range(g.n_vertices):
-        rows.append(
-            UserScore(
-                user_id=g.ids[v],
-                side=p.side_of(v),
-                rwc_user=rwc_user(g, p, hds, v, cfg),
-                rho=float(rho[v]),
-            )
-        )
-    return rows
+    values = _rwc_user_all(g, p, hds, cfg)
+    unreached = np.flatnonzero(np.isnan(values))
+    if unreached.size:
+        raise _unreached_error(g, values, unreached[0])
+    return [
+        UserScore(user_id=g.ids[v], side=p.side_of(v), rwc_user=float(values[v]), rho=float(rho[v]))
+        for v in range(g.n_vertices)
+    ]
 
 
 def write_user_scores(rows, path):

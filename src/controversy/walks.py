@@ -21,7 +21,8 @@ WALK_STEP_CAP = 10**6
 
 @dataclass(frozen=True)
 class RestartWalkConfig:
-    """Parameters of the power iteration for restart walks."""
+    """Parameters of the restart-walk iterations (the stationary power
+    iteration and the batched user-score solve)."""
 
     damping: float = 0.85
     tolerance: float = 1e-10
@@ -30,6 +31,8 @@ class RestartWalkConfig:
     def __post_init__(self):
         if not 0.0 < self.damping < 1.0:
             raise ValueError("damping must be in (0, 1)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)

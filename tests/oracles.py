@@ -164,6 +164,19 @@ def dense_stationary_rwr(g, restart, dangling, damping):
     return np.linalg.solve(A, b)
 
 
+def power_rwc_user(g, p, hds, u, cfg=None):
+    """Restart-walk user score from one stationary power iteration that
+    restarts at ``u``: the own side's share of the authority mass."""
+    # imported here: the other oracles run on graphs without the library
+    from controversy.walks import stationary_rwr
+
+    pi = stationary_rwr(g, [int(u)], hds.all, cfg)
+    m_x = pi.mass(hds.x_plus)
+    m_y = pi.mass(hds.y_plus)
+    own = m_x if p.side_of(u) == "X" else m_y
+    return float(own / (m_x + m_y))
+
+
 def dense_rwc_rwr(g, p, x_plus, y_plus, damping):
     """Restart-walk controversy from two dense stationary solves.
 

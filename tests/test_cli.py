@@ -281,6 +281,35 @@ class TestGraphCommands:
         assert rows[0] == "user_id,side,rwc_user,rho"
         assert len(rows) == 35
 
+    @pytest.mark.parametrize("max_iters, code", [(1, 3), (0, 2)])
+    def test_user_scores_iteration_budget(self, tmp_path, capsys, max_iters, code):
+        out = tmp_path / "u.csv"
+        assert run(
+            "user-scores", "--edgelist", KARATE_EDGES,
+            "--partition-mode", "import", "--partition-file", KARATE_FACTIONS,
+            "--max-iters", max_iters, "--out", out,
+        ) == code
+        assert ("iterations" if code == 3 else "max_iters") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directed_user_scores_name_unreached_account(self, tmp_path, capsys):
+        # carol is only ever retweeted: without an out-arc her restart walk
+        # never leaves her and reaches no authority
+        arcs = [("a1", "a2"), ("a2", "a1"), ("a3", "a1"), ("b1", "b2"), ("b2", "b1"),
+                ("b3", "b2"), ("a1", "b1"), ("a3", "carol"), ("b3", "carol")]
+        edges, sides = tmp_path / "rt.tsv", tmp_path / "sides.tsv"
+        edges.write_text("".join(f"{a}\t{b}\t1\n" for a, b in arcs))
+        sides.write_text("".join(f"{u}\t{0 if u[0] in 'ac' else 1}\n"
+                                 for u in ("a1", "a2", "a3", "b1", "b2", "b3", "carol")))
+        out = tmp_path / "u.csv"
+        code = run(
+            "user-scores", "--edgelist", edges, "--directed",
+            "--partition-mode", "import", "--partition-file", sides, "--out", out,
+        )
+        assert code == 4
+        assert "user 'carol' reaches no high-degree vertex (1 of 7 users)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOtherCommands:
     def test_expand_topic_from_records(self, tmp_path, capsys):

@@ -22,7 +22,7 @@ TOPIC_A = cv.Topic.make("a", ["b"])
 
 class TestInteractionRecord:
     def test_normalizes_case_and_hash_prefix(self):
-        r = rec("Alice", "BOB", hashtags=["#Tag", "other"])
+        r = rec("Alice", "BOB", hashtags=["#Tag", "other", " #TAG ", "#", "  "])
         assert r.author == "alice"
         assert r.endorsed == "bob"
         assert r.hashtags == frozenset({"tag", "other"})

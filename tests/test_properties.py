@@ -7,7 +7,12 @@ import controversy as cv
 
 from conftest import random_connected_graph
 from controversy.users import _strict_rank_fraction
-from oracles import loop_gmck, loop_strict_rank_fraction, networkx_edge_betweenness
+from oracles import (
+    dense_stationary_rwr,
+    loop_gmck,
+    loop_strict_rank_fraction,
+    networkx_edge_betweenness,
+)
 
 N_GRAPHS = 100
 
@@ -161,6 +166,47 @@ class TestUserScoreSymmetry:
             value = cv.rwc_user(g, p, hds, u)
             assert 0.0 <= value <= 1.0
             assert cv.rwc_user(g, p.swapped(), hds_swapped, u) == value
+            table = cv.user_score_table(g, p, hds)
+            swapped = cv.user_score_table(g, p.swapped(), hds_swapped)
+            assert [r.rwc_user for r in swapped] == [r.rwc_user for r in table]
+
+
+def dense_rwc_user(g, p, hds, u):
+    """Own-side share of the authority mass of one dense stationary solve
+    restarting at u, and the total authority mass."""
+    pi = dense_stationary_rwr(g, [u], hds.all, cv.RestartWalkConfig().damping)
+    m_x, m_y = pi[list(hds.x_plus)].sum(), pi[list(hds.y_plus)].sum()
+    total = m_x + m_y
+    return ((m_x if p.sides[u] == 0 else m_y) / total if total > 0 else None), total
+
+
+class TestUserScoresAgainstDenseOracle:
+    def test_every_vertex_of_the_corpus(self):
+        for g, p in CORPUS:
+            hds = cv.top_degree(g, p, cv.default_k(p))
+            table = cv.user_score_table(g, p, hds)
+            for u, row in enumerate(table):
+                expected, _ = dense_rwc_user(g, p, hds, u)
+                assert abs(row.rwc_user - expected) < 1e-8
+
+    def test_directed_graphs_with_sinks(self):
+        rng = np.random.default_rng(7)
+        checked = unreached = 0
+        for g, _ in directed_corpus():
+            if g.n_vertices < 2:
+                continue
+            p = cv.Partition(np.resize([0, 1], g.n_vertices)[rng.permutation(g.n_vertices)])
+            hds = cv.top_degree(g, p, cv.default_k(p))
+            for u in range(g.n_vertices):
+                expected, total = dense_rwc_user(g, p, hds, u)
+                if total < 1e-12:
+                    with pytest.raises(cv.DegenerateStructureError, match=repr(g.ids[u])):
+                        cv.rwc_user(g, p, hds, u)
+                    unreached += 1
+                else:
+                    assert abs(cv.rwc_user(g, p, hds, u) - expected) < 1e-8
+                    checked += 1
+        assert checked >= 200 and unreached >= 50, (checked, unreached)
 
 
 class TestRanges:

@@ -6,7 +6,7 @@ import controversy as cv
 from controversy.users import _strict_rank_fraction
 
 from conftest import barbell, complete, cycle, make_graph, two_cliques
-from oracles import dense_stationary_rwr
+from oracles import dense_stationary_rwr, power_rwc_user
 
 
 class TestRwcUser:
@@ -15,6 +15,7 @@ class TestRwcUser:
         hds = cv.top_degree(g, p, 1)
         for u in range(5):
             assert cv.rwc_user(g, p, hds, u) == 1.0
+        assert [r.rwc_user for r in cv.user_score_table(g, p, hds)] == [1.0] * 10
 
     def test_mirror_symmetric_vertex_gets_half(self):
         # path 0-1-2-3-4 with the center on side X; the map v -> 4-v swaps
@@ -40,6 +41,28 @@ class TestRwcUser:
             assert cv.rwc_user(g, p, hds, u, cfg) == pytest.approx(
                 own / (m_x + m_y), abs=1e-8
             )
+
+    @pytest.mark.parametrize("graph", ["karate", "planted"])
+    def test_matches_power_iteration_oracle(self, graph, karate):
+        if graph == "karate":
+            g, p = karate
+            vertices = range(g.n_vertices)
+        else:
+            g, p = cv.planted_two_community(cv.PlantedConfig(1000, 0.02, 0.001, seed=1))
+            vertices = range(0, g.n_vertices, 10)
+        hds = cv.top_degree(g, p, cv.default_k(p))
+        cfg = cv.RestartWalkConfig()
+        table = cv.user_score_table(g, p, hds, cfg)
+        worst = max(abs(table[u].rwc_user - power_rwc_user(g, p, hds, u, cfg)) for u in vertices)
+        assert worst < 1e-9
+
+    def test_iteration_budget_raises(self, karate):
+        g, p = karate
+        hds = cv.top_degree(g, p, 1)
+        with pytest.raises(cv.ConvergenceError, match="1 iterations"):
+            cv.user_score_table(g, p, hds, cv.RestartWalkConfig(max_iters=1))
+        with pytest.raises(ValueError, match="max_iters"):
+            cv.RestartWalkConfig(max_iters=0)
 
     def test_range_and_side_swap_invariance(self, karate):
         g, p = karate
@@ -113,6 +136,10 @@ class TestUserTable:
         rows = cv.user_score_table(g, p, hds)
         assert len(rows) == g.n_vertices
         assert {r.side for r in rows} == {"X", "Y"}
+        swapped = cv.user_score_table(g, p.swapped(), cv.top_degree(g, p.swapped(), 1))
+        assert [r.rwc_user for r in swapped] == [r.rwc_user for r in rows]
+        assert [r.rho for r in swapped] == [-r.rho for r in rows]
+        assert [r.side for r in swapped] == [{"X": "Y", "Y": "X"}[r.side] for r in rows]
         out = tmp_path / "users.csv"
         from controversy.users import write_user_scores
 
@@ -126,5 +153,8 @@ class TestUserTable:
         p = cv.Partition(np.array([0, 0, 1, 0, 1, 1], dtype=np.int8))
         # authorities both land in the first triangle
         hds = cv.HighDegreeSets(x_plus=(0,), y_plus=(2,), k=1)
-        with pytest.raises(cv.DegenerateStructureError):
+        with pytest.raises(cv.DegenerateStructureError, match=r"user '4' .*\(3 of 6 users\)"):
             cv.rwc_user(g, p, hds, 4)
+        with pytest.raises(cv.DegenerateStructureError, match=r"user '3' .*\(3 of 6 users\)"):
+            cv.user_score_table(g, p, hds)
+        assert cv.rwc_user(g, p, hds, 1) == pytest.approx(0.5, abs=1e-12)
