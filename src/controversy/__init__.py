@@ -19,7 +19,6 @@ from .graph import (
     build_content_graph,
     build_follow_graph,
     build_retweet_graph,
-    connected_components,
     graph_from_weighted_pairs,
     induced_subgraph,
     largest_component,
@@ -45,10 +44,8 @@ from .measures import (
 )
 from .partition import (
     Partition,
-    cut_edges,
     import_partition,
     spectral_bisection,
-    weighted_cut,
     write_partition,
 )
 from .sentiment import (
@@ -77,7 +74,6 @@ from .users import UserScore, hitting_score_all, rwc_user, user_score_table
 from .walks import (
     HighDegreeSets,
     RestartWalkConfig,
-    StationaryDistribution,
     default_k,
     expected_hitting_times,
     sample_walk,

@@ -145,9 +145,9 @@ def _build_graph(cfg: PipelineConfig):
     return g, label
 
 
-def _check_overwrite(cfg, paths):
+def _check_overwrite(force, paths):
     for path in paths:
-        if path and os.path.exists(path) and not cfg.force:
+        if path and os.path.exists(path) and not force:
             raise InputDataError(f"refusing to overwrite {path} (use --force)")
 
 
@@ -156,7 +156,7 @@ def run_pipeline(cfg: PipelineConfig) -> ControversyReport:
     write the requested outputs. Nothing is written if any stage fails."""
     with _stage("output"):
         _check_overwrite(
-            cfg, [cfg.out, cfg.csv_out, cfg.user_scores_out, cfg.layout_out]
+            cfg.force, [cfg.out, cfg.csv_out, cfg.user_scores_out, cfg.layout_out]
         )
     with _stage("build"):
         g, label = _build_graph(cfg)
@@ -432,25 +432,22 @@ def _cfg_from_ns(ns) -> PipelineConfig:
 def _cmd_build_graph(ns):
     cfg = _cfg_from_ns(ns)
     with _stage("output"):
-        _check_overwrite(cfg, [cfg.out])
+        _check_overwrite(cfg.force, [cfg.out])
     with _stage("build"):
         g, _ = _build_graph(cfg)
     with _stage("component"):
         if cfg.largest_component:
             g = graphmod.largest_component(g)
     with _stage("output"):
-        graphmod.write_edgelist(g, cfg.out)
+        _write_all([(cfg.out, partial(graphmod.write_edgelist, g))])
     return 0
 
 
 def _cmd_expand_topic(ns):
     merged = _merged(None, ns)
-    force = merged.get("force", False)
-    out = merged.get("out")
+    out, profiles_out = merged.get("out"), merged.get("write_profiles_path")
     with _stage("output"):
-        for path in (out, merged.get("write_profiles_path")):
-            if path and os.path.exists(path) and not force:
-                raise InputDataError(f"refusing to overwrite {path} (use --force)")
+        _check_overwrite(merged.get("force", False), [out, profiles_out])
     with _stage("expand"):
         if merged.get("profiles"):
             profiles = read_profiles(merged["profiles"])
@@ -465,21 +462,22 @@ def _cmd_expand_topic(ns):
                             k=merged.get("expand_k", 20)),
         )
     payload = json.dumps({"seed": topic.seed, "members": list(topic.members)}, indent=2)
+    writers = []
+    if profiles_out:
+        writers.append((profiles_out, partial(write_profiles, profiles)))
+    if out:
+        writers.append((out, partial(_write_text, text=payload + "\n")))
     with _stage("output"):
-        if merged.get("write_profiles_path"):
-            write_profiles(profiles, merged["write_profiles_path"])
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        _write_all(writers)
+    if not out:
+        print(payload)
     return 0
 
 
 def _cmd_partition(ns):
     cfg = _cfg_from_ns(ns)
     with _stage("output"):
-        _check_overwrite(cfg, [cfg.out])
+        _check_overwrite(cfg.force, [cfg.out])
     with _stage("build"):
         g, _ = _build_graph(cfg)
     with _stage("component"):
@@ -491,7 +489,7 @@ def _cmd_partition(ns):
         else:
             part = spectral_bisection(g, seed=cfg.seed)
     with _stage("output"):
-        write_partition(g, part, cfg.out)
+        _write_all([(cfg.out, partial(write_partition, g, part))])
     return 0
 
 
@@ -515,8 +513,8 @@ def _cmd_user_scores(ns):
 def _cmd_simulate(ns):
     merged = _merged(None, ns)
     out = merged["out"]
-    if os.path.exists(out) and not merged.get("force", False):
-        raise InputDataError(f"output: refusing to overwrite {out} (use --force)")
+    with _stage("output"):
+        _check_overwrite(merged.get("force", False), [out])
     p1_values = [float(v) for v in str(merged["p1_grid"]).split(",") if v]
     p2_values = [float(v) for v in str(merged["p2_grid"]).split(",") if v]
     with _stage("simulate"):
@@ -531,12 +529,15 @@ def _cmd_simulate(ns):
             redetect=merged.get("redetect", False),
         )
     with _stage("output"):
-        write_sweep_csv(rows, out)
+        _write_all([(out, partial(write_sweep_csv, rows))])
     return 0
 
 
 def _cmd_sentiment(ns):
     merged = _merged(None, ns)
+    out = merged.get("out")
+    with _stage("output"):
+        _check_overwrite(merged.get("force", False), [out])
     with _stage("sentiment"):
         records = read_sentiment(merged["scores"])
         variance = sentiment_variance(records)
@@ -544,15 +545,11 @@ def _cmd_sentiment(ns):
     payload = json.dumps(
         {"n_posts": len(records), "variance": variance, "label": label}, indent=2
     )
-    out = merged.get("out")
-    with _stage("output"):
-        if out:
-            if os.path.exists(out) and not merged.get("force", False):
-                raise InputDataError(f"refusing to overwrite {out} (use --force)")
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+    if out:
+        with _stage("output"):
+            _write_all([(out, partial(_write_text, text=payload + "\n"))])
+    else:
+        print(payload)
     return 0
 
 

@@ -122,7 +122,8 @@ class ConversationGraph:
     """Immutable graph over dense vertex indices 0..n-1.
 
     ``ids[i]`` is the user id of vertex ``i``. ``arcs`` may be a list of
-    (src, dst, weight) triples or an (m, 3) integer array; self-loops are
+    (src, dst, weight) triples or an (m, 3) array; every entry must be
+    integral (2.0 is accepted, 1.5 and NaN are not). Self-loops are
     dropped and parallel arcs sum. The graph is stored once as CSR:
     ``out_csr`` holds the directed view and ``csr`` the undirected view,
     which merges both arc directions and sums their weights (for an
@@ -137,8 +138,15 @@ class ConversationGraph:
         self._index = {u: i for i, u in enumerate(self._ids)}
         self.directed = bool(directed)
         n = len(self._ids)
-        arcs = np.asarray(arcs if isinstance(arcs, np.ndarray) else list(arcs), dtype=np.int64)
-        src, dst, w = arcs.reshape(-1, 3).T
+        arcs = np.asarray(arcs if isinstance(arcs, np.ndarray) else list(arcs)).reshape(-1, 3)
+        if arcs.dtype.kind not in "iu":
+            arcs = arcs.astype(float)
+            with np.errstate(invalid="ignore"):
+                bad = np.flatnonzero((arcs % 1.0 != 0.0).any(axis=1))
+            if len(bad):
+                shown = ",".join(map(str, arcs[bad[0]].tolist()))
+                raise InputDataError(f"non-integral entry in arc ({shown})")
+        src, dst, w = arcs.astype(np.int64, copy=False).T
         kept = src != dst
         src, dst, w = src[kept], dst[kept], w[kept]
         out_of_range = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
@@ -170,10 +178,6 @@ class ConversationGraph:
             return self.edge_array
         csr = self.out_csr
         return _frozen(np.column_stack((csr.rows, csr.indices, csr.weights)))
-
-    @cached_property
-    def arcs(self):
-        return tuple(map(tuple, self.arc_array.tolist()))
 
     def index_of(self, user_id):
         try:
@@ -211,24 +215,9 @@ class ConversationGraph:
         upper = csr.indices > rows
         return _frozen(np.column_stack((rows[upper], csr.indices[upper], csr.weights[upper])))
 
-    @cached_property
-    def undirected_edges(self):
-        """Sorted (u, v, weight) with u < v; weight sums both arc directions."""
-        return tuple(map(tuple, self.edge_array.tolist()))
-
     @property
     def n_edges(self):
         return len(self.csr.indices) // 2
-
-    @cached_property
-    def _neighbors(self):
-        # one view per vertex: the walk and betweenness loops call
-        # neighbors() in their inner loops, where slicing would cost more
-        return np.split(self.csr.indices, self.csr.indptr[1:-1])
-
-    def neighbors(self, v):
-        """Sorted undirected neighbor indices of v."""
-        return self._neighbors[v]
 
     @cached_property
     def degrees(self):
@@ -241,11 +230,6 @@ class ConversationGraph:
         return csgraph.connected_components(self.csr.matrix(), directed=False)[1]
 
     # -- directed view ----------------------------------------------------
-
-    def out_neighbors(self, v):
-        """Sorted out-neighbors in the directed view (both directions when
-        the graph is undirected)."""
-        return self.out_csr.indices[self.out_csr.indptr[v] : self.out_csr.indptr[v + 1]]
 
     @cached_property
     def transition_t(self):
@@ -386,16 +370,6 @@ def build_content_graph(records, topic, mode):
     )
 
 
-def connected_components(g):
-    """Vertex index arrays of the undirected components, by smallest member."""
-    if g.n_vertices == 0:
-        return []
-    labels = g.component_labels
-    members = np.argsort(labels, kind="stable")
-    comps = np.split(members, np.cumsum(np.bincount(labels))[:-1])
-    return sorted(comps, key=lambda c: c[0])
-
-
 def induced_subgraph(g, vertices):
     """Subgraph on the given vertex indices, reindexed in ascending order."""
     keep = np.unique(np.fromiter(vertices, dtype=np.int64))
@@ -415,11 +389,12 @@ def largest_component(g):
     """
     if g.n_vertices == 0:
         return g
-    comps = connected_components(g)
-    best = max(comps, key=lambda c: (len(c), -int(c.min())))
-    if len(best) == g.n_vertices:
+    labels = g.component_labels
+    _, smallest, sizes = np.unique(labels, return_index=True, return_counts=True)
+    best = np.lexsort((smallest, -sizes))[0]
+    if sizes[best] == g.n_vertices:
         return g
-    return induced_subgraph(g, best)
+    return induced_subgraph(g, np.flatnonzero(labels == best))
 
 
 # -- file formats -------------------------------------------------------
@@ -485,16 +460,19 @@ def write_edgelist(g, path):
     Round-trips bit-exactly through :func:`read_edgelist` for graphs of
     the matching directedness.
     """
-    rows = []
-    for u, v, w in g.arcs:
-        a, b = g.ids[u], g.ids[v]
-        if not g.directed and a > b:
-            a, b = b, a
-        rows.append((a, b, w))
-    rows.sort()
+    by_id = sorted(range(g.n_vertices), key=g.ids.__getitem__)
+    rank = np.empty(g.n_vertices, dtype=np.int64)
+    rank[by_id] = np.arange(g.n_vertices)
+    arcs = g.arc_array
+    src, dst = rank[arcs[:, 0]], rank[arcs[:, 1]]
+    if not g.directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    # ids are unique, so (src id, dst id) order is (rank, rank) order
+    order = np.lexsort((dst, src))
+    ids = [g.ids[v] for v in by_id]
+    rows = zip(src[order].tolist(), dst[order].tolist(), arcs[order, 2].tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for a, b, w in rows:
-            fh.write(f"{a}\t{b}\t{w}\n")
+        fh.write("".join(f"{ids[a]}\t{ids[b]}\t{w}\n" for a, b, w in rows))
 
 
 def read_follow_edges(path):

@@ -108,8 +108,9 @@ def rwr_conditionals(g, p: Partition, k=None, cfg: RestartWalkConfig | None = No
     p2 = stationary_rwr(g, p.y, dangling, cfg)
     w_x = len(p.x) / g.n_vertices
     w_y = len(p.y) / g.n_vertices
-    m1x, m2x = p1.mass(hds.x_plus), p2.mass(hds.x_plus)
-    m1y, m2y = p1.mass(hds.y_plus), p2.mass(hds.y_plus)
+    x_plus, y_plus = list(hds.x_plus), list(hds.y_plus)
+    m1x, m2x = float(p1[x_plus].sum()), float(p2[x_plus].sum())
+    m1y, m2y = float(p1[y_plus].sum()), float(p2[y_plus].sum())
     den_x = w_x * m1x + w_y * m2x
     den_y = w_x * m1y + w_y * m2y
     if den_x <= 0.0 or den_y <= 0.0:

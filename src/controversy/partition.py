@@ -5,7 +5,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, DegenerateStructureError, InputDataError
-from .graph import connected_components
 
 
 class Partition:
@@ -50,15 +49,6 @@ class Partition:
         return f"Partition(|X|={len(self.x)}, |Y|={len(self.y)})"
 
 
-def cut_edges(g, p: Partition):
-    """Undirected edges with endpoints on different sides, as (u, v) with u < v."""
-    return [(u, v) for u, v, _ in g.undirected_edges if p.sides[u] != p.sides[v]]
-
-
-def weighted_cut(g, p: Partition) -> int:
-    return sum(w for u, v, w in g.undirected_edges if p.sides[u] != p.sides[v])
-
-
 def _fiedler_vector(g, seed, tol=1e-8, max_iters=10000):
     """Second-smallest Laplacian eigenvector by shifted power iteration.
 
@@ -100,8 +90,11 @@ def _refine_single_sweep(g, sides):
     weighted cut, each vertex moving at most once."""
     n = len(sides)
     csr, rows = g.csr, g.csr.rows
-    weights = np.split(csr.weights, csr.indptr[1:-1])
-    wadj = [dict(zip(g.neighbors(u).tolist(), weights[u].tolist())) for u in range(n)]
+    indptr, indices, weights = (a.tolist() for a in csr)
+    wadj = [
+        dict(zip(indices[indptr[u] : indptr[u + 1]], weights[indptr[u] : indptr[u + 1]]))
+        for u in range(n)
+    ]
     # gain of moving a vertex to the other side
     cross = sides[rows] != sides[csr.indices]
     gain = np.bincount(rows, weights=np.where(cross, csr.weights, -csr.weights), minlength=n)
@@ -150,7 +143,7 @@ def spectral_bisection(g, seed=0) -> Partition:
     refine with a single swap sweep. Deterministic given the seed."""
     if g.n_vertices < 2:
         raise DegenerateStructureError("graph must have at least 2 vertices")
-    if len(connected_components(g)) != 1:
+    if g.component_labels.any():
         raise DegenerateStructureError("graph must be connected")
     fiedler = _fiedler_vector(g, seed)
     order = np.argsort(fiedler, kind="stable")

@@ -66,18 +66,8 @@ def top_degree(g, p, k) -> HighDegreeSets:
     return HighDegreeSets(x_plus=pick(p.x), y_plus=pick(p.y), k=k)
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
-    probs: np.ndarray
-
-    def mass(self, vertices) -> float:
-        """Total stationary probability on the given vertex indices."""
-        idx = np.fromiter((int(v) for v in vertices), dtype=np.int64)
-        return float(self.probs[idx].sum()) if idx.size else 0.0
-
-
-def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None):
-    """Stationary distribution of the restart walk on the directed view.
+def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None) -> np.ndarray:
+    """Stationary probability vector of the restart walk on the directed view.
 
     Each step follows a uniformly random out-arc with probability
     ``damping`` and otherwise restarts uniformly inside ``restart``.
@@ -103,7 +93,7 @@ def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None
         residual = float(np.abs(new - pi).sum())
         pi = new
         if residual < cfg.tolerance:
-            return StationaryDistribution(probs=pi)
+            return pi
     raise ConvergenceError(
         f"restart walk did not converge in {cfg.max_iters} iterations "
         f"(last residual {residual:.3e})",
@@ -133,11 +123,14 @@ def sample_walk(g, start, terminals, rng: random.Random) -> int:
     v = int(start)
     if v in terminal_set:
         return v
+    # memoryview items are Python ints, cheaper to index than numpy arrays
+    indptr, indices = memoryview(g.csr.indptr), memoryview(g.csr.indices)
     for _ in range(WALK_STEP_CAP):
-        nbrs = g.neighbors(v)
-        if len(nbrs) == 0:
+        first = indptr[v]
+        deg = indptr[v + 1] - first
+        if deg == 0:
             break
-        v = int(nbrs[rng.randrange(len(nbrs))])
+        v = indices[first + rng.randrange(deg)]
         if v in terminal_set:
             return v
     raise ConvergenceError(

@@ -2,13 +2,96 @@
 
 Everything here trades efficiency for obviousness: path enumeration
 instead of dependency accumulation, dense linear solves instead of power
-iteration, exhaustive enumeration instead of spectral splitting.
+iteration, exhaustive enumeration instead of spectral splitting. The
+oracles read graphs in tuple form (:class:`TupleGraph`), which the
+library itself no longer keeps.
 """
 import math
 from collections import deque
 from itertools import combinations
 
 import numpy as np
+
+
+class TupleGraph:
+    """Tuple and per-vertex forms of a ``ConversationGraph``, read from its
+    CSR arrays, for the oracles and tests written against them:
+
+    - ``arcs``: sorted (src, dst, weight) tuples of the stored arcs (an
+      undirected graph stores each edge once with src < dst);
+    - ``undirected_edges``: sorted (u, v, weight) tuples with u < v, the
+      weight summed over both arc directions;
+    - ``neighbors(v)`` / ``out_neighbors(v)``: sorted index arrays of the
+      undirected and the directed view.
+    """
+
+    def __init__(self, g):
+        self.ids, self.directed, self.n_vertices = g.ids, g.directed, g.n_vertices
+        self.arcs = tuple(map(tuple, g.arc_array.tolist()))
+        self.undirected_edges = tuple(map(tuple, g.edge_array.tolist()))
+        self._neighbors = np.split(g.csr.indices, g.csr.indptr[1:-1])
+        self._out_neighbors = np.split(g.out_csr.indices, g.out_csr.indptr[1:-1])
+
+    def neighbors(self, v):
+        return self._neighbors[v]
+
+    def out_neighbors(self, v):
+        return self._out_neighbors[v]
+
+
+def tuple_graph(g):
+    """``g`` in tuple form. A graph that already carries these accessors,
+    such as the benchmark's reference graph, passes through unchanged."""
+    return g if hasattr(g, "undirected_edges") else TupleGraph(g)
+
+
+def connected_components(g):
+    """Vertex index lists of the undirected components by depth-first
+    search, each sorted, ordered by smallest member."""
+    g = tuple_graph(g)
+    seen = [False] * g.n_vertices
+    comps = []
+    for root in range(g.n_vertices):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp, stack = [root], [root]
+        while stack:
+            for v in g.neighbors(stack.pop()):
+                v = int(v)
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+                    stack.append(v)
+        comps.append(sorted(comp))
+    return comps
+
+
+def cut_edges(g, p):
+    """Undirected edges with endpoints on different sides, as (u, v) with u < v."""
+    return [(u, v) for u, v, _ in tuple_graph(g).undirected_edges if p.sides[u] != p.sides[v]]
+
+
+def weighted_cut(g, p):
+    """Total weight of the cut edges."""
+    return sum(w for u, v, w in tuple_graph(g).undirected_edges if p.sides[u] != p.sides[v])
+
+
+def loop_write_edgelist(g, path):
+    """The canonical edge list from the arc tuples: each row's ids (in
+    ascending order for an undirected graph), rows sorted as tuples of
+    strings, written one line at a time."""
+    g = tuple_graph(g)
+    rows = []
+    for u, v, w in g.arcs:
+        a, b = g.ids[u], g.ids[v]
+        if not g.directed and a > b:
+            a, b = b, a
+        rows.append((a, b, w))
+    rows.sort()
+    with open(path, "w", encoding="utf-8") as fh:
+        for a, b, w in rows:
+            fh.write(f"{a}\t{b}\t{w}\n")
 
 
 def _bfs_predecessors(g, source):
@@ -48,6 +131,7 @@ def _all_shortest_paths(preds, source, target):
 def naive_edge_betweenness(g):
     """Sum sigma_st(e)/sigma_st over ordered pairs by literally
     enumerating every shortest path."""
+    g = tuple_graph(g)
     bc = {(u, v): 0.0 for u, v, _ in g.undirected_edges}
     n = g.n_vertices
     for s in range(n):
@@ -68,6 +152,7 @@ def loop_edge_betweenness(g):
     """Brandes' accumulation one source at a time, with a Python BFS
     queue and predecessor lists. Returns {(u, v) with u < v: value} over
     ordered pairs."""
+    g = tuple_graph(g)
     n = g.n_vertices
     bc = {(u, v): 0.0 for u, v, _ in g.undirected_edges}
     for s in range(n):
@@ -106,7 +191,7 @@ def networkx_edge_betweenness(g):
 
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n_vertices))
-    ref.add_edges_from((u, v) for u, v, _ in g.undirected_edges)
+    ref.add_edges_from((u, v) for u, v, _ in tuple_graph(g).undirected_edges)
     bc = nx.edge_betweenness_centrality(ref, normalized=False)
     return {(min(e), max(e)): 2.0 * value for e, value in bc.items()}
 
@@ -144,6 +229,7 @@ def dense_force_layout(g, iterations=500, seed=0):
 def dense_stationary_rwr(g, restart, dangling, damping):
     """Stationary distribution by solving the full linear system
     (independent of power iteration)."""
+    g = tuple_graph(g)
     n = g.n_vertices
     restart = sorted(set(int(v) for v in restart))
     dang = set(int(v) for v in dangling)
@@ -171,8 +257,8 @@ def power_rwc_user(g, p, hds, u, cfg=None):
     from controversy.walks import stationary_rwr
 
     pi = stationary_rwr(g, [int(u)], hds.all, cfg)
-    m_x = pi.mass(hds.x_plus)
-    m_y = pi.mass(hds.y_plus)
+    m_x = pi[list(hds.x_plus)].sum()
+    m_y = pi[list(hds.y_plus)].sum()
     own = m_x if p.side_of(u) == "X" else m_y
     return float(own / (m_x + m_y))
 
@@ -204,7 +290,7 @@ def dense_harmonic_polarity(g, plus_seeds, minus_seeds):
     every free vertex must be connected to a seed."""
     n = g.n_vertices
     L = np.zeros((n, n))
-    for u, v, _ in g.undirected_edges:
+    for u, v, _ in tuple_graph(g).undirected_edges:
         L[u, v] -= 1.0
         L[v, u] -= 1.0
         L[u, u] += 1.0
@@ -223,6 +309,7 @@ def dense_harmonic_polarity(g, plus_seeds, minus_seeds):
 def absorbing_absorption_probabilities(g, terminals):
     """For every start vertex, probability the uniform undirected walk is
     absorbed at each terminal. Returns (terminal list, n x t matrix)."""
+    g = tuple_graph(g)
     term = sorted(set(int(v) for v in terminals))
     term_set = set(term)
     others = [v for v in range(g.n_vertices) if v not in term_set]
@@ -251,6 +338,7 @@ def absorbing_absorption_probabilities(g, terminals):
 
 def dense_expected_steps(g, targets):
     """Expected steps to absorption by dense solve; inf where unreachable."""
+    g = tuple_graph(g)
     targets = sorted(set(int(v) for v in targets))
     target_set = set(targets)
     n = g.n_vertices
@@ -285,6 +373,7 @@ def dense_expected_steps(g, targets):
 def loop_gmck(g, sides):
     """Boundary-connectivity score by per-vertex loops over the neighbor
     lists; None when the boundary is empty."""
+    g = tuple_graph(g)
     n = g.n_vertices
     has_cross = [any(sides[v] != sides[u] for v in g.neighbors(u)) for u in range(n)]
     boundary = [
@@ -326,6 +415,7 @@ def loop_strict_rank_fraction(values, rel_tol=1e-9):
 def best_balanced_cut(g):
     """Minimum weighted cut over all floor(n/2)/ceil(n/2) bisections,
     by exhaustive enumeration (keep vertex 0 on one side)."""
+    g = tuple_graph(g)
     n = g.n_vertices
     half = n // 2
     best = None

@@ -253,7 +253,7 @@ def test_criterion_5_oracle_equivalence():
         p = random_partition(rng, n)
         hds = cv.top_degree(g, p, cv.default_k(p))
         cfg = cv.RestartWalkConfig()
-        pi = cv.stationary_rwr(g, p.x, hds.all, cfg).probs
+        pi = cv.stationary_rwr(g, p.x, hds.all, cfg)
         oracle = dense_stationary_rwr(g, p.x, hds.all, cfg.damping)
         worst_pi = max(worst_pi, float(np.abs(pi - oracle).sum()))
         u = int(rng.integers(0, n))

@@ -349,3 +349,63 @@ class TestOtherCommands:
     def test_sentiment_missing_file(self, tmp_path, capsys):
         code = run("sentiment", "--scores", tmp_path / "nope.csv")
         assert code == 2
+
+
+class TestAtomicOutputs:
+    def test_expand_topic_missing_out_dir_writes_no_profiles(self, tmp_path, capsys):
+        records = tmp_path / "r.jsonl"
+        write_records(records)
+        code = run(
+            "expand-topic", "--seed-tag", "go", "--records", records,
+            "--write-profiles", tmp_path / "p.jsonl", "--out", tmp_path / "missing" / "t.json",
+        )
+        assert code == 2
+        assert "missing" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
+
+    @pytest.mark.parametrize(
+        "command, writer",
+        [
+            ("build-graph", "controversy.graph.write_edgelist"),
+            ("partition", "controversy.cli.write_partition"),
+            ("expand-topic", "controversy.cli._write_text"),
+            ("simulate", "controversy.cli.write_sweep_csv"),
+            ("sentiment", "controversy.cli._write_text"),
+        ],
+    )
+    def test_failed_write_keeps_old_target(self, tmp_path, capsys, monkeypatch, command, writer):
+        records, scores = tmp_path / "r.jsonl", tmp_path / "s.csv"
+        write_records(records)
+        scores.write_text("p1,-3\np2,3\n")
+        out = tmp_path / "out"
+        argv = {
+            "build-graph": ("--edgelist", KARATE_EDGES),
+            "partition": ("--edgelist", KARATE_EDGES, "--partition-mode", "import",
+                          "--partition-file", KARATE_FACTIONS),
+            "expand-topic": ("--seed-tag", "go", "--records", records),
+            "simulate": ("--n", 40, "--p1-grid", "0.3", "--p2-grid", "0.1", "--runs", 1),
+            "sentiment": ("--scores", scores),
+        }[command]
+        old = b"old contents\n"
+        out.write_bytes(old)
+        before = sorted(p.name for p in tmp_path.iterdir())
+
+        assert run(command, *argv, "--out", out) == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+
+        def broken(*args, **kwargs):
+            # every writer takes its target path last
+            with open(args[-1], "w", encoding="utf-8") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(writer, broken)
+            assert run(command, *argv, "--out", out, "--force") == 2
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+        assert run(command, *argv, "--out", out, "--force") == 0
+        assert out.read_bytes() != old
+        assert sorted(p.name for p in tmp_path.iterdir()) == before

@@ -9,6 +9,7 @@ import controversy as cv
 from controversy.graph import url_domain
 
 from conftest import make_graph
+from oracles import connected_components, loop_write_edgelist, tuple_graph
 
 
 def rec(author, endorsed=None, hashtags=(), urls=(), ts=0):
@@ -46,7 +47,7 @@ class TestRetweetGraph:
         assert g.n_edges == 1
         assert g.directed
         u, v = g.index_of("u"), g.index_of("v")
-        assert g.arcs == ((u, v, 2),)
+        assert tuple_graph(g).arcs == ((u, v, 2),)
 
     def test_threshold_is_per_hashtag_before_union(self):
         records = [rec("u", "v", ["a"], ts=1), rec("u", "v", ["b"], ts=2)]
@@ -57,7 +58,7 @@ class TestRetweetGraph:
         records = [rec("u", "v", ["a"], ts=1), rec("v", "u", ["a"], ts=2)]
         g = cv.build_retweet_graph(records, TOPIC_A, tau=2)
         assert g.n_edges == 1
-        assert len(g.arcs) == 2  # one event stored per direction
+        assert len(g.arc_array) == 2  # one event stored per direction
 
     def test_order_invariance(self):
         records = [
@@ -83,9 +84,9 @@ class TestRetweetGraph:
         records = [r for r in records if r.endorsed is not None]
         g2 = cv.build_retweet_graph(records, TOPIC_A, tau=2)
         g3 = cv.build_retweet_graph(records, TOPIC_A, tau=3)
-        edges2 = {(u, v) for u, v, _ in g2.undirected_edges}
+        edges2 = {(u, v) for u, v, _ in tuple_graph(g2).undirected_edges}
         pairs3 = {
-            (g3.ids[u], g3.ids[v]) for u, v, _ in g3.undirected_edges
+            (g3.ids[u], g3.ids[v]) for u, v, _ in tuple_graph(g3).undirected_edges
         }
         pairs2 = {(g2.ids[u], g2.ids[v]) for u, v in edges2}
         assert pairs3 <= pairs2
@@ -114,11 +115,11 @@ class TestFollowGraph:
 
     def test_mutual_follows_weigh_two(self):
         g = cv.build_follow_graph([("a", "b"), ("b", "a")], {"a", "b"})
-        assert g.undirected_edges == ((0, 1, 2),)
+        assert tuple_graph(g).undirected_edges == ((0, 1, 2),)
 
     def test_duplicate_relations_deduplicated(self):
         g = cv.build_follow_graph([("a", "b"), ("a", "b")], {"a", "b"})
-        assert g.undirected_edges == ((0, 1, 1),)
+        assert tuple_graph(g).undirected_edges == ((0, 1, 1),)
 
 
 class TestContentGraph:
@@ -158,21 +159,23 @@ class TestContentGraph:
 class TestGraphStructure:
     def test_no_self_loops_or_duplicates(self):
         g = cv.ConversationGraph(["a", "b"], [(0, 0, 1), (0, 1, 1), (0, 1, 2)], False)
-        assert g.undirected_edges == ((0, 1, 3),)
+        assert tuple_graph(g).undirected_edges == ((0, 1, 3),)
 
     def test_undirected_view_merges_directions(self):
         g = cv.ConversationGraph(["a", "b"], [(0, 1, 2), (1, 0, 3)], True)
-        assert g.undirected_edges == ((0, 1, 5),)
-        assert list(g.neighbors(0)) == [1]
-        assert list(g.out_neighbors(1)) == [0]
+        tg = tuple_graph(g)
+        assert tg.undirected_edges == ((0, 1, 5),)
+        assert list(tg.neighbors(0)) == [1]
+        assert list(tg.out_neighbors(1)) == [0]
 
     def test_undirected_view_is_symmetric(self):
         rng = np.random.default_rng(5)
         edges = [(int(a), int(b), 1) for a, b in rng.integers(0, 12, (40, 2)) if a != b]
         g = cv.ConversationGraph([str(i) for i in range(12)], edges, True)
+        tg = tuple_graph(g)
         for u in range(12):
-            for v in g.neighbors(u):
-                assert u in g.neighbors(int(v))
+            for v in tg.neighbors(u):
+                assert u in tg.neighbors(int(v))
 
 
 class TestConstructorChecks:
@@ -192,27 +195,51 @@ class TestConstructorChecks:
         with pytest.raises(cv.InputDataError, match=r"non-positive weight on arc \(0,1\)"):
             cv.ConversationGraph(["a", "b"], [(0, 1, weight)], True)
 
+    @pytest.mark.parametrize(
+        "arc, shown",
+        [
+            ((0, 1, 1.5), r"\(0\.0,1\.0,1\.5\)"),  # once truncated to weight 1
+            ((0.7, 1, 1), r"\(0\.7,1\.0,1\.0\)"),  # once read as vertex 0
+            ((0, 1, 0.5), r"\(0\.0,1\.0,0\.5\)"),  # once reported as non-positive
+            ((0, 1, float("nan")), r"\(0\.0,1\.0,nan\)"),  # once a bare ValueError
+            ((0, 1, float("inf")), r"\(0\.0,1\.0,inf\)"),
+        ],
+    )
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_non_integral_arc_rejected(self, arc, shown, as_array):
+        arcs = [(0, 1, 1), arc, (1, 0, 0.25)]
+        with pytest.raises(cv.InputDataError, match="non-integral entry in arc " + shown):
+            cv.ConversationGraph(["a", "b"], np.array(arcs) if as_array else arcs, True)
+
+    def test_integral_floats_accepted(self):
+        ids = ["a", "b", "c"]
+        want = cv.ConversationGraph(ids, [(0, 1, 2), (2, 1, 1)], True)
+        assert cv.ConversationGraph(ids, [(0.0, 1, 2.0), (2, 1.0, 1)], True) == want
+        assert cv.ConversationGraph(ids, np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 1.0]]), True) == want
+
     def test_first_bad_arc_is_reported(self):
         with pytest.raises(cv.InputDataError, match="non-positive weight"):
             cv.ConversationGraph(["a", "b"], [(0, 1, 0), (0, 5, 1)], False)
         # a self-loop is dropped before it is checked
         g = cv.ConversationGraph(["a", "b"], [(7, 7, 1), (1, 1, -1), (0, 1, 1)], False)
-        assert g.arcs == ((0, 1, 1),)
+        assert tuple_graph(g).arcs == ((0, 1, 1),)
 
     def test_self_loops_dropped_and_parallel_arcs_sum_directed(self):
         g = cv.ConversationGraph(
             ["a", "b", "c"], [(1, 1, 4), (0, 1, 1), (0, 1, 2), (1, 0, 5), (2, 1, 1)], True
         )
-        assert g.arcs == ((0, 1, 3), (1, 0, 5), (2, 1, 1))
-        assert g.undirected_edges == ((0, 1, 8), (1, 2, 1))
-        assert list(g.out_neighbors(0)) == [1] and list(g.out_neighbors(2)) == [1]
+        tg = tuple_graph(g)
+        assert tg.arcs == ((0, 1, 3), (1, 0, 5), (2, 1, 1))
+        assert tg.undirected_edges == ((0, 1, 8), (1, 2, 1))
+        assert list(tg.out_neighbors(0)) == [1] and list(tg.out_neighbors(2)) == [1]
         assert list(g.degrees) == [1, 2, 1]
 
     def test_self_loops_dropped_and_parallel_arcs_sum_undirected(self):
         g = cv.ConversationGraph(["a", "b", "c"], [(2, 2, 1), (1, 0, 2), (0, 1, 3), (2, 0, 1)], False)
-        assert g.arcs == g.undirected_edges == ((0, 1, 5), (0, 2, 1))
-        assert list(g.neighbors(0)) == [1, 2]
-        assert list(g.out_neighbors(0)) == [1, 2]
+        tg = tuple_graph(g)
+        assert tg.arcs == tg.undirected_edges == ((0, 1, 5), (0, 2, 1))
+        assert list(tg.neighbors(0)) == [1, 2]
+        assert list(tg.out_neighbors(0)) == [1, 2]
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_array_input_builds_the_same_graph(self, directed):
@@ -226,7 +253,7 @@ class TestConstructorChecks:
         from_array = cv.ConversationGraph(ids, np.array(triples, dtype=np.int64), directed)
         assert from_array == from_list
         assert hash(from_array) == hash(from_list)
-        assert from_array.arcs == from_list.arcs
+        assert tuple_graph(from_array).arcs == tuple_graph(from_list).arcs
         empty = cv.ConversationGraph(ids, np.empty((0, 3), dtype=np.int64), directed)
         assert empty == cv.ConversationGraph(ids, [], directed)
 
@@ -250,6 +277,12 @@ class TestLargestComponent:
         g = make_graph(6, edges)
         sub = cv.largest_component(g)
         assert set(sub.ids) == {"0", "1", "2"}
+        # the winner need not hold vertex 0, and the component listed
+        # first loses to a larger one
+        g = make_graph(8, [(5, 6), (6, 7), (1, 4), (4, 2), (0, 3)])
+        assert cv.largest_component(g).ids == ("1", "2", "4")
+        g = make_graph(7, [(0, 1), (2, 3), (3, 4)])
+        assert cv.largest_component(g).ids == ("2", "3", "4")
 
     def test_empty_graph(self):
         g = cv.ConversationGraph([], [], False)
@@ -266,9 +299,9 @@ class TestLargestComponent:
             }
             g = make_graph(n, sorted(edges))
             sub = cv.largest_component(g)
-            comps = cv.connected_components(g)
+            comps = connected_components(g)
             assert sub.n_vertices == max(len(c) for c in comps)
-            assert len(cv.connected_components(sub)) <= 1
+            assert len(connected_components(sub)) <= 1
 
 
 class TestFileFormats:
@@ -282,6 +315,29 @@ class TestFileFormats:
         assert first.read_bytes() == second.read_bytes()
         assert g2 == g
 
+    @pytest.mark.parametrize(
+        "ids, arcs, directed",
+        [
+            # ids in index order, but "10" < "2" as strings
+            ([str(i) for i in range(12)], [(i, (3 * i + 1) % 12, 1 + i % 3) for i in range(12)], False),
+            ([str(i) for i in range(12)], [(i, (3 * i + 1) % 12, 1 + i % 3) for i in range(12)], True),
+            # ids passed out of sorted order
+            (["m", "b", "z", "a", "k"], [(0, 1, 1), (2, 3, 2), (4, 0, 1), (3, 1, 5), (1, 2, 1)], False),
+            (["m", "b", "z", "a", "k"], [(0, 1, 1), (2, 3, 2), (4, 0, 1), (3, 1, 5), (1, 2, 1)], True),
+            # reciprocal arcs stay two rows in a directed graph
+            (["b", "a", "c"], [(0, 1, 2), (1, 0, 3), (2, 0, 1), (0, 2, 1)], True),
+            # non-ASCII ids sort by code point
+            (["é", "z", "日本", "Zoë", "ß", "a"], [(0, 1, 1), (2, 3, 1), (4, 5, 2), (5, 0, 1), (3, 4, 1)], False),
+            (["é", "z", "日本", "Zoë", "ß", "a"], [(0, 1, 1), (2, 3, 1), (4, 5, 2), (5, 0, 1), (3, 4, 1)], True),
+            (["x", "y"], [], False),
+        ],
+    )
+    def test_edgelist_matches_tuple_loop_oracle(self, tmp_path, ids, arcs, directed):
+        g = cv.ConversationGraph(ids, arcs, directed)
+        cv.write_edgelist(g, tmp_path / "fast.tsv")
+        loop_write_edgelist(g, tmp_path / "loop.tsv")
+        assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "loop.tsv").read_bytes()
+
     def test_directed_round_trip(self, tmp_path):
         g = cv.ConversationGraph(["a", "b", "c"], [(0, 1, 2), (1, 0, 1), (2, 1, 1)], True)
         path = tmp_path / "d.tsv"
@@ -293,7 +349,7 @@ class TestFileFormats:
         path.write_text("# header\na\tb\nb\tc\t4\n")
         g = cv.read_edgelist(path)
         assert g.n_edges == 2
-        assert ("a", "b", 1) in [(g.ids[u], g.ids[v], w) for u, v, w in g.undirected_edges]
+        assert ("a", "b", 1) in [(g.ids[u], g.ids[v], w) for u, v, w in g.edge_array.tolist()]
 
     def test_bad_edgelist_rows(self, tmp_path):
         path = tmp_path / "bad.tsv"

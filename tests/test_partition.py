@@ -3,10 +3,16 @@ import numpy as np
 import pytest
 
 import controversy as cv
-from controversy.partition import _refine_single_sweep, weighted_cut
+from controversy.partition import _refine_single_sweep
 
 from conftest import KARATE_FACTIONS, barbell, cycle, make_graph, path, random_connected_graph
-from oracles import best_balanced_cut
+from oracles import best_balanced_cut, cut_edges, tuple_graph, weighted_cut
+
+
+def cut_mask(g, p):
+    """The array form of the cut: one flag per row of ``g.edge_array``."""
+    e = g.edge_array
+    return p.sides[e[:, 0]] != p.sides[e[:, 1]]
 
 
 class TestSpectralBisection:
@@ -14,7 +20,7 @@ class TestSpectralBisection:
         g, truth = barbell(5)
         p = cv.spectral_bisection(g, seed=0)
         assert p == truth or p == truth.swapped()
-        assert len(cv.cut_edges(g, p)) == 1
+        assert len(cut_edges(g, p)) == 1 == cut_mask(g, p).sum()
 
     def test_six_cycle_matches_brute_force_optimum(self):
         g = cycle(6)
@@ -107,24 +113,30 @@ class TestImportPartition:
 class TestCutEdges:
     def test_barbell_bridge(self):
         g, p = barbell(5)
-        assert cv.cut_edges(g, p) == [(4, 5)]
+        assert cut_edges(g, p) == [(4, 5)]
+        assert g.edge_array[cut_mask(g, p), :2].tolist() == [[4, 5]]
 
     def test_k4_two_two(self):
         g = make_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         p = cv.Partition(np.array([0, 0, 1, 1], dtype=np.int8))
-        assert len(cv.cut_edges(g, p)) == 4
+        assert len(cut_edges(g, p)) == 4 == cut_mask(g, p).sum()
 
     def test_cut_plus_within_is_everything(self):
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng, 14)
         p = cv.Partition((rng.random(14) < 0.4).astype(np.int8))
-        cut = set(cv.cut_edges(g, p))
-        within = {
-            (u, v) for u, v, _ in g.undirected_edges if p.sides[u] == p.sides[v]
-        }
-        every = {(u, v) for u, v, _ in g.undirected_edges}
+        cut = set(cut_edges(g, p))
+        edges = tuple_graph(g).undirected_edges
+        within = {(u, v) for u, v, _ in edges if p.sides[u] == p.sides[v]}
+        every = {(u, v) for u, v, _ in edges}
         assert cut | within == every
         assert not (cut & within)
+        # the array cut mask splits edge_array the same way
+        mask = cut_mask(g, p)
+        pairs = g.edge_array[:, :2].tolist()
+        assert {tuple(e) for e, c in zip(pairs, mask) if c} == cut
+        assert {tuple(e) for e, c in zip(pairs, mask) if not c} == within
+        assert weighted_cut(g, p) == g.edge_array[mask, 2].sum()
 
     def test_partition_validation(self):
         with pytest.raises(cv.DegenerateStructureError):

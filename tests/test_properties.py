@@ -76,26 +76,34 @@ class TestStructureAgainstNetworkx:
     def test_components_degrees_neighbors_and_weights(self):
         import networkx as nx
 
-        for g, arcs in [(g, g.arcs) for g, _ in CORPUS] + directed_corpus():
+        for g, arcs in [(g, g.arc_array) for g, _ in CORPUS] + directed_corpus():
             ref = nx.MultiDiGraph()
             ref.add_nodes_from(range(g.n_vertices))
             ref.add_weighted_edges_from((int(u), int(v), int(w)) for u, v, w in arcs if u != v)
             und = nx.Graph(ref.to_undirected())
             comps = sorted(sorted(c) for c in nx.connected_components(und))
-            assert [c.tolist() for c in cv.connected_components(g)] == comps
+            labels = g.component_labels
+            assert sorted(np.flatnonzero(labels == c).tolist() for c in set(labels)) == comps
             assert g.degrees.tolist() == [und.degree(v) for v in range(g.n_vertices)]
-            for v in range(g.n_vertices):
-                assert g.neighbors(v).tolist() == sorted(und.neighbors(v))
-                if g.directed:
-                    assert g.out_neighbors(v).tolist() == sorted(set(ref.successors(v)))
             arc_w, edge_w = {}, {}
             for u, v, w in ref.edges(data="weight"):
                 edge = (min(u, v), max(u, v))
                 arc = (u, v) if g.directed else edge
                 arc_w[arc] = arc_w.get(arc, 0) + w
                 edge_w[edge] = edge_w.get(edge, 0) + w
-            assert g.arcs == tuple(sorted((u, v, w) for (u, v), w in arc_w.items()))
-            assert g.undirected_edges == tuple(sorted((u, v, w) for (u, v), w in edge_w.items()))
+            for v in range(g.n_vertices):
+                row = slice(g.csr.indptr[v], g.csr.indptr[v + 1])
+                assert g.csr.indices[row].tolist() == sorted(und.neighbors(v))
+                assert g.csr.weights[row].tolist() == [
+                    edge_w[min(v, u), max(v, u)] for u in sorted(und.neighbors(v))
+                ]
+                if g.directed:
+                    row = slice(g.out_csr.indptr[v], g.out_csr.indptr[v + 1])
+                    succ = sorted(set(ref.successors(v)))
+                    assert g.out_csr.indices[row].tolist() == succ
+                    assert g.out_csr.weights[row].tolist() == [arc_w[v, u] for u in succ]
+            assert g.arc_array.tolist() == sorted([u, v, w] for (u, v), w in arc_w.items())
+            assert g.edge_array.tolist() == sorted([u, v, w] for (u, v), w in edge_w.items())
 
     def test_edge_betweenness(self):
         for g, _ in CORPUS:
@@ -261,6 +269,6 @@ class TestDeterminism:
 
     def test_stationary_distribution_deterministic(self):
         g, p = CORPUS[1]
-        a = cv.stationary_rwr(g, p.x, cv.top_degree(g, p, 1).all).probs
-        b = cv.stationary_rwr(g, p.x, cv.top_degree(g, p, 1).all).probs
+        a = cv.stationary_rwr(g, p.x, cv.top_degree(g, p, 1).all)
+        b = cv.stationary_rwr(g, p.x, cv.top_degree(g, p, 1).all)
         assert (a == b).all()

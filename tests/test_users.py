@@ -32,7 +32,7 @@ class TestRwcUser:
         hds = cv.top_degree(g, p, 1)
         cfg = cv.RestartWalkConfig()
         for u in range(6):
-            pi = cv.stationary_rwr(g, [u], hds.all, cfg).probs
+            pi = cv.stationary_rwr(g, [u], hds.all, cfg)
             oracle = dense_stationary_rwr(g, [u], hds.all, cfg.damping)
             assert np.abs(pi - oracle).sum() < 1e-8
             m_x = oracle[list(hds.x_plus)].sum()
