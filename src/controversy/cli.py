@@ -151,6 +151,28 @@ def _check_overwrite(force, paths):
             raise InputDataError(f"refusing to overwrite {path} (use --force)")
 
 
+def _load_graph(cfg: PipelineConfig):
+    """The build and largest-component stages every graph command shares."""
+    with _stage("build"):
+        g, label = _build_graph(cfg)
+    with _stage("component"):
+        if cfg.largest_component:
+            g = graphmod.largest_component(g)
+    return g, label
+
+
+def _partition(cfg: PipelineConfig, g):
+    """The partition stage: spectral bisection or an imported label file."""
+    with _stage("partition"):
+        if cfg.partition_mode == "import":
+            if not cfg.partition_file:
+                raise InputDataError("partition import needs --partition-file")
+            return import_partition(g, cfg.partition_file)
+        if cfg.partition_mode == "spectral":
+            return spectral_bisection(g, seed=cfg.seed)
+        raise InputDataError(f"unknown partition mode {cfg.partition_mode!r}")
+
+
 def run_pipeline(cfg: PipelineConfig) -> ControversyReport:
     """Execute build -> largest component -> partition -> measures and
     write the requested outputs. Nothing is written if any stage fails."""
@@ -158,20 +180,8 @@ def run_pipeline(cfg: PipelineConfig) -> ControversyReport:
         _check_overwrite(
             cfg.force, [cfg.out, cfg.csv_out, cfg.user_scores_out, cfg.layout_out]
         )
-    with _stage("build"):
-        g, label = _build_graph(cfg)
-    with _stage("component"):
-        if cfg.largest_component:
-            g = graphmod.largest_component(g)
-    with _stage("partition"):
-        if cfg.partition_mode == "import":
-            if not cfg.partition_file:
-                raise InputDataError("partition import needs --partition-file")
-            part = import_partition(g, cfg.partition_file)
-        elif cfg.partition_mode == "spectral":
-            part = spectral_bisection(g, seed=cfg.seed)
-        else:
-            raise InputDataError(f"unknown partition mode {cfg.partition_mode!r}")
+    g, label = _load_graph(cfg)
+    part = _partition(cfg, g)
 
     wanted = [m.strip() for m in cfg.measures.split(",") if m.strip()]
     unknown = [m for m in wanted if m not in MEASURE_NAMES]
@@ -433,11 +443,7 @@ def _cmd_build_graph(ns):
     cfg = _cfg_from_ns(ns)
     with _stage("output"):
         _check_overwrite(cfg.force, [cfg.out])
-    with _stage("build"):
-        g, _ = _build_graph(cfg)
-    with _stage("component"):
-        if cfg.largest_component:
-            g = graphmod.largest_component(g)
+    g, _ = _load_graph(cfg)
     with _stage("output"):
         _write_all([(cfg.out, partial(graphmod.write_edgelist, g))])
     return 0
@@ -478,16 +484,8 @@ def _cmd_partition(ns):
     cfg = _cfg_from_ns(ns)
     with _stage("output"):
         _check_overwrite(cfg.force, [cfg.out])
-    with _stage("build"):
-        g, _ = _build_graph(cfg)
-    with _stage("component"):
-        if cfg.largest_component:
-            g = graphmod.largest_component(g)
-    with _stage("partition"):
-        if cfg.partition_mode == "import":
-            part = import_partition(g, cfg.partition_file)
-        else:
-            part = spectral_bisection(g, seed=cfg.seed)
+    g, _ = _load_graph(cfg)
+    part = _partition(cfg, g)
     with _stage("output"):
         _write_all([(cfg.out, partial(write_partition, g, part))])
     return 0

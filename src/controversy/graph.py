@@ -28,6 +28,15 @@ def normalize_tag(tag: str) -> str:
     return tag[1:] if tag.startswith("#") else tag
 
 
+def _user_id(raw) -> str:
+    """Strip and lowercase a user id; reject one that holds a tab or a
+    line break, which no edge list or partition file could carry."""
+    uid = str(raw).strip().lower()
+    if "\t" in uid or "\r" in uid or "\n" in uid:
+        raise InputDataError(f"user id {uid!r} holds a tab or line break")
+    return uid
+
+
 @dataclass(frozen=True)
 class InteractionRecord:
     """One post event: who wrote it, whom it endorsed, and its metadata."""
@@ -45,11 +54,11 @@ class InteractionRecord:
         User ids are lowercased, hashtags lose their leading '#', and a
         self-endorsement is dropped (treated as no endorsement at all).
         """
-        author = str(author).strip().lower()
+        author = _user_id(author)
         if not author:
             raise InputDataError("record with empty author")
         if endorsed is not None:
-            endorsed = str(endorsed).strip().lower()
+            endorsed = _user_id(endorsed)
             if not endorsed or endorsed == author:
                 endorsed = None
         return cls(
@@ -142,10 +151,15 @@ class ConversationGraph:
         if arcs.dtype.kind not in "iu":
             arcs = arcs.astype(float)
             with np.errstate(invalid="ignore"):
-                bad = np.flatnonzero((arcs % 1.0 != 0.0).any(axis=1))
+                fractional = (arcs % 1.0 != 0.0).any(axis=1)
+            # |x| >= 2**63 would wrap in the int64 cast below
+            huge = (np.abs(arcs) >= 2.0**63).any(axis=1)
+            bad = np.flatnonzero(fractional | huge)
             if len(bad):
-                shown = ",".join(map(str, arcs[bad[0]].tolist()))
-                raise InputDataError(f"non-integral entry in arc ({shown})")
+                i = bad[0]
+                shown = ",".join(map(str, arcs[i].tolist()))
+                fault = "non-integral" if fractional[i] else "out-of-int64-range"
+                raise InputDataError(f"{fault} entry in arc ({shown})")
         src, dst, w = arcs.astype(np.int64, copy=False).T
         kept = src != dst
         src, dst, w = src[kept], dst[kept], w[kept]
@@ -423,7 +437,7 @@ def read_records(path):
                     urls=obj.get("urls") or (),
                     timestamp=obj.get("ts") or 0,
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, InputDataError) as exc:
                 raise InputDataError(f"{path}:{lineno}: bad record ({exc})") from exc
             if rec not in seen:
                 seen.add(rec)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import ConvergenceError, DegenerateStructureError, InputDataError
 
@@ -49,40 +50,28 @@ class Partition:
         return f"Partition(|X|={len(self.x)}, |Y|={len(self.y)})"
 
 
-def _fiedler_vector(g, seed, tol=1e-8, max_iters=10000):
-    """Second-smallest Laplacian eigenvector by shifted power iteration.
+def _fiedler_vector(g, seed):
+    """Eigenvector of the second-smallest eigenvalue of the weighted
+    Laplacian, by Lanczos (ARPACK ``eigsh``) from a seeded start vector.
 
-    Iterates B = c*I - L (c an upper bound on the spectrum) while
-    deflating the constant eigenvector, so the iterate converges to the
-    eigenvector of the smallest nonzero Laplacian eigenvalue.
+    The start is a ``default_rng(seed)`` normal draw with its constant
+    component projected out. The vector's sign is chosen so that its
+    inner product with the start is positive, which fixes the two sides'
+    orientation for a given seed.
     """
-    n = g.n_vertices
     adj = g.csr.matrix()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    lap = sp.diags(deg) - adj
-    c = 2.0 * float(deg.max()) if n else 1.0
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    ones = np.full(n, 1.0 / np.sqrt(n))
-    x -= (x @ ones) * ones
-    x /= np.linalg.norm(x)
-    for _ in range(max_iters):
-        y = c * x - lap @ x
-        y -= (y @ ones) * ones
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            # restart from a fresh direction; can occur only on degenerate input
-            y = rng.standard_normal(n)
-            y -= (y @ ones) * ones
-            norm = np.linalg.norm(y)
-        y /= norm
-        if np.linalg.norm(y - x) < tol:
-            return y
-        x = y
-    raise ConvergenceError(
-        f"fiedler iteration did not converge within {max_iters} iterations",
-        residual=float(np.linalg.norm(y - x)),
-    )
+    lap = sp.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj
+    x = np.random.default_rng(seed).standard_normal(g.n_vertices)
+    x -= x.mean()
+    if g.n_vertices == 2:
+        # ARPACK needs k < n; at n = 2 the projected start is the eigenvector
+        return x
+    try:
+        vals, vecs = eigsh(lap, k=2, which="SA", v0=x)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"Lanczos eigensolver did not converge: {exc}") from exc
+    v = vecs[:, np.argmax(vals)]
+    return v if v @ x > 0 else -v
 
 
 def _refine_single_sweep(g, sides):

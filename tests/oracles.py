@@ -412,6 +412,15 @@ def loop_strict_rank_fraction(values, rel_tol=1e-9):
     return ranks / n
 
 
+def dense_fiedler_vector(g):
+    """The whole ascending spectrum of the weighted Laplacian and the unit
+    eigenvector of its second-smallest eigenvalue, by a dense symmetric
+    eigensolve."""
+    adj = g.csr.matrix().toarray()
+    vals, vecs = np.linalg.eigh(np.diag(adj.sum(axis=1)) - adj)
+    return vals, vecs[:, 1]
+
+
 def best_balanced_cut(g):
     """Minimum weighted cut over all floor(n/2)/ceil(n/2) bisections,
     by exhaustive enumeration (keep vertex 0 on one side)."""

@@ -4,8 +4,10 @@ import json
 import math
 
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import controversy as cv
+import controversy.partition as partition_module
 from controversy.cli import main
 
 from conftest import KARATE_EDGES, KARATE_FACTIONS
@@ -269,6 +271,35 @@ class TestGraphCommands:
         g = cv.read_edgelist(KARATE_EDGES)
         p = cv.import_partition(g, out)
         assert abs(len(p.x) - len(p.y)) <= 2
+
+    def test_partition_import_without_file_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "p.tsv"
+        code = run("partition", "--edgelist", KARATE_EDGES, "--partition-mode", "import",
+                   "--out", out)
+        assert code == 2
+        assert "partition import needs --partition-file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_partition_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(partition_module, "eigsh", no_convergence)
+        out = tmp_path / "p.tsv"
+        assert run("partition", "--edgelist", KARATE_EDGES, "--out", out) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_build_graph_rejects_tab_in_user_id(self, tmp_path, capsys):
+        records = tmp_path / "r.jsonl"
+        rows = [{"author": "a\tx", "endorsed": "b", "hashtags": ["go"], "ts": t}
+                for t in (1, 2)]
+        records.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "g.tsv"
+        assert run("build-graph", "--records", records, "--kind", "retweet",
+                   "--topic-seed", "go", "--out", out) == 2
+        assert "r.jsonl:1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_user_scores_command(self, tmp_path):
         out = tmp_path / "u.csv"

@@ -35,6 +35,18 @@ class TestInteractionRecord:
         with pytest.raises(cv.InputDataError):
             rec("   ")
 
+    @pytest.mark.parametrize("uid", ["a\tx", "a\rx", "a\nx"])
+    def test_tab_or_line_break_in_id_rejected(self, uid, tmp_path):
+        for author, endorsed in ((uid, "b"), ("b", uid)):
+            with pytest.raises(cv.InputDataError, match="tab or line break"):
+                rec(author, endorsed)
+        # in a records file the error names the line
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps({"author": "b", "endorsed": "c"}) + "\n"
+                        + json.dumps({"author": uid, "endorsed": "b"}) + "\n")
+        with pytest.raises(cv.InputDataError, match=r"r\.jsonl:2: .*tab or line break"):
+            cv.read_records(path)
+
 
 class TestRetweetGraph:
     def test_single_retweet_below_threshold(self):
@@ -209,6 +221,21 @@ class TestConstructorChecks:
     def test_non_integral_arc_rejected(self, arc, shown, as_array):
         arcs = [(0, 1, 1), arc, (1, 0, 0.25)]
         with pytest.raises(cv.InputDataError, match="non-integral entry in arc " + shown):
+            cv.ConversationGraph(["a", "b"], np.array(arcs) if as_array else arcs, True)
+
+    @pytest.mark.parametrize(
+        "arc, shown",
+        [
+            ((0, 1, 1e30), r"\(0\.0,1\.0,1e\+30\)"),  # once a non-positive weight
+            ((1e30, 1, 1), r"\(1e\+30,1\.0,1\.0\)"),  # once vertex -2**63
+            ((0, -1e30, 1), r"\(0\.0,-1e\+30,1\.0\)"),
+            ((0, 1, 2.0**63), r"\(0\.0,1\.0,9\.223372036854776e\+18\)"),
+        ],
+    )
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_out_of_int64_range_arc_rejected(self, arc, shown, as_array):
+        arcs = [(0, 1, 1), arc]
+        with pytest.raises(cv.InputDataError, match="out-of-int64-range entry in arc " + shown):
             cv.ConversationGraph(["a", "b"], np.array(arcs) if as_array else arcs, True)
 
     def test_integral_floats_accepted(self):

@@ -1,12 +1,23 @@
 """Spectral bisection, partition import, cut machinery."""
+import warnings
+
 import numpy as np
 import pytest
 
 import controversy as cv
-from controversy.partition import _refine_single_sweep
+from controversy.graph import largest_component
+from controversy.partition import _fiedler_vector, _refine_single_sweep
+from controversy.synthetic import PlantedConfig, planted_two_community
 
 from conftest import KARATE_FACTIONS, barbell, cycle, make_graph, path, random_connected_graph
-from oracles import best_balanced_cut, cut_edges, tuple_graph, weighted_cut
+from oracles import (
+    best_balanced_cut,
+    cut_edges,
+    dense_fiedler_vector,
+    tuple_graph,
+    weighted_cut,
+)
+from test_properties import CORPUS
 
 
 def cut_mask(g, p):
@@ -37,7 +48,9 @@ class TestSpectralBisection:
 
     def test_two_vertex_path(self):
         g = path(2)
-        p = cv.spectral_bisection(g, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = cv.spectral_bisection(g, seed=0)
         assert sorted([len(p.x), len(p.y)]) == [1, 1]
 
     def test_deterministic_given_seed(self):
@@ -73,6 +86,49 @@ class TestSpectralBisection:
             refined = _refine_single_sweep(g, sides.copy())
             after = weighted_cut(g, cv.Partition(refined))
             assert after <= before
+
+
+def hub_graph():
+    """Two planted 30-vertex blocks plus a hub that every vertex endorses
+    20 times, as a heavily retweeted account is. Then λ₃ − λ₂ ≈ 2.3
+    against λ_max = 1220: a spectral gap that is small next to the width
+    of the spectrum, as on hub-dominated retweet graphs."""
+    g, truth = planted_two_community(PlantedConfig(60, 0.3, 0.02, seed=1))
+    arcs = np.vstack([g.edge_array, [(60, v, 20) for v in range(60)]])
+    return cv.ConversationGraph(list(g.ids) + ["hub"], arcs, False), truth
+
+
+class TestFiedlerVector:
+    """``_fiedler_vector`` against the dense eigensolve of the Laplacian."""
+
+    def check(self, g, seed=0):
+        v = _fiedler_vector(g, seed)
+        vals, ref = dense_fiedler_vector(g)
+        e = g.edge_array
+        rayleigh = (e[:, 2] * (v[e[:, 0]] - v[e[:, 1]]) ** 2).sum() / (v @ v)
+        assert rayleigh == pytest.approx(vals[1], rel=1e-10)
+        if vals[2] - vals[1] > 1e-6:
+            u = v / np.linalg.norm(v)
+            assert min(np.abs(u - ref).max(), np.abs(u + ref).max()) < 1e-8
+        # the sign rule: positive inner product with the seeded start
+        start = np.random.default_rng(seed).standard_normal(g.n_vertices)
+        assert v @ (start - start.mean()) > 0
+
+    def test_random_corpus(self):
+        for i, (g, _) in enumerate(CORPUS):
+            self.check(g, seed=i % 7)
+
+    def test_karate_barbell_and_planted(self, karate):
+        planted, _ = planted_two_community(PlantedConfig(300, 0.05, 0.005, seed=1))
+        for g in (karate[0], barbell(5)[0], largest_component(planted)):
+            for seed in (0, 1):
+                self.check(g, seed)
+
+    def test_hub_graph(self):
+        g, truth = hub_graph()
+        self.check(g)
+        p = cv.spectral_bisection(g, seed=0)
+        assert np.array_equal(p.sides[:-1], truth.sides)
 
 
 class TestImportPartition:
