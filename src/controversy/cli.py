@@ -2,8 +2,9 @@
 
 One subcommand per pipeline stage plus end-to-end ``score``, the
 synthetic ``simulate`` sweep, and the ``sentiment`` variance check.
-Flags map 1:1 onto :class:`PipelineConfig`; a ``key=value`` config file
-supplies defaults that explicit flags override.
+Each subcommand's flags map 1:1 onto its config dataclass
+(:class:`PipelineConfig` for the graph commands); a ``key=value`` config
+file overrides the dataclass defaults and explicit flags override both.
 
 Exit codes: 0 success, 2 input error, 3 numerical non-convergence,
 4 degenerate structure (empty cut/boundary/terminations).
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from functools import partial
 
@@ -64,8 +65,8 @@ class PipelineConfig:
     topic_seed: str | None = None
     topic_tags: str | None = None  # comma-separated explicit members
     profiles: str | None = None
-    expand_k: int = 20
-    expand_alpha: float = 0.3
+    expand_k: int = ExpansionConfig.k
+    expand_alpha: float = ExpansionConfig.alpha
     # stages
     largest_component: bool = True
     partition_mode: str = "spectral"
@@ -86,6 +87,47 @@ class PipelineConfig:
     csv_out: str | None = None
     user_scores_out: str | None = None
     layout_out: str | None = None
+    force: bool = False
+
+
+@dataclass
+class ExpandTopicConfig:
+    """What ``expand-topic`` reads: a seed hashtag and the profiles
+    (given, or derived from records) to expand it with."""
+
+    topic_seed: str | None = None
+    profiles: str | None = None
+    records: str | None = None
+    write_profiles_path: str | None = None
+    expand_k: int = ExpansionConfig.k
+    expand_alpha: float = ExpansionConfig.alpha
+    out: str | None = None
+    force: bool = False
+
+
+@dataclass
+class SimulateConfig:
+    """What ``simulate`` reads: the planted sweep's size, (p1, p2) grids
+    (comma-separated) and runs per cell."""
+
+    n: int = 2000
+    p1_grid: str = ",".join(str(v) for v in DEFAULT_P1_GRID)
+    p2_grid: str = ",".join(str(v) for v in DEFAULT_P2_GRID)
+    runs: int = 10
+    seed: int = DEFAULT_SEED
+    k: int | None = None
+    redetect: bool = False
+    largest_component: bool = True
+    out: str | None = None
+    force: bool = False
+
+
+@dataclass
+class SentimentConfig:
+    """What ``sentiment`` reads: a ``post_id,score`` CSV."""
+
+    scores: str | None = None
+    out: str | None = None
     force: bool = False
 
 
@@ -217,8 +259,8 @@ def run_pipeline(cfg: PipelineConfig) -> ControversyReport:
                 value = gmck(g, part)
                 params = {}
             else:
-                value = mblb(g, part)
                 params = {"seed_fraction": 0.05, "tol": 1e-6, "max_iters": 1000}
+                value = mblb(g, part, **params)
             report.add(name, value, params, seed=cfg.seed)
     user_rows = None
     if cfg.user_scores_out:
@@ -291,25 +333,31 @@ def _read_config_file(path):
     return values
 
 
-def _merged(defaults_obj, ns) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = asdict(defaults_obj) if defaults_obj is not None else {}
-    explicit = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
+def _resolve(config_cls, ns):
+    """The command's config: dataclass defaults < config file < explicit
+    flags. Every flag defaults to ``argparse.SUPPRESS``, so ``ns`` holds
+    only the flags actually given."""
+    values = asdict(config_cls())
     if getattr(ns, "config", None):
         file_values = _read_config_file(ns.config)
-        unknown = set(file_values) - set(merged) - set(explicit)
-        if defaults_obj is not None and unknown:
+        unknown = set(file_values) - set(values)
+        if unknown:
             raise InputDataError(
                 f"{ns.config}: unknown config keys: {', '.join(sorted(unknown))}"
             )
-        merged.update(file_values)
-    merged.update(explicit)
-    return merged
+        values.update(file_values)
+    values.update((k, v) for k, v in vars(ns).items() if k not in ("command", "config"))
+    return config_cls(**values)
 
 
 def _add_bool(parser, name, help_text):
     dest = name.replace("-", "_")
     parser.add_argument(f"--{name}", dest=dest, action="store_true", help=help_text)
+
+
+def _add_no_largest_component(parser, help_text="keep the full graph"):
+    parser.add_argument("--no-largest-component", dest="largest_component",
+                        action="store_false", help=help_text)
 
 
 def build_parser():
@@ -350,7 +398,7 @@ def build_parser():
     add_source_flags(p)
     p.add_argument("--out", required=True)
     _add_bool(p, "force", "overwrite existing outputs")
-    _add_bool(p, "no-largest-component", "keep the full graph")
+    _add_no_largest_component(p)
 
     p = new_sub("expand-topic", "expand a seed hashtag into a topic")
     p.add_argument("--seed-tag", dest="topic_seed", required=True)
@@ -358,8 +406,8 @@ def build_parser():
     p.add_argument("--records", help="derive profiles from these records instead")
     p.add_argument("--write-profiles", dest="write_profiles_path",
                    help="also write the derived profiles here")
-    p.add_argument("--expand-k", dest="expand_k", type=int, default=20)
-    p.add_argument("--expand-alpha", dest="expand_alpha", type=float, default=0.3)
+    p.add_argument("--expand-k", dest="expand_k", type=int)
+    p.add_argument("--expand-alpha", dest="expand_alpha", type=float)
     p.add_argument("--out")
     _add_bool(p, "force", "overwrite existing outputs")
 
@@ -370,7 +418,7 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     _add_bool(p, "force", "overwrite existing outputs")
-    _add_bool(p, "no-largest-component", "keep the full graph")
+    _add_no_largest_component(p)
 
     p = new_sub("score", "run the full pipeline and emit a report")
     add_source_flags(p)
@@ -390,7 +438,7 @@ def build_parser():
     p.add_argument("--user-scores-out", dest="user_scores_out")
     p.add_argument("--layout-out", dest="layout_out")
     _add_bool(p, "force", "overwrite existing outputs")
-    _add_bool(p, "no-largest-component", "keep the full graph")
+    _add_no_largest_component(p)
 
     p = new_sub("user-scores", "per-user controversy scores")
     add_source_flags(p, with_topic=True)
@@ -402,19 +450,17 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     _add_bool(p, "force", "overwrite existing outputs")
-    _add_bool(p, "no-largest-component", "keep the full graph")
+    _add_no_largest_component(p)
 
     p = new_sub("simulate", "planted two-community sweep over (p1, p2)")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--p1-grid", dest="p1_grid",
-                   default=",".join(str(v) for v in DEFAULT_P1_GRID))
-    p.add_argument("--p2-grid", dest="p2_grid",
-                   default=",".join(str(v) for v in DEFAULT_P2_GRID))
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--n", type=int)
+    p.add_argument("--p1-grid", dest="p1_grid")
+    p.add_argument("--p2-grid", dest="p2_grid")
+    p.add_argument("--runs", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--k", type=int)
     _add_bool(p, "redetect", "re-partition spectrally instead of using ground truth")
-    _add_bool(p, "no-largest-component", "score the full graph")
+    _add_no_largest_component(p, "score the full graph")
     p.add_argument("--out", required=True)
     _add_bool(p, "force", "overwrite existing outputs")
 
@@ -426,21 +472,7 @@ def build_parser():
     return parser
 
 
-def _cfg_from_ns(ns) -> PipelineConfig:
-    merged = _merged(PipelineConfig(), ns)
-    no_lc = merged.pop("no_largest_component", False)
-    largest = bool(merged.pop("largest_component", True)) and not no_lc
-    known = {f.name for f in fields(PipelineConfig)}
-    extra = set(merged) - known
-    if extra:
-        raise InputDataError(f"unknown options: {', '.join(sorted(extra))}")
-    cfg = PipelineConfig(**merged)
-    cfg.largest_component = largest
-    return cfg
-
-
-def _cmd_build_graph(ns):
-    cfg = _cfg_from_ns(ns)
+def _cmd_build_graph(cfg):
     with _stage("output"):
         _check_overwrite(cfg.force, [cfg.out])
     g, _ = _load_graph(cfg)
@@ -449,39 +481,33 @@ def _cmd_build_graph(ns):
     return 0
 
 
-def _cmd_expand_topic(ns):
-    merged = _merged(None, ns)
-    out, profiles_out = merged.get("out"), merged.get("write_profiles_path")
+def _cmd_expand_topic(cfg):
     with _stage("output"):
-        _check_overwrite(merged.get("force", False), [out, profiles_out])
+        _check_overwrite(cfg.force, [cfg.out, cfg.write_profiles_path])
     with _stage("expand"):
-        if merged.get("profiles"):
-            profiles = read_profiles(merged["profiles"])
-        elif merged.get("records"):
-            profiles = build_profiles(graphmod.read_records(merged["records"]))
+        if cfg.profiles:
+            profiles = read_profiles(cfg.profiles)
+        elif cfg.records:
+            profiles = build_profiles(graphmod.read_records(cfg.records))
         else:
             raise InputDataError("need --profiles or --records")
         topic = expand_topic(
-            merged["topic_seed"],
-            profiles,
-            ExpansionConfig(alpha=merged.get("expand_alpha", 0.3),
-                            k=merged.get("expand_k", 20)),
+            cfg.topic_seed, profiles, ExpansionConfig(alpha=cfg.expand_alpha, k=cfg.expand_k)
         )
     payload = json.dumps({"seed": topic.seed, "members": list(topic.members)}, indent=2)
     writers = []
-    if profiles_out:
-        writers.append((profiles_out, partial(write_profiles, profiles)))
-    if out:
-        writers.append((out, partial(_write_text, text=payload + "\n")))
+    if cfg.write_profiles_path:
+        writers.append((cfg.write_profiles_path, partial(write_profiles, profiles)))
+    if cfg.out:
+        writers.append((cfg.out, partial(_write_text, text=payload + "\n")))
     with _stage("output"):
         _write_all(writers)
-    if not out:
+    if not cfg.out:
         print(payload)
     return 0
 
 
-def _cmd_partition(ns):
-    cfg = _cfg_from_ns(ns)
+def _cmd_partition(cfg):
     with _stage("output"):
         _check_overwrite(cfg.force, [cfg.out])
     g, _ = _load_graph(cfg)
@@ -491,16 +517,14 @@ def _cmd_partition(ns):
     return 0
 
 
-def _cmd_score(ns):
-    cfg = _cfg_from_ns(ns)
+def _cmd_score(cfg):
     report = run_pipeline(cfg)
     if not cfg.out:
         print(report.to_json())
     return 0
 
 
-def _cmd_user_scores(ns):
-    cfg = _cfg_from_ns(ns)
+def _cmd_user_scores(cfg):
     cfg.user_scores_out = cfg.user_scores_out or cfg.out
     cfg.out = None
     cfg.measures = ""  # user scores only
@@ -508,65 +532,62 @@ def _cmd_user_scores(ns):
     return 0
 
 
-def _cmd_simulate(ns):
-    merged = _merged(None, ns)
-    out = merged["out"]
+def _cmd_simulate(cfg):
     with _stage("output"):
-        _check_overwrite(merged.get("force", False), [out])
-    p1_values = [float(v) for v in str(merged["p1_grid"]).split(",") if v]
-    p2_values = [float(v) for v in str(merged["p2_grid"]).split(",") if v]
+        _check_overwrite(cfg.force, [cfg.out])
+    p1_values = [float(v) for v in str(cfg.p1_grid).split(",") if v]
+    p2_values = [float(v) for v in str(cfg.p2_grid).split(",") if v]
     with _stage("simulate"):
         rows = rwc_sweep(
-            n=merged["n"],
+            n=cfg.n,
             p1_values=p1_values,
             p2_values=p2_values,
-            runs=merged["runs"],
-            base_seed=merged["seed"],
-            k=merged.get("k"),
-            use_largest_component=not merged.get("no_largest_component", False),
-            redetect=merged.get("redetect", False),
+            runs=cfg.runs,
+            base_seed=cfg.seed,
+            k=cfg.k,
+            use_largest_component=cfg.largest_component,
+            redetect=cfg.redetect,
         )
     with _stage("output"):
-        _write_all([(out, partial(write_sweep_csv, rows))])
+        _write_all([(cfg.out, partial(write_sweep_csv, rows))])
     return 0
 
 
-def _cmd_sentiment(ns):
-    merged = _merged(None, ns)
-    out = merged.get("out")
+def _cmd_sentiment(cfg):
     with _stage("output"):
-        _check_overwrite(merged.get("force", False), [out])
+        _check_overwrite(cfg.force, [cfg.out])
     with _stage("sentiment"):
-        records = read_sentiment(merged["scores"])
+        records = read_sentiment(cfg.scores)
         variance = sentiment_variance(records)
         label = classify_by_variance(variance)
     payload = json.dumps(
         {"n_posts": len(records), "variance": variance, "label": label}, indent=2
     )
-    if out:
+    if cfg.out:
         with _stage("output"):
-            _write_all([(out, partial(_write_text, text=payload + "\n"))])
+            _write_all([(cfg.out, partial(_write_text, text=payload + "\n"))])
     else:
         print(payload)
     return 0
 
 
 _COMMANDS = {
-    "build-graph": _cmd_build_graph,
-    "expand-topic": _cmd_expand_topic,
-    "partition": _cmd_partition,
-    "score": _cmd_score,
-    "user-scores": _cmd_user_scores,
-    "simulate": _cmd_simulate,
-    "sentiment": _cmd_sentiment,
+    "build-graph": (_cmd_build_graph, PipelineConfig),
+    "expand-topic": (_cmd_expand_topic, ExpandTopicConfig),
+    "partition": (_cmd_partition, PipelineConfig),
+    "score": (_cmd_score, PipelineConfig),
+    "user-scores": (_cmd_user_scores, PipelineConfig),
+    "simulate": (_cmd_simulate, SimulateConfig),
+    "sentiment": (_cmd_sentiment, SentimentConfig),
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    command, config_cls = _COMMANDS[ns.command]
     try:
-        return _COMMANDS[ns.command](ns)
+        return command(_resolve(config_cls, ns))
     except InputDataError as exc:
         print(f"error [{exc}]", file=sys.stderr)
         return 2

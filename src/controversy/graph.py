@@ -148,12 +148,16 @@ class ConversationGraph:
         self.directed = bool(directed)
         n = len(self._ids)
         arcs = np.asarray(arcs if isinstance(arcs, np.ndarray) else list(arcs)).reshape(-1, 3)
-        if arcs.dtype.kind not in "iu":
-            arcs = arcs.astype(float)
-            with np.errstate(invalid="ignore"):
-                fractional = (arcs % 1.0 != 0.0).any(axis=1)
+        if arcs.dtype.kind != "i":
             # |x| >= 2**63 would wrap in the int64 cast below
-            huge = (np.abs(arcs) >= 2.0**63).any(axis=1)
+            if arcs.dtype.kind == "u":
+                huge = (arcs >= np.uint64(2**63)).any(axis=1)
+                fractional = np.zeros_like(huge)
+            else:
+                arcs = arcs.astype(float)
+                with np.errstate(invalid="ignore"):
+                    fractional = (arcs % 1.0 != 0.0).any(axis=1)
+                huge = (np.abs(arcs) >= 2.0**63).any(axis=1)
             bad = np.flatnonzero(fractional | huge)
             if len(bad):
                 i = bad[0]

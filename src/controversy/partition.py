@@ -76,54 +76,47 @@ def _fiedler_vector(g, seed):
 
 def _refine_single_sweep(g, sides):
     """One Kernighan-Lin style pass: greedy pair swaps that reduce the
-    weighted cut, each vertex moving at most once."""
+    weighted cut, each vertex moving at most once.
+
+    Gains are updated in place after each move. Weights are integers, so
+    every gain is an exact float and matches a full recompute."""
     n = len(sides)
-    csr, rows = g.csr, g.csr.rows
-    indptr, indices, weights = (a.tolist() for a in csr)
-    wadj = [
-        dict(zip(indices[indptr[u] : indptr[u + 1]], weights[indptr[u] : indptr[u + 1]]))
-        for u in range(n)
-    ]
+    indptr, indices, weights = g.csr
+    rows = g.csr.rows
     # gain of moving a vertex to the other side
-    cross = sides[rows] != sides[csr.indices]
-    gain = np.bincount(rows, weights=np.where(cross, csr.weights, -csr.weights), minlength=n)
+    cross = sides[rows] != sides[indices]
+    gain = np.bincount(rows, weights=np.where(cross, weights, -weights), minlength=n)
     locked = np.zeros(n, dtype=bool)
     while True:
-        xs = [u for u in range(n) if sides[u] == 0 and not locked[u]]
-        ys = [u for u in range(n) if sides[u] == 1 and not locked[u]]
-        if not xs or not ys:
+        free = np.flatnonzero(~locked)
+        order = free[np.lexsort((free, -gain[free]))]
+        xs, ys = order[sides[order] == 0], order[sides[order] == 1]
+        if not len(xs) or not len(ys):
             break
-        xs.sort(key=lambda u: (-gain[u], u))
-        ys.sort(key=lambda u: (-gain[u], u))
         best, best_pair = 0.0, None
         for u in xs:
             if gain[u] + gain[ys[0]] <= best:
                 break
+            row = slice(indptr[u], indptr[u + 1])
+            w_u = dict(zip(indices[row].tolist(), weights[row].tolist()))
             for v in ys:
                 if gain[u] + gain[v] <= best:
                     break
-                pair_gain = gain[u] + gain[v] - 2 * wadj[u].get(v, 0)
+                pair_gain = gain[u] + gain[v] - 2 * w_u.get(v, 0)
                 if pair_gain > best or (
                     pair_gain == best and best_pair is not None and (u, v) < best_pair
                 ):
                     best, best_pair = pair_gain, (u, v)
-        if best_pair is None or best <= 0:
+        if best_pair is None:
             break
-        u, v = best_pair
-        sides[u], sides[v] = 1, 0
-        locked[u] = locked[v] = True
-        for w in (u, v):
-            gain[w] = 0.0
-            for nb, wt in wadj[w].items():
-                gain[w] += wt if sides[w] != sides[nb] else -wt
-        for moved in (u, v):
-            for nb, wt in wadj[moved].items():
-                if nb in (u, v):
-                    continue
-                # recompute is cheap and avoids sign bookkeeping
-                gain[nb] = 0.0
-                for nb2, wt2 in wadj[nb].items():
-                    gain[nb] += wt2 if sides[nb] != sides[nb2] else -wt2
+        for moved in best_pair:
+            row = slice(indptr[moved], indptr[moved + 1])
+            nbrs = indices[row]
+            # a neighbour on the old side gains 2·weight; the others lose it
+            np.add.at(gain, nbrs, np.where(sides[nbrs] == sides[moved], 2, -2) * weights[row])
+            gain[moved] = -gain[moved]
+            sides[moved] = 1 - sides[moved]
+            locked[moved] = True
     return sides
 
 

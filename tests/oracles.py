@@ -2,7 +2,8 @@
 
 Everything here trades efficiency for obviousness: path enumeration
 instead of dependency accumulation, dense linear solves instead of power
-iteration, exhaustive enumeration instead of spectral splitting. The
+iteration, exhaustive enumeration instead of spectral splitting,
+per-vertex dicts and full recomputes instead of updated gain arrays. The
 oracles read graphs in tuple form (:class:`TupleGraph`), which the
 library itself no longer keeps.
 """
@@ -437,3 +438,60 @@ def best_balanced_cut(g):
         if best is None or cut < best:
             best = cut
     return best
+
+
+def loop_refine_single_sweep(g, sides):
+    """One Kernighan-Lin style pass: greedy pair swaps that reduce the
+    weighted cut, each vertex moving at most once.
+
+    The reference for ``partition._refine_single_sweep``: per-vertex
+    weight dicts, and the gains of the moved pair and their neighbours
+    recomputed in full after every swap."""
+    n = len(sides)
+    csr, rows = g.csr, g.csr.rows
+    indptr, indices, weights = (a.tolist() for a in csr)
+    wadj = [
+        dict(zip(indices[indptr[u] : indptr[u + 1]], weights[indptr[u] : indptr[u + 1]]))
+        for u in range(n)
+    ]
+    # gain of moving a vertex to the other side
+    cross = sides[rows] != sides[csr.indices]
+    gain = np.bincount(rows, weights=np.where(cross, csr.weights, -csr.weights), minlength=n)
+    locked = np.zeros(n, dtype=bool)
+    while True:
+        xs = [u for u in range(n) if sides[u] == 0 and not locked[u]]
+        ys = [u for u in range(n) if sides[u] == 1 and not locked[u]]
+        if not xs or not ys:
+            break
+        xs.sort(key=lambda u: (-gain[u], u))
+        ys.sort(key=lambda u: (-gain[u], u))
+        best, best_pair = 0.0, None
+        for u in xs:
+            if gain[u] + gain[ys[0]] <= best:
+                break
+            for v in ys:
+                if gain[u] + gain[v] <= best:
+                    break
+                pair_gain = gain[u] + gain[v] - 2 * wadj[u].get(v, 0)
+                if pair_gain > best or (
+                    pair_gain == best and best_pair is not None and (u, v) < best_pair
+                ):
+                    best, best_pair = pair_gain, (u, v)
+        if best_pair is None or best <= 0:
+            break
+        u, v = best_pair
+        sides[u], sides[v] = 1, 0
+        locked[u] = locked[v] = True
+        for w in (u, v):
+            gain[w] = 0.0
+            for nb, wt in wadj[w].items():
+                gain[w] += wt if sides[w] != sides[nb] else -wt
+        for moved in (u, v):
+            for nb, wt in wadj[moved].items():
+                if nb in (u, v):
+                    continue
+                # recompute is cheap and avoids sign bookkeeping
+                gain[nb] = 0.0
+                for nb2, wt2 in wadj[nb].items():
+                    gain[nb] += wt2 if sides[nb] != sides[nb2] else -wt2
+    return sides

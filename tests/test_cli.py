@@ -358,6 +358,35 @@ class TestOtherCommands:
         assert "fast" in topic["members"]
         assert "slow" not in topic["members"]
 
+    def test_expand_topic_config_file(self, tmp_path, capsys):
+        records, conf = tmp_path / "r.jsonl", tmp_path / "run.conf"
+        # "fast" and "quick" both share "zoom" with "go": two candidates
+        rows = [{"author": "a", "hashtags": [tag, "zoom"], "ts": 1}
+                for tag in ("go", "fast", "quick")]
+        records.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        conf.write_text(f"records={records}\nexpand_k=1\n")
+        assert run("expand-topic", "--config", conf, "--seed-tag", "go") == 0
+        assert len(json.loads(capsys.readouterr().out)["members"]) == 2
+        # an explicit flag wins over the file
+        assert run("expand-topic", "--config", conf, "--seed-tag", "go", "--expand-k", 5) == 0
+        assert len(json.loads(capsys.readouterr().out)["members"]) == 3
+
+    def test_simulate_config_file(self, tmp_path):
+        conf, out = tmp_path / "run.conf", tmp_path / "sweep.csv"
+        conf.write_text('n=20\np1_grid="0.3"\np2_grid="0.05"\nruns=1\n')
+        assert run("simulate", "--config", conf, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",")[:2] == ["0.3", "0.05"]
+        assert lines[1].split(",")[4] == "1"
+
+    def test_simulate_unknown_config_key_writes_nothing(self, tmp_path, capsys):
+        conf, out = tmp_path / "run.conf", tmp_path / "sweep.csv"
+        conf.write_text('n=20\np1_grid="0.3"\np2_grid="0.05"\nruns=1\nbogus_key=5\n')
+        assert run("simulate", "--config", conf, "--out", out) == 2
+        assert "bogus_key" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
     def test_simulate_smoke(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(

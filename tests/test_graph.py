@@ -230,11 +230,15 @@ class TestConstructorChecks:
             ((1e30, 1, 1), r"\(1e\+30,1\.0,1\.0\)"),  # once vertex -2**63
             ((0, -1e30, 1), r"\(0\.0,-1e\+30,1\.0\)"),
             ((0, 1, 2.0**63), r"\(0\.0,1\.0,9\.223372036854776e\+18\)"),
+            # unsigned: once weight -1 and vertex -2**63, with no warning
+            (np.uint64([0, 1, 2**64 - 1]), r"\(0,1,18446744073709551615\)"),
+            (np.uint64([0, 2**63, 1]), r"\(0,9223372036854775808,1\)"),
         ],
     )
     @pytest.mark.parametrize("as_array", [False, True])
     def test_out_of_int64_range_arc_rejected(self, arc, shown, as_array):
-        arcs = [(0, 1, 1), arc]
+        # the valid row takes the bad row's dtype, so uint64 input stays uint64
+        arcs = [np.asarray((0, 1, 1), dtype=np.asarray(arc).dtype), arc]
         with pytest.raises(cv.InputDataError, match="out-of-int64-range entry in arc " + shown):
             cv.ConversationGraph(["a", "b"], np.array(arcs) if as_array else arcs, True)
 

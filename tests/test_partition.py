@@ -9,15 +9,44 @@ from controversy.graph import largest_component
 from controversy.partition import _fiedler_vector, _refine_single_sweep
 from controversy.synthetic import PlantedConfig, planted_two_community
 
-from conftest import KARATE_FACTIONS, barbell, cycle, make_graph, path, random_connected_graph
+from conftest import (
+    KARATE_FACTIONS,
+    barbell,
+    cycle,
+    make_graph,
+    path,
+    random_connected_graph,
+    random_partition,
+)
 from oracles import (
     best_balanced_cut,
     cut_edges,
     dense_fiedler_vector,
+    loop_refine_single_sweep,
     tuple_graph,
     weighted_cut,
 )
 from test_properties import CORPUS
+
+
+def random_weighted_graph(rng, n, directed):
+    """``random_connected_graph`` with integer weights 1-20. A directed
+    graph stores each edge as one arc of random direction, and about a
+    third of them also in reverse (``g.csr`` sums the two weights)."""
+    pairs = random_connected_graph(rng, n).edge_array[:, :2]
+    if directed:
+        pairs = np.where(rng.random((len(pairs), 1)) < 0.5, pairs, pairs[:, ::-1])
+        pairs = np.vstack((pairs, pairs[rng.random(len(pairs)) < 0.3, ::-1]))
+    arcs = np.column_stack((pairs, rng.integers(1, 21, len(pairs))))
+    return cv.ConversationGraph([str(i) for i in range(n)], arcs, directed)
+
+
+def median_split(g, seed=0):
+    """The sides ``spectral_bisection`` starts its refinement from."""
+    order = np.argsort(_fiedler_vector(g, seed), kind="stable")
+    sides = np.ones(g.n_vertices, dtype=np.int8)
+    sides[order[: g.n_vertices // 2]] = 0
+    return sides
 
 
 def cut_mask(g, p):
@@ -77,9 +106,12 @@ class TestSpectralBisection:
 
     def test_refinement_never_increases_cut(self):
         rng = np.random.default_rng(4)
-        for _ in range(25):
+        for trial in range(75):
             n = int(rng.integers(4, 20))
-            g = random_connected_graph(rng, n)
+            if trial < 25:
+                g = random_connected_graph(rng, n)
+            else:
+                g = random_weighted_graph(rng, n, directed=trial >= 50)
             sides = (rng.random(n) < 0.5).astype(np.int8)
             sides[0], sides[-1] = 0, 1  # keep both sides non-empty
             before = weighted_cut(g, cv.Partition(sides.copy()))
@@ -129,6 +161,42 @@ class TestFiedlerVector:
         self.check(g)
         p = cv.spectral_bisection(g, seed=0)
         assert np.array_equal(p.sides[:-1], truth.sides)
+
+
+class TestRefineSingleSweep:
+    """``_refine_single_sweep`` against the dict-loop oracle it replaced:
+    the same sides, bit for bit."""
+
+    def check(self, g, sides):
+        """The number of vertices the sweep moved."""
+        want = loop_refine_single_sweep(g, sides.copy())
+        got = _refine_single_sweep(g, sides.copy())
+        assert np.array_equal(got, want)
+        return int((got != sides).sum())
+
+    def test_karate_barbell_hub_and_corpus(self, karate):
+        for g in (karate[0], barbell(5)[0], hub_graph()[0]):
+            self.check(g, median_split(g))
+        for g, p in CORPUS:
+            self.check(g, median_split(g))
+            self.check(g, p.sides.copy())
+
+    def test_random_weighted_graphs(self):
+        rng = np.random.default_rng(8)
+        for trial in range(120):
+            g = random_weighted_graph(rng, int(rng.integers(4, 40)), directed=trial % 2 == 1)
+            self.check(g, random_partition(rng, g.n_vertices).sides.copy())
+
+    def test_planted_from_median_and_random_starts(self):
+        moved = []
+        for n in (200, 1000):
+            g = largest_component(planted_two_community(PlantedConfig(n, 0.05, 0.005, seed=1))[0])
+            moved.append(self.check(g, median_split(g)))
+            for seed in (1, 2):
+                sides = np.ones(g.n_vertices, dtype=np.int8)
+                sides[np.random.default_rng(seed).permutation(g.n_vertices)[: g.n_vertices // 2]] = 0
+                moved.append(self.check(g, sides))
+        assert max(moved) > 100
 
 
 class TestImportPartition:
