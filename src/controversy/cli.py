@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
@@ -315,6 +316,7 @@ def _write_all(writers):
 
 
 def _read_config_file(path):
+    """The ``key=value`` lines of a config file, values as written."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -324,13 +326,31 @@ def _read_config_file(path):
             if "=" not in line:
                 raise InputDataError(f"{path}:{lineno}: expected key=value")
             key, _, raw = line.partition("=")
-            key = key.strip().replace("-", "_")
-            raw = raw.strip()
-            try:
-                values[key] = json.loads(raw)
-            except json.JSONDecodeError:
-                values[key] = raw
+            values[key.strip().replace("-", "_")] = raw.strip()
     return values
+
+
+def _config_value(path, key, raw, kind):
+    """A config file's text for ``key`` as a value of the field type
+    ``kind`` (``int``, ``float``, ``bool``, ``str``, or one of them
+    ``| None``). Values are JSON (``null``, ``true``, ``"text"``); a str
+    field also takes bare text."""
+    options = typing.get_args(kind)
+    if options:  # X | None
+        if raw == "null":
+            return None
+        (kind,) = (t for t in options if t is not type(None))
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    if kind is str:
+        return value if isinstance(value, str) else raw
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise InputDataError(f"{path}: config key {key} must be {kind.__name__}, got {raw}")
+    return value
 
 
 def _resolve(config_cls, ns):
@@ -345,7 +365,11 @@ def _resolve(config_cls, ns):
             raise InputDataError(
                 f"{ns.config}: unknown config keys: {', '.join(sorted(unknown))}"
             )
-        values.update(file_values)
+        kinds = typing.get_type_hints(config_cls)
+        values.update(
+            (key, _config_value(ns.config, key, raw, kinds[key]))
+            for key, raw in file_values.items()
+        )
     values.update((k, v) for k, v in vars(ns).items() if k not in ("command", "config"))
     return config_cls(**values)
 

@@ -11,7 +11,8 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import NamedTuple
 from urllib.parse import urlparse
 
@@ -37,7 +38,57 @@ def _user_id(raw) -> str:
     return uid
 
 
-@dataclass(frozen=True)
+# ``typed``: 1, True and 1.0 are equal keys but normalize to "1", "true"
+# and "1.0". Floats are not cached at all: -0.0 == 0.0, but their ids
+# differ. Lists and objects are unhashable.
+_cached_user_id = lru_cache(maxsize=1 << 16, typed=True)(_user_id)
+_CACHED_ID_TYPES = (str, int, bool)
+
+
+def _record_user_id(raw) -> str:
+    """``_user_id`` through the cache where the raw id's type allows it."""
+    return (_cached_user_id if type(raw) in _CACHED_ID_TYPES else _user_id)(raw)
+
+
+@lru_cache(maxsize=1 << 12)
+def _tag_set(tags: tuple) -> frozenset:
+    """Normalized tags of one post; posts repeat a few tag lists, so the
+    sets are cached per tuple of raw tags and shared between records."""
+    return frozenset(filter(None, map(normalize_tag, tags)))
+
+
+_NO_URLS = frozenset()
+_NO_URL_VALUES = (None, [], ())
+_STR = repeat(str)  # all(map(isinstance, values, _STR)): no generator per call
+
+
+def _strings(values, field) -> tuple:
+    """A list (or tuple) of strings as a tuple; None counts as empty."""
+    if isinstance(values, (list, tuple)):
+        if all(map(isinstance, values, _STR)):
+            return tuple(values)
+    elif values is None:
+        return ()
+    raise InputDataError(f"{field} must be a list of strings, got {values!r}")
+
+
+def _url_set(urls) -> frozenset:
+    """Stripped non-empty URLs; every empty set is the one ``_NO_URLS``."""
+    if urls in _NO_URL_VALUES:
+        return _NO_URLS
+    return frozenset(filter(None, map(str.strip, _strings(urls, "urls")))) or _NO_URLS
+
+
+def _timestamp(ts) -> int:
+    """An integer timestamp (not a bool); None counts as 0."""
+    if ts is None:
+        return 0
+    if isinstance(ts, bool) or not isinstance(ts, int):
+        raise InputDataError(f"ts must be an integer, got {ts!r}")
+    return int(ts)
+
+
+@dataclass(frozen=True, slots=True)
 class InteractionRecord:
     """One post event: who wrote it, whom it endorsed, and its metadata."""
 
@@ -53,20 +104,22 @@ class InteractionRecord:
 
         User ids are lowercased, hashtags lose their leading '#', and a
         self-endorsement is dropped (treated as no endorsement at all).
+        ``hashtags`` and ``urls`` are lists of strings and ``timestamp``
+        an integer; None stands for an absent field.
         """
-        author = _user_id(author)
+        author = _record_user_id(author)
         if not author:
             raise InputDataError("record with empty author")
         if endorsed is not None:
-            endorsed = _user_id(endorsed)
+            endorsed = _record_user_id(endorsed)
             if not endorsed or endorsed == author:
                 endorsed = None
         return cls(
-            author=author,
-            endorsed=endorsed,
-            hashtags=frozenset(filter(None, map(normalize_tag, hashtags))),
-            urls=frozenset(str(u).strip() for u in urls if str(u).strip()),
-            timestamp=int(timestamp),
+            author,
+            endorsed,
+            _tag_set(_strings(hashtags, "hashtags")),
+            _url_set(urls),
+            _timestamp(timestamp),
         )
 
 
@@ -294,25 +347,24 @@ def build_retweet_graph(records, topic, tau=2):
     if tau < 1:
         raise ValueError("tau must be >= 1")
     members = set(topic.members)
-    per_tag: dict[str, Counter] = {}
+    per_tag: Counter = Counter()  # (tag, unordered pair) -> events
     directed_counts: Counter = Counter()
     for rec in records:
-        if rec.endorsed is None:
+        src, dst = rec.author, rec.endorsed
+        if dst is None:
             continue
         tags = rec.hashtags & members
         if not tags:
             continue
-        pair = (min(rec.author, rec.endorsed), max(rec.author, rec.endorsed))
+        pair = (src, dst) if src < dst else (dst, src)
         for tag in tags:
-            per_tag.setdefault(tag, Counter())[pair] += 1
-        directed_counts[(rec.author, rec.endorsed)] += 1
-    qualifying = set()
-    for counts in per_tag.values():
-        qualifying.update(p for p, c in counts.items() if c >= tau)
+            per_tag[tag, pair] += 1
+        directed_counts[src, dst] += 1
+    qualifying = {pair for (_, pair), c in per_tag.items() if c >= tau}
     pairs = [
         (src, dst, w)
         for (src, dst), w in directed_counts.items()
-        if (min(src, dst), max(src, dst)) in qualifying
+        if ((src, dst) if src < dst else (dst, src)) in qualifying
     ]
     return graph_from_weighted_pairs(pairs, directed=True)
 
@@ -425,28 +477,26 @@ def read_records(path):
     ``{"author": str, "endorsed": str|null, "hashtags": [str],
     "urls": [str], "ts": int}``. Exact duplicate records are dropped.
     """
-    records = []
-    seen = set()
+    decode = json.JSONDecoder().raw_decode
+    make = InteractionRecord.make
+    records = {}  # insertion-ordered set
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                rec = InteractionRecord.make(
-                    author=obj["author"],
-                    endorsed=obj.get("endorsed"),
-                    hashtags=obj.get("hashtags") or (),
-                    urls=obj.get("urls") or (),
-                    timestamp=obj.get("ts") or 0,
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, InputDataError) as exc:
+                obj, end = decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+                if type(obj) is not dict:
+                    raise InputDataError(f"not a JSON object: {line[:40]!r}")
+                get = obj.get
+                rec = make(obj["author"], get("endorsed"), get("hashtags"), get("urls"), get("ts"))
+            except (json.JSONDecodeError, KeyError, RecursionError, InputDataError) as exc:
                 raise InputDataError(f"{path}:{lineno}: bad record ({exc})") from exc
-            if rec not in seen:
-                seen.add(rec)
-                records.append(rec)
-    return records
+            records[rec] = None
+    return list(records)
 
 
 def read_edgelist(path, directed=False):

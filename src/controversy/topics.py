@@ -25,17 +25,34 @@ class HashtagProfile:
 
     @classmethod
     def make(cls, tag, df, words=None, tags=None):
+        if not isinstance(tag, str):
+            raise InputDataError(f"tag must be a string, got {tag!r}")
+        for name, counts in (("words", words), ("tags", tags)):
+            if counts is not None and not isinstance(counts, dict):
+                raise InputDataError(f"{name} must be an object of counts, got {counts!r}")
         tag = normalize_tag(tag)
-        df = int(df)
+        df = _integer(df, "df")
         if df < 1:
             raise ValueError(f"df must be >= 1, got {df} for {tag!r}")
-        words = {str(w).lower(): int(c) for w, c in (words or {}).items() if int(c) > 0}
+        words = {
+            str(w).lower(): c
+            for w, c in (words or {}).items()
+            if _integer(c, f"count of {w!r}") > 0
+        }
         tags = {
-            normalize_tag(t): int(c)
+            normalize_tag(t): c
             for t, c in (tags or {}).items()
-            if int(c) > 0 and normalize_tag(t) != tag
+            if _integer(c, f"count of {t!r}") > 0 and normalize_tag(t) != tag
         }
         return cls(tag=tag, df=df, words=words, tags=tags)
+
+
+def _integer(value, what):
+    """``value`` if it is an integer (a bool is not); profile counts are
+    never rounded."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputDataError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -144,7 +161,7 @@ def read_profiles(path):
                         tags=obj.get("tags"),
                     )
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, InputDataError) as exc:
                 raise InputDataError(f"{path}:{lineno}: bad profile ({exc})") from exc
     return profiles
 

@@ -3,12 +3,14 @@
 Everything here trades efficiency for obviousness: path enumeration
 instead of dependency accumulation, dense linear solves instead of power
 iteration, exhaustive enumeration instead of spectral splitting,
-per-vertex dicts and full recomputes instead of updated gain arrays. The
+per-vertex dicts and full recomputes instead of updated gain arrays,
+normalization afresh per record instead of caches. The
 oracles read graphs in tuple form (:class:`TupleGraph`), which the
 library itself no longer keeps.
 """
+import json
 import math
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
 import numpy as np
@@ -93,6 +95,90 @@ def loop_write_edgelist(g, path):
     with open(path, "w", encoding="utf-8") as fh:
         for a, b, w in rows:
             fh.write(f"{a}\t{b}\t{w}\n")
+
+
+def loop_make_record(author, endorsed=None, hashtags=(), urls=(), timestamp=0):
+    """``InteractionRecord.make`` without its caches: every id, tag and URL
+    normalized afresh on every call."""
+    # imported here: the benchmark loads this module for its other
+    # oracles, in a process that need not import the package
+    from controversy.errors import InputDataError
+    from controversy.graph import InteractionRecord, _user_id, normalize_tag
+
+    author = _user_id(author)
+    if not author:
+        raise InputDataError("record with empty author")
+    if endorsed is not None:
+        endorsed = _user_id(endorsed)
+        if not endorsed or endorsed == author:
+            endorsed = None
+    return InteractionRecord(
+        author=author,
+        endorsed=endorsed,
+        hashtags=frozenset(filter(None, map(normalize_tag, hashtags))),
+        urls=frozenset(str(u).strip() for u in urls if str(u).strip()),
+        timestamp=int(timestamp),
+    )
+
+
+def loop_read_records(path):
+    """The reference for ``graph.read_records``: ``json.loads`` per line,
+    uncached normalization, and a separate seen-set for duplicates."""
+    from controversy.errors import InputDataError
+
+    records = []
+    seen = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                rec = loop_make_record(
+                    author=obj["author"],
+                    endorsed=obj.get("endorsed"),
+                    hashtags=obj.get("hashtags") or (),
+                    urls=obj.get("urls") or (),
+                    timestamp=obj.get("ts") or 0,
+                )
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, InputDataError) as exc:
+                raise InputDataError(f"{path}:{lineno}: bad record ({exc})") from exc
+            if rec not in seen:
+                seen.add(rec)
+                records.append(rec)
+    return records
+
+
+def loop_build_retweet_graph(records, topic, tau=2):
+    """The reference for ``graph.build_retweet_graph``: one Counter per
+    hashtag, and every pair ordered by ``min`` / ``max``."""
+    from controversy.graph import graph_from_weighted_pairs
+
+    if tau < 1:
+        raise ValueError("tau must be >= 1")
+    members = set(topic.members)
+    per_tag: dict[str, Counter] = {}
+    directed_counts: Counter = Counter()
+    for rec in records:
+        if rec.endorsed is None:
+            continue
+        tags = rec.hashtags & members
+        if not tags:
+            continue
+        pair = (min(rec.author, rec.endorsed), max(rec.author, rec.endorsed))
+        for tag in tags:
+            per_tag.setdefault(tag, Counter())[pair] += 1
+        directed_counts[(rec.author, rec.endorsed)] += 1
+    qualifying = set()
+    for counts in per_tag.values():
+        qualifying.update(p for p, c in counts.items() if c >= tau)
+    pairs = [
+        (src, dst, w)
+        for (src, dst), w in directed_counts.items()
+        if (min(src, dst), max(src, dst)) in qualifying
+    ]
+    return graph_from_weighted_pairs(pairs, directed=True)
 
 
 def _bfs_predecessors(g, source):

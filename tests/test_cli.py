@@ -387,6 +387,41 @@ class TestOtherCommands:
         assert "bogus_key" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
 
+    @pytest.mark.parametrize("line, key", [
+        ("runs=x", "runs"), ("n=2.5", "n"), ("seed=null", "seed"),
+        ("redetect=1", "redetect"), ("largest_component=\"no\"", "largest_component"),
+        ("runs=true", "runs"),
+    ])
+    def test_simulate_ill_typed_config_value_writes_nothing(self, line, key, tmp_path, capsys):
+        conf, out = tmp_path / "run.conf", tmp_path / "sweep.csv"
+        conf.write_text(f'n=20\np1_grid="0.3"\np2_grid="0.05"\nruns=1\n{line}\n')
+        assert run("simulate", "--config", conf, "--out", out) == 2
+        assert f"config key {key} must be" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
+    def test_partition_ill_typed_seed_writes_nothing(self, tmp_path, capsys):
+        conf, out = tmp_path / "run.conf", tmp_path / "sides.tsv"
+        conf.write_text("seed=abc\n")
+        assert run("partition", "--config", conf, "--edgelist", KARATE_EDGES, "--out", out) == 2
+        assert "config key seed must be int" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_take_their_field_types(self, tmp_path):
+        conf, out = tmp_path / "run.conf", tmp_path / "r.json"
+        conf.write_text(
+            f"edgelist={KARATE_EDGES}\npartition_mode=import\n"
+            f"partition_file={KARATE_FACTIONS}\nmeasures=gmck\n"
+            "expand_alpha=1\ntolerance=1e-9\nk=null\ntopic_label=2024\nforce=true\n"
+        )
+        assert run("score", "--config", conf, "--out", out) == 0
+        config = json.loads(out.read_text())["config"]
+        # an int in a float field is a float; a number in a str field is its text
+        assert config["expand_alpha"] == 1.0 and isinstance(config["expand_alpha"], float)
+        assert config["tolerance"] == 1e-9
+        assert config["k"] is None
+        assert config["topic_label"] == "2024"
+        assert config["force"] is True
+
     def test_simulate_smoke(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(
