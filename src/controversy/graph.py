@@ -11,8 +11,7 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import repeat
+from functools import cached_property
 from typing import NamedTuple
 from urllib.parse import urlparse
 
@@ -38,45 +37,47 @@ def _user_id(raw) -> str:
     return uid
 
 
-# ``typed``: 1, True and 1.0 are equal keys but normalize to "1", "true"
-# and "1.0". Floats are not cached at all: -0.0 == 0.0, but their ids
-# differ. Lists and objects are unhashable.
-_cached_user_id = lru_cache(maxsize=1 << 16, typed=True)(_user_id)
-_CACHED_ID_TYPES = (str, int, bool)
-
-
-def _record_user_id(raw) -> str:
-    """``_user_id`` through the cache where the raw id's type allows it."""
-    return (_cached_user_id if type(raw) in _CACHED_ID_TYPES else _user_id)(raw)
-
-
-@lru_cache(maxsize=1 << 12)
-def _tag_set(tags: tuple) -> frozenset:
-    """Normalized tags of one post; posts repeat a few tag lists, so the
-    sets are cached per tuple of raw tags and shared between records."""
-    return frozenset(filter(None, map(normalize_tag, tags)))
-
-
 _NO_URLS = frozenset()
-_NO_URL_VALUES = (None, [], ())
-_STR = repeat(str)  # all(map(isinstance, values, _STR)): no generator per call
 
 
 def _strings(values, field) -> tuple:
     """A list (or tuple) of strings as a tuple; None counts as empty."""
     if isinstance(values, (list, tuple)):
-        if all(map(isinstance, values, _STR)):
+        if all(isinstance(v, str) for v in values):
             return tuple(values)
     elif values is None:
         return ()
     raise InputDataError(f"{field} must be a list of strings, got {values!r}")
 
 
-def _url_set(urls) -> frozenset:
-    """Stripped non-empty URLs; every empty set is the one ``_NO_URLS``."""
-    if urls in _NO_URL_VALUES:
-        return _NO_URLS
-    return frozenset(filter(None, map(str.strip, _strings(urls, "urls")))) or _NO_URLS
+def _tag_set(tags: tuple) -> frozenset:
+    """The normalized, non-empty tags of one post."""
+    return frozenset(filter(None, map(normalize_tag, tags)))
+
+
+class _Memo(dict):
+    """Normalized values of one file keyed by raw value, so that records
+    repeating a value share one object: an id is hashed and compared as
+    one string, and shared tag sets are fewer objects for the garbage
+    collector to walk. A miss costs more than normalizing afresh, so
+    :func:`read_records` drops a memo that holds more than ``PROBE / 2``
+    values after ``PROBE`` records."""
+
+    PROBE = 2048
+
+    def __init__(self, normalize):
+        super().__init__()
+        self.normalize = normalize
+
+    def __missing__(self, raw):
+        found = self[raw] = self.normalize(raw)
+        return found
+
+
+def _id(raw, ids):
+    """``_user_id`` through the memo ``ids``, for str ids only: 1, True and
+    1.0 are equal keys but the ids "1", "true" and "1.0"."""
+    return ids[raw] if ids is not None and type(raw) is str else _user_id(raw)
 
 
 def _timestamp(ts) -> int:
@@ -85,7 +86,7 @@ def _timestamp(ts) -> int:
         return 0
     if isinstance(ts, bool) or not isinstance(ts, int):
         raise InputDataError(f"ts must be an integer, got {ts!r}")
-    return int(ts)
+    return ts
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,26 +100,30 @@ class InteractionRecord:
     timestamp: int
 
     @classmethod
-    def make(cls, author, endorsed=None, hashtags=(), urls=(), timestamp=0):
+    def make(cls, author, endorsed=None, hashtags=(), urls=(), timestamp=0, *,
+             ids=None, tag_sets=None):
         """Build a normalized record.
 
         User ids are lowercased, hashtags lose their leading '#', and a
         self-endorsement is dropped (treated as no endorsement at all).
         ``hashtags`` and ``urls`` are lists of strings and ``timestamp``
-        an integer; None stands for an absent field.
+        an integer; None stands for an absent field. ``ids`` and
+        ``tag_sets``, if given, are the memos shared by one file's records.
         """
-        author = _record_user_id(author)
+        author = _id(author, ids)
         if not author:
             raise InputDataError("record with empty author")
         if endorsed is not None:
-            endorsed = _record_user_id(endorsed)
+            endorsed = _id(endorsed, ids)
             if not endorsed or endorsed == author:
                 endorsed = None
+        tags = _strings(hashtags, "hashtags")
+        urls = frozenset(filter(None, map(str.strip, _strings(urls, "urls"))))
         return cls(
             author,
             endorsed,
-            _tag_set(_strings(hashtags, "hashtags")),
-            _url_set(urls),
+            _tag_set(tags) if tag_sets is None else tag_sets[tags],
+            urls or _NO_URLS,
             _timestamp(timestamp),
         )
 
@@ -479,6 +484,7 @@ def read_records(path):
     """
     decode = json.JSONDecoder().raw_decode
     make = InteractionRecord.make
+    ids, tag_sets = _Memo(_user_id), _Memo(_tag_set)
     records = {}  # insertion-ordered set
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -492,10 +498,14 @@ def read_records(path):
                 if type(obj) is not dict:
                     raise InputDataError(f"not a JSON object: {line[:40]!r}")
                 get = obj.get
-                rec = make(obj["author"], get("endorsed"), get("hashtags"), get("urls"), get("ts"))
-            except (json.JSONDecodeError, KeyError, RecursionError, InputDataError) as exc:
+                rec = make(obj["author"], get("endorsed"), get("hashtags"), get("urls"),
+                           get("ts"), ids=ids, tag_sets=tag_sets)
+            except (ValueError, KeyError, RecursionError, InputDataError) as exc:
                 raise InputDataError(f"{path}:{lineno}: bad record ({exc})") from exc
             records[rec] = None
+            if len(records) == _Memo.PROBE:  # drop a memo that mostly misses
+                ids, tag_sets = (None if m is None or len(m) > _Memo.PROBE // 2 else m
+                                 for m in (ids, tag_sets))
     return list(records)
 
 

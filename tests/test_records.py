@@ -1,4 +1,4 @@
-"""Record ingest: the cached reader and graph builder against their loop
+"""Record ingest: the reader and graph builder against their loop
 references, ill-typed fields, and corrupted lines."""
 import json
 import random
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import controversy as cv
+from controversy import graph
 from controversy.cli import main
 
 from oracles import loop_build_retweet_graph, loop_read_records
@@ -86,8 +87,22 @@ class TestDifferential:
     def test_equal_keys_normalize_apart(self):
         raw_ids = (1, True, 1.0, -0.0, 0.0, 0, False)
         expected = ["1", "true", "1.0", "-0.0", "0.0", "0", "false"]
-        for _ in range(2):  # the second pass reads the cache
-            assert [cv.InteractionRecord.make(raw).author for raw in raw_ids] == expected
+        assert [cv.InteractionRecord.make(raw).author for raw in raw_ids] == expected
+
+    @pytest.mark.parametrize("varied", [False, True])
+    def test_memos(self, varied, tmp_path, monkeypatch):
+        """Records repeating an id or a tag list share one object, unless
+        the first ``PROBE`` records mostly carried distinct values."""
+        monkeypatch.setattr(graph._Memo, "PROBE", 32)
+        path = tmp_path / "r.jsonl"
+        write_rows(path, [{"author": f"U{i}" if varied and i < 32 else "A", "endorsed": "Hub",
+                           "hashtags": [f"#T{i}" if varied and i < 32 else "#Go"], "ts": i}
+                          for i in range(100)])
+        records = cv.read_records(path)
+        assert records == loop_read_records(path)
+        for field in ("author", "endorsed", "hashtags"):
+            objects = {id(getattr(r, field)) for r in records[32:]}
+            assert len(objects) == (68 if varied else 1), field
 
     def test_empty_url_sets_are_shared(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -163,7 +178,9 @@ class TestIllTypedFields:
         assert cv.read_records(path) == [cv.InteractionRecord.make("a")]
 
     @pytest.mark.parametrize("line", ['["a"]', '"a"', "5", "null",
-                                      pytest.param("[" * 100000, id="deeply-nested")])
+                                      pytest.param("[" * 100000, id="deeply-nested"),
+                                      pytest.param('{"author": "a", "ts": 1' + "0" * 5000 + "}",
+                                                   id="5000-digit-ts")])
     def test_non_object_line_rejected(self, line, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text('{"author": "a"}\n' + line + "\n")
