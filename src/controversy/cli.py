@@ -28,7 +28,7 @@ from .errors import (
     DegenerateStructureError,
     InputDataError,
 )
-from .graph import Topic
+from .graph import Topic, read_lines
 from .measures import (
     MEASURE_NAMES,
     ControversyReport,
@@ -318,15 +318,11 @@ def _write_all(writers):
 def _read_config_file(path):
     """The ``key=value`` lines of a config file, values as written."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputDataError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            values[key.strip().replace("-", "_")] = raw.strip()
+    for lineno, line in read_lines(path, comments=True):
+        if "=" not in line:
+            raise InputDataError(f"{path}:{lineno}: expected key=value")
+        key, _, raw = line.partition("=")
+        values[key.strip().replace("-", "_")] = raw.strip()
     return values
 
 

@@ -29,12 +29,33 @@ def normalize_tag(tag: str) -> str:
 
 
 def _user_id(raw) -> str:
-    """Strip and lowercase a user id; reject one that holds a tab or a
-    line break, which no edge list or partition file could carry."""
+    """Strip and lowercase a user id; reject one that no edge list or
+    partition file could carry: a leading '#' (that line is a comment
+    there), a tab or a line break."""
     uid = str(raw).strip().lower()
-    if "\t" in uid or "\r" in uid or "\n" in uid:
-        raise InputDataError(f"user id {uid!r} holds a tab or line break")
+    if uid.startswith("#") or "\t" in uid or "\r" in uid or "\n" in uid:
+        raise InputDataError(f"user id {uid!r} starts with '#' or holds a tab or line break")
     return uid
+
+
+def read_lines(path, comments=False):
+    """Yield ``(lineno, line)`` for every non-blank line of the UTF-8 file
+    ``path``, without its line break (universal newlines: LF, CRLF or CR).
+    With ``comments``, lines whose first non-blank character is '#' are
+    skipped too. A byte that is not UTF-8 raises ``InputDataError("path:lineno: ...")``."""
+    # decoding never fails here: a bad byte becomes a lone surrogate,
+    # which no valid line holds, so only non-ASCII lines need a check
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise InputDataError(f"{path}:{lineno}: {exc}") from None
+            line = line.rstrip("\n")
+            if not line or line.isspace() or comments and line.lstrip().startswith("#"):
+                continue
+            yield lineno, line
 
 
 _NO_URLS = frozenset()
@@ -56,12 +77,12 @@ def _tag_set(tags: tuple) -> frozenset:
 
 
 class _Memo(dict):
-    """Normalized values of one file keyed by raw value, so that records
-    repeating a value share one object: an id is hashed and compared as
-    one string, and shared tag sets are fewer objects for the garbage
-    collector to walk. A miss costs more than normalizing afresh, so
-    :func:`read_records` drops a memo that holds more than ``PROBE / 2``
-    values after ``PROBE`` records."""
+    """Normalized values of one file or one pair list keyed by raw value,
+    so that repeats of a value share one object and are normalized once:
+    an id is hashed and compared as one string, and shared tag sets are
+    fewer objects for the garbage collector to walk. A miss costs more
+    than normalizing afresh, so :func:`read_records` drops a memo that
+    holds more than ``PROBE / 2`` values after ``PROBE`` records."""
 
     PROBE = 2048
 
@@ -257,7 +278,7 @@ class ConversationGraph:
 
     def index_of(self, user_id):
         try:
-            return self._index[str(user_id).strip().lower()]
+            return self._index[_user_id(user_id)]
         except KeyError:
             raise InputDataError(f"unknown user id: {user_id!r}") from None
 
@@ -331,7 +352,8 @@ def graph_from_weighted_pairs(pairs, directed):
     Vertex indices follow the lexicographic order of the user ids, so the
     same edge set always produces the same graph no matter the input order.
     """
-    pairs = [(str(a).strip().lower(), str(b).strip().lower(), int(w)) for a, b, w in pairs]
+    memo = _Memo(_user_id)
+    pairs = [(_id(a, memo), _id(b, memo), int(w)) for a, b, w in pairs]
     pairs = [(a, b, w) for a, b, w in pairs if a != b]
     ids = sorted({a for a, _, _ in pairs} | {b for _, b, _ in pairs})
     index = {u: i for i, u in enumerate(ids)}
@@ -379,11 +401,10 @@ def build_follow_graph(follow_edges, active_users):
 
     Edge weight is the number of directed follow relations between the
     pair (1 or 2 after deduplication)."""
-    active = {str(u).strip().lower() for u in active_users}
+    active = set(map(_user_id, active_users))
     relations = set()
     for follower, followee in follow_edges:
-        a = str(follower).strip().lower()
-        b = str(followee).strip().lower()
+        a, b = _user_id(follower), _user_id(followee)
         if a == b or a not in active or b not in active:
             continue
         relations.add((a, b))
@@ -486,49 +507,46 @@ def read_records(path):
     make = InteractionRecord.make
     ids, tag_sets = _Memo(_user_id), _Memo(_tag_set)
     records = {}  # insertion-ordered set
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj, end = decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-                if type(obj) is not dict:
-                    raise InputDataError(f"not a JSON object: {line[:40]!r}")
-                get = obj.get
-                rec = make(obj["author"], get("endorsed"), get("hashtags"), get("urls"),
-                           get("ts"), ids=ids, tag_sets=tag_sets)
-            except (ValueError, KeyError, RecursionError, InputDataError) as exc:
-                raise InputDataError(f"{path}:{lineno}: bad record ({exc})") from exc
-            records[rec] = None
-            if len(records) == _Memo.PROBE:  # drop a memo that mostly misses
-                ids, tag_sets = (None if m is None or len(m) > _Memo.PROBE // 2 else m
-                                 for m in (ids, tag_sets))
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        try:
+            obj, end = decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+            if type(obj) is not dict:
+                raise InputDataError(f"not a JSON object: {line[:40]!r}")
+            get = obj.get
+            rec = make(obj["author"], get("endorsed"), get("hashtags"), get("urls"),
+                       get("ts"), ids=ids, tag_sets=tag_sets)
+        except (ValueError, KeyError, RecursionError, InputDataError) as exc:
+            raise InputDataError(f"{path}:{lineno}: bad record ({exc})") from exc
+        records[rec] = None
+        if len(records) == _Memo.PROBE:  # drop a memo that mostly misses
+            ids, tag_sets = (None if m is None or len(m) > _Memo.PROBE // 2 else m
+                             for m in (ids, tag_sets))
     return list(records)
 
 
 def read_edgelist(path, directed=False):
     """Read a TSV edge list: ``src<TAB>dst<TAB>weight`` (weight optional,
-    default 1). Lines starting with '#' are ignored."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
+    default 1, at least 1). Lines starting with '#' are ignored."""
+    pairs, ids = [], _Memo(_user_id)
+    for lineno, line in read_lines(path, comments=True):
+        parts = line.split("\t")
+        try:
             if len(parts) not in (2, 3):
-                raise InputDataError(f"{path}:{lineno}: expected 2 or 3 columns")
-            src, dst = parts[0].strip(), parts[1].strip()
+                raise InputDataError("expected 2 or 3 columns")
+            src, dst = ids[parts[0]], ids[parts[1]]
             if not src or not dst:
-                raise InputDataError(f"{path}:{lineno}: empty vertex id")
-            try:
-                w = int(parts[2]) if len(parts) == 3 else 1
-            except ValueError:
-                raise InputDataError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
-            pairs.append((src, dst, w))
+                raise InputDataError("empty vertex id")
+            w = int(parts[2]) if len(parts) == 3 else 1
+            if w < 1:
+                raise InputDataError(f"non-positive weight {w}")
+        except InputDataError as exc:
+            raise InputDataError(f"{path}:{lineno}: {exc}") from None
+        except ValueError:
+            raise InputDataError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
+        pairs.append((src, dst, w))
     return graph_from_weighted_pairs(pairs, directed=directed)
 
 
@@ -556,13 +574,13 @@ def write_edgelist(g, path):
 def read_follow_edges(path):
     """Read follower<TAB>followee pairs; '#' comment lines ignored."""
     edges = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise InputDataError(f"{path}:{lineno}: expected follower<TAB>followee")
-            edges.append((parts[0].strip(), parts[1].strip()))
+    for lineno, line in read_lines(path, comments=True):
+        parts = line.split("\t")
+        try:
+            edge = tuple(map(_user_id, parts))
+            if len(edge) != 2 or not all(edge):
+                raise InputDataError("expected follower<TAB>followee")
+        except InputDataError as exc:
+            raise InputDataError(f"{path}:{lineno}: {exc}") from None
+        edges.append(edge)
     return edges

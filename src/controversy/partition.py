@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import ConvergenceError, DegenerateStructureError, InputDataError
+from .graph import _user_id, read_lines
 
 
 class Partition:
@@ -138,22 +139,22 @@ def spectral_bisection(g, seed=0) -> Partition:
 def import_partition(g, path) -> Partition:
     """Read a ``vertex-id<TAB>side`` file (side in {0,1}) covering every
     vertex of the graph exactly."""
-    labels = {}
+    labels = {}  # vertex id -> (side, line number)
     bad_rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
+    for lineno, line in read_lines(path, comments=True):
+        parts = line.split("\t")
+        try:
             if len(parts) != 2:
-                bad_rows.append(f"line {lineno}: expected 2 columns")
-                continue
-            uid, side = parts[0].strip().lower(), parts[1].strip()
+                raise InputDataError("expected 2 columns")
+            uid, side = _user_id(parts[0]), parts[1].strip()
             if side not in ("0", "1"):
-                bad_rows.append(f"line {lineno}: bad side label {side!r}")
-                continue
-            labels[uid] = int(side)
+                raise InputDataError(f"bad side label {side!r}")
+            first_side, first_line = labels.setdefault(uid, (int(side), lineno))
+            if first_side != int(side):
+                raise InputDataError(
+                    f"vertex {uid!r} labeled {side}, but {first_side} on line {first_line}")
+        except InputDataError as exc:
+            bad_rows.append(f"line {lineno}: {exc}")
     known = set(g.ids)
     unknown = sorted(set(labels) - known)
     missing = sorted(known - set(labels))
@@ -164,7 +165,7 @@ def import_partition(g, path) -> Partition:
         problems = problems + [f"unlabeled vertices: {', '.join(missing[:10])}"]
     if problems:
         raise InputDataError(f"{path}: " + "; ".join(problems))
-    sides = np.array([labels[uid] for uid in g.ids], dtype=np.int8)
+    sides = np.array([labels[uid][0] for uid in g.ids], dtype=np.int8)
     return Partition(sides)
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDataError
+from .graph import read_lines
 
 SCORE_MIN, SCORE_MAX = -4.0, 4.0
 CONTROVERSIAL_MIN_VARIANCE = 2.0
@@ -47,19 +48,17 @@ def classify_by_variance(variance) -> str:
 def read_sentiment(path):
     """Read a ``post_id,score`` CSV (header row optional)."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.lower().replace(" ", "") == "post_id,score":
-                continue
-            parts = line.split(",")
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if lineno == 1 and line.lower().replace(" ", "") == "post_id,score":
+            continue
+        parts = line.split(",")
+        try:
             if len(parts) != 2:
-                raise InputDataError(f"{path}:{lineno}: expected post_id,score")
-            try:
-                score = float(parts[1])
-            except ValueError:
-                raise InputDataError(f"{path}:{lineno}: bad score {parts[1]!r}") from None
-            records.append(SentimentRecord(post_id=parts[0].strip(), score=score))
+                raise InputDataError("expected post_id,score")
+            records.append(SentimentRecord(post_id=parts[0].strip(), score=float(parts[1])))
+        except InputDataError as exc:
+            raise InputDataError(f"{path}:{lineno}: {exc}") from None
+        except ValueError:
+            raise InputDataError(f"{path}:{lineno}: bad score {parts[1]!r}") from None
     return records

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InputDataError
-from .graph import Topic, normalize_tag
+from .graph import Topic, normalize_tag, read_lines
 
 
 @dataclass(frozen=True)
@@ -146,23 +146,13 @@ def read_profiles(path):
     """Read profiles from JSON lines:
     ``{"tag": str, "df": int, "words": {str: int}, "tags": {str: int}}``."""
     profiles = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                profiles.append(
-                    HashtagProfile.make(
-                        tag=obj["tag"],
-                        df=obj["df"],
-                        words=obj.get("words"),
-                        tags=obj.get("tags"),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, InputDataError) as exc:
-                raise InputDataError(f"{path}:{lineno}: bad profile ({exc})") from exc
+    for lineno, line in read_lines(path):
+        try:
+            obj = json.loads(line.strip())
+            profiles.append(HashtagProfile.make(obj["tag"], obj["df"], obj.get("words"),
+                                                obj.get("tags")))
+        except (KeyError, TypeError, ValueError, InputDataError) as exc:
+            raise InputDataError(f"{path}:{lineno}: bad profile ({exc})") from exc
     return profiles
 
 

@@ -54,16 +54,18 @@ def default_k(p) -> int:
     return max(1, math.ceil(0.05 * min(len(p.x), len(p.y))))
 
 
+def highest_degree(g, side, k):
+    """The k highest-degree vertices of the ascending index array ``side``,
+    ties to the smaller index."""
+    return side[np.argsort(-g.degrees[side], kind="stable")][:k]
+
+
 def top_degree(g, p, k) -> HighDegreeSets:
     """Pick the k highest-degree vertices per side, ties to the smaller index."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    deg = g.degrees
-
-    def pick(side):
-        return tuple(side[np.argsort(-deg[side], kind="stable")][:k].tolist())
-
-    return HighDegreeSets(x_plus=pick(p.x), y_plus=pick(p.y), k=k)
+    x_plus, y_plus = (tuple(highest_degree(g, side, k).tolist()) for side in (p.x, p.y))
+    return HighDegreeSets(x_plus=x_plus, y_plus=y_plus, k=k)
 
 
 def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None) -> np.ndarray:

@@ -100,10 +100,12 @@ class TestScore:
             "--topic-label", label, "--out", tmp_path / "r.json",
             "--csv-out", csv_out, "--user-scores-out", users_out,
         ) == 0
-        header, row = list(csv.reader(csv_out.open(newline="")))
+        with csv_out.open(newline="") as fh:
+            header, row = list(csv.reader(fh))
         assert len(row) == len(header) == 9
         assert row[0] == label
-        users = list(csv.reader(users_out.open(newline="")))
+        with users_out.open(newline="") as fh:
+            users = list(csv.reader(fh))
         assert users[0] == ["user_id", "side", "rwc_user", "rho"]
         assert all(len(r) == 4 for r in users)
         assert sorted(r[0] for r in users[1:]) == ["a,1", 'b"q', "c", "d"]
