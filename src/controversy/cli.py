@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import typing
@@ -268,6 +269,11 @@ def run_pipeline(cfg: PipelineConfig) -> ControversyReport:
         with _stage("user-scores"):
             hds = top_degree(g, part, k)
             user_rows = user_score_table(g, part, hds, walk_cfg)
+        unreached = [r.user_id for r in user_rows if math.isnan(r.rwc_user)]
+        if unreached:
+            print(f"warning: the restart walks of {len(unreached)} of {len(user_rows)} users "
+                  f"reach no high-degree vertex (the first is {unreached[0]!r}); "
+                  "their rwc_user is nan", file=sys.stderr)
     report.timestamp = datetime.now(timezone.utc).isoformat()
 
     with _stage("output"):

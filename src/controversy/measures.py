@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateStructureError
+from .errors import ConvergenceError, DegenerateStructureError
 from .partition import Partition
 from .walks import (
     RestartWalkConfig,
     default_k,
+    draw_below,
     highest_degree,
     sample_walk,
     stationary_rwr,
@@ -29,8 +30,13 @@ from .walks import (
 )
 
 DENSITY_FLOOR = 1e-12
+# A center more than KDE_REACH bandwidths from a point adds exactly 0.0 to
+# its Gaussian KDE; one points x centers block holds at most
+# KDE_BLOCK_ELEMENTS float64 (512 KiB).
+KDE_REACH = 39.0
+KDE_BLOCK_ELEMENTS = 1 << 16
 # Elements of one (n, b) temporary of the layout's repulsion step
-# (float64, 512 KiB): b = LAYOUT_BLOCK_ELEMENTS // n columns at a time.
+# (float64, 512 KiB): b = min(n, LAYOUT_BLOCK_ELEMENTS // n) columns at a time.
 LAYOUT_BLOCK_ELEMENTS = 1 << 16
 # Elements of one (n, b) plus one (m, b) temporary of the batched Brandes
 # pass (2 MiB): b = BETWEENNESS_BLOCK_ELEMENTS // (n + m) sources at a time.
@@ -59,21 +65,19 @@ def rwc_mc(g, p: Partition, k=None, n_walks=10000, seed=0) -> float:
     # sampling is keyed to the side containing vertex 0 so that relabeling
     # X/Y cannot change which walks get drawn
     side0_is_x = p.side_of(0) == "X"
-    side0 = p.x if side0_is_x else p.y
-    side1 = p.y if side0_is_x else p.x
-    counts = np.zeros((2, 2), dtype=np.int64)  # [start side0?][end side0-terminals?]
+    side0, side1 = (p.x.tolist(), p.y.tolist()) if side0_is_x else (p.y.tolist(), p.x.tolist())
+    counts = [0, 0, 0, 0]  # start on side0 / side1 x end on side0's / side1's terminals
     for i in range(n_walks):
         rng = walk_rng(seed, i)
         from_side0 = rng.random() < 0.5
         pool = side0 if from_side0 else side1
-        start = int(pool[rng.randrange(len(pool))])
-        end = sample_walk(g, start, terminals, rng)
+        end = sample_walk(g, pool[draw_below(rng, len(pool))], terminals, rng)
         end_side0 = (end in x_plus) == side0_is_x
-        counts[0 if from_side0 else 1][0 if end_side0 else 1] += 1
+        counts[(0 if from_side0 else 2) + (0 if end_side0 else 1)] += 1
     if side0_is_x:
-        c_xx, c_xy, c_yx, c_yy = counts[0, 0], counts[0, 1], counts[1, 0], counts[1, 1]
+        c_xx, c_xy, c_yx, c_yy = counts
     else:
-        c_yy, c_yx, c_xy, c_xx = counts[0, 0], counts[0, 1], counts[1, 0], counts[1, 1]
+        c_yy, c_yx, c_xy, c_xx = counts
     end_x = c_xx + c_yx
     end_y = c_yy + c_xy
     if end_x == 0 or end_y == 0:
@@ -198,13 +202,47 @@ def _scott_bandwidth(values):
 
 
 def _kde_density(points, centers, bandwidth):
-    """Gaussian KDE evaluated at ``points``, chunked to bound memory."""
-    out = np.empty(len(points))
+    """Gaussian KDE evaluated at ``points``: the same terms as the full
+    points x centers sum, in a different summation order.
+
+    A center farther than KDE_REACH bandwidths from a point adds exactly
+    0.0 (exp(-z^2/2) underflows beyond |z| ~ 38.6), so the points and the
+    centers are sorted once and each chunk of consecutive sorted points
+    sums only the centers within reach of it. A chunk takes as many
+    points as keep its (points, centers) block within KDE_BLOCK_ELEMENTS.
+    """
+    order = np.argsort(points)
+    pts = points[order]
+    cs = np.sort(centers)
+    # rounding is monotone, so a center below round(p - reach) (above
+    # round(p + reach)) lies more than reach from p exactly
+    reach = KDE_REACH * bandwidth
+    left = np.searchsorted(cs, pts - reach, "left")
+    right = np.searchsorted(cs, pts + reach, "right")
     norm = len(centers) * bandwidth * math.sqrt(2.0 * math.pi)
-    step = max(1, (1 << 16) // max(1, len(centers)))
-    for lo in range(0, len(points), step):
-        z = (points[lo : lo + step, None] - centers[None, :]) / bandwidth
-        out[lo : lo + step] = np.exp(-0.5 * z * z).sum(axis=1) / norm
+    # a point within reach of more centers than a block holds gets its own
+    buf = np.empty(max(KDE_BLOCK_ELEMENTS, int((right - left).max())))
+    dens = np.empty(len(pts))
+    lo = 0
+    while lo < len(pts):
+        a = left[lo]
+        # the block of points lo..hi-1 spans centers a..right[hi-1]-1, which
+        # only grows with hi: take the longest run that fits the buffer
+        ahead = KDE_BLOCK_ELEMENTS // max(1, right[lo] - a)
+        widths = right[lo : lo + ahead] - a
+        sizes = np.arange(1, len(widths) + 1) * widths
+        hi = lo + max(1, int(np.searchsorted(sizes, KDE_BLOCK_ELEMENTS, "right")))
+        b = right[hi - 1]
+        z = buf[: (hi - lo) * (b - a)].reshape(hi - lo, b - a)
+        np.subtract(pts[lo:hi, None], cs[None, a:b], out=z)
+        z /= bandwidth
+        z *= z
+        z *= -0.5
+        np.exp(z, out=z)
+        np.sum(z, axis=1, out=dens[lo:hi])
+        lo = hi
+    out = np.empty(len(points))
+    out[order] = dens / norm
     return out
 
 
@@ -248,10 +286,14 @@ def force_layout(g, iterations=500, seed=0):
     attraction ~ d^2/k along edges, annealed displacement cap).
 
     Deterministic given (graph, seed, iterations). Returns an (n, 2)
-    coordinate array indexed by vertex. The repulsion is summed over
-    (n, b) column blocks, b = LAYOUT_BLOCK_ELEMENTS // n: entry [j, i]
-    of a block is vertex j's push on vertex i, and each column sums its
-    n terms in index order.
+    coordinate array indexed by vertex, bit-identical to the full
+    (n, n, 2) form. The repulsion is summed over (n, b) column blocks,
+    b = min(n, LAYOUT_BLOCK_ELEMENTS // n), in buffers allocated once:
+    entry [j, i] of a block is vertex j's push on vertex i, and each
+    column sums its n terms in index order. One ``np.bincount`` per
+    coordinate then adds the edge pulls in the order ``np.subtract.at``
+    and ``np.add.at`` would: each vertex's repulsion, minus the pull of
+    every edge at its first end, plus it at its second end.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
@@ -261,37 +303,47 @@ def force_layout(g, iterations=500, seed=0):
     if n <= 1 or iterations < 1:
         return pos
     k = math.sqrt(1.0 / n)
-    edges = g.edge_array[:, :2]
-    block = max(1, LAYOUT_BLOCK_ELEMENTS // n)
-    disp = np.empty((n, 2))
+    e0, e1 = g.edge_array[:, 0], g.edge_array[:, 1]
+    m = len(e0)
+    block = max(1, min(n, LAYOUT_BLOCK_ELEMENTS // n))
+    dx, dy, w, dy2 = (np.empty((n, block)) for _ in range(4))
+    diag = np.arange(block)
+    # bincount slots and weights: [repulsion on 0..n-1, -pull at e0, +pull at e1]
+    slots = np.concatenate([np.arange(n), e0, e1])
+    push_x, push_y = np.empty(n + 2 * m), np.empty(n + 2 * m)
+    xs, ys = pos[:, 0].copy(), pos[:, 1].copy()
     t0 = 0.1
     for it in range(iterations):
         temp = t0 * (1.0 - it / iterations)
-        xs, ys = pos.T.copy()
         for lo in range(0, n, block):
             hi = min(n, lo + block)
-            dx = xs[None, lo:hi] - xs[:, None]
-            dy = ys[None, lo:hi] - ys[:, None]
-            w = dx * dx
-            w += dy * dy
-            np.sqrt(w, out=w)
-            w[np.arange(lo, hi), np.arange(hi - lo)] = np.inf
-            np.maximum(w, 1e-9, out=w)
-            w *= w
-            np.divide(k * k, w, out=w)
-            dx *= w
-            dy *= w
-            disp[lo:hi, 0] = dx.sum(axis=0)
-            disp[lo:hi, 1] = dy.sum(axis=0)
-        if len(edges):
-            evec = pos[edges[:, 0]] - pos[edges[:, 1]]
-            edist = np.maximum(np.sqrt((evec**2).sum(axis=-1)), 1e-9)
-            pull = (edist / k)[:, None] * evec
-            np.subtract.at(disp, edges[:, 0], pull)
-            np.add.at(disp, edges[:, 1], pull)
-        length = np.maximum(np.sqrt((disp**2).sum(axis=-1)), 1e-12)
-        pos = pos + disp / length[:, None] * np.minimum(length, temp)[:, None]
-    return pos
+            bx, by, bw, b2 = (a[:, : hi - lo] for a in (dx, dy, w, dy2))
+            np.subtract(xs[None, lo:hi], xs[:, None], out=bx)
+            np.subtract(ys[None, lo:hi], ys[:, None], out=by)
+            np.multiply(bx, bx, out=bw)
+            bw += np.multiply(by, by, out=b2)
+            np.sqrt(bw, out=bw)
+            bw[diag[: hi - lo] + lo, diag[: hi - lo]] = np.inf
+            np.maximum(bw, 1e-9, out=bw)
+            bw *= bw
+            np.divide(k * k, bw, out=bw)
+            bx *= bw
+            by *= bw
+            np.sum(bx, axis=0, out=push_x[lo:hi])
+            np.sum(by, axis=0, out=push_y[lo:hi])
+        ex, ey = xs[e0] - xs[e1], ys[e0] - ys[e1]
+        pull = np.maximum(np.sqrt(ex * ex + ey * ey), 1e-9) / k
+        np.multiply(pull, ex, out=push_x[n + m :])
+        np.multiply(pull, ey, out=push_y[n + m :])
+        np.negative(push_x[n + m :], out=push_x[n : n + m])
+        np.negative(push_y[n + m :], out=push_y[n : n + m])
+        disp_x = np.bincount(slots, weights=push_x, minlength=n)
+        disp_y = np.bincount(slots, weights=push_y, minlength=n)
+        length = np.maximum(np.sqrt(disp_x * disp_x + disp_y * disp_y), 1e-12)
+        step = np.minimum(length, temp)
+        xs = xs + disp_x / length * step
+        ys = ys + disp_y / length * step
+    return np.column_stack((xs, ys))
 
 
 def ec(embedding, p: Partition) -> float:
@@ -350,7 +402,11 @@ def gmck(g, p: Partition) -> float:
 
 def propagate_polarity(g, plus_seeds, minus_seeds, tol=1e-6, max_iters=1000):
     """Clamp +1/-1 on the seed vertices and sweep every other vertex to
-    the mean of its neighbors until the max change drops below tol."""
+    the mean of its neighbors until the max change drops below tol.
+    Raises ConvergenceError, with the last change, when max_iters sweeps
+    do not get there."""
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     n = g.n_vertices
     values = np.zeros(n)
     values[list(plus_seeds)] = 1.0
@@ -368,8 +424,12 @@ def propagate_polarity(g, plus_seeds, minus_seeds, tol=1e-6, max_iters=1000):
         change = np.abs(means[free] - values[free]).max() if len(free) else 0.0
         values[free] = means[free]
         if change < tol:
-            break
-    return values
+            return values
+    raise ConvergenceError(
+        f"label propagation did not converge in {max_iters} sweeps "
+        f"(last change {change:.3e})",
+        residual=change,
+    )
 
 
 def dipole_of_polarities(values, n) -> float:

@@ -65,14 +65,6 @@ def _rwc_user_all(g, p: Partition, hds: HighDegreeSets, cfg: RestartWalkConfig |
         return own / (hits[:, 0] + hits[:, 1])
 
 
-def _unreached_error(g, values, u) -> DegenerateStructureError:
-    count = int(np.isnan(values).sum())
-    return DegenerateStructureError(
-        f"the restart walk of user {g.ids[u]!r} reaches no high-degree vertex "
-        f"({count} of {g.n_vertices} users)"
-    )
-
-
 def rwc_user(g, p: Partition, hds: HighDegreeSets, u, cfg: RestartWalkConfig | None = None) -> float:
     """Probability mass the user's restart walk puts on their own side's
     authorities, normalized over both sides.
@@ -84,7 +76,11 @@ def rwc_user(g, p: Partition, hds: HighDegreeSets, u, cfg: RestartWalkConfig | N
     u = int(u)
     values = _rwc_user_all(g, p, hds, cfg)
     if np.isnan(values[u]):
-        raise _unreached_error(g, values, u)
+        count = int(np.isnan(values).sum())
+        raise DegenerateStructureError(
+            f"the restart walk of user {g.ids[u]!r} reaches no high-degree vertex "
+            f"({count} of {g.n_vertices} users)"
+        )
     return float(values[u])
 
 
@@ -123,12 +119,15 @@ def hitting_score_all(g, p: Partition, hds: HighDegreeSets) -> np.ndarray:
 
 
 def user_score_table(g, p: Partition, hds: HighDegreeSets, cfg: RestartWalkConfig | None = None):
-    """UserScore rows for every vertex (restart-walk score + hitting rank)."""
+    """UserScore rows for every vertex (restart-walk score + hitting rank).
+
+    A user whose restart walk reaches no authority (on a directed graph,
+    an account that is only ever retweeted has no out-arc to leave by)
+    gets ``rwc_user`` NaN; its ``rho`` comes from the undirected hitting
+    times and is always defined.
+    """
     rho = hitting_score_all(g, p, hds)
     values = _rwc_user_all(g, p, hds, cfg)
-    unreached = np.flatnonzero(np.isnan(values))
-    if unreached.size:
-        raise _unreached_error(g, values, unreached[0])
     return [
         UserScore(user_id=g.ids[v], side=p.side_of(v), rwc_user=float(values[v]), rho=float(rho[v]))
         for v in range(g.n_vertices)

@@ -113,11 +113,24 @@ def walk_rng(seed, walk_index) -> random.Random:
     return random.Random(f"{seed}:{walk_index}")
 
 
+def draw_below(rng: random.Random, n: int) -> int:
+    """Uniform int in [0, n), drawn exactly as ``rng.randrange(n)`` draws
+    it: ``n.bit_length()`` random bits, redrawn while they reach n. The
+    stream is the same; randrange's argument checks are skipped."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def sample_walk(g, start, terminals, rng: random.Random) -> int:
     """Uniform-neighbor walk on the undirected view until a terminal is hit.
 
     Returns the terminal vertex; a start inside ``terminals`` returns
-    immediately. Aborts after 10^6 steps (unreachable terminals).
+    immediately. Aborts after 10^6 steps (unreachable terminals). Each
+    neighbor is drawn by ``draw_below``, as ``rng.randrange(degree)``
+    would draw it.
     """
     if not terminals:
         raise ValueError("terminals set is empty")
@@ -132,7 +145,7 @@ def sample_walk(g, start, terminals, rng: random.Random) -> int:
         deg = indptr[v + 1] - first
         if deg == 0:
             break
-        v = indices[first + rng.randrange(deg)]
+        v = indices[first + draw_below(rng, deg)]
         if v in terminal_set:
             return v
     raise ConvergenceError(

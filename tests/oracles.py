@@ -313,6 +313,42 @@ def dense_force_layout(g, iterations=500, seed=0):
     return pos
 
 
+def dense_kde_density(points, centers, bandwidth):
+    """Gaussian KDE at ``points`` summed over every center (the form the
+    windowed library kernel replaced), in point chunks of bounded size."""
+    out = np.empty(len(points))
+    norm = len(centers) * bandwidth * math.sqrt(2.0 * math.pi)
+    step = max(1, (1 << 16) // max(1, len(centers)))
+    for lo in range(0, len(points), step):
+        z = (points[lo : lo + step, None] - centers[None, :]) / bandwidth
+        out[lo : lo + step] = np.exp(-0.5 * z * z).sum(axis=1) / norm
+    return out
+
+
+def randrange_walk_outcomes(g, p, k, n_walks, seed):
+    """(start, end) of every ``rwc_mc`` walk, drawn with
+    ``random.Random.randrange`` on the tuple-form neighbor lists: pick a
+    side by one ``random()`` (keyed to the side holding vertex 0), a start
+    by ``randrange(len(side))``, then one ``randrange(degree)`` per step
+    until a top-degree vertex of either side is hit."""
+    from controversy.walks import default_k, top_degree, walk_rng
+
+    t = tuple_graph(g)
+    hds = top_degree(g, p, default_k(p) if k is None else k)
+    terminals = set(hds.x_plus) | set(hds.y_plus)
+    side0, side1 = (p.x, p.y) if p.side_of(0) == "X" else (p.y, p.x)
+    outcomes = []
+    for i in range(n_walks):
+        rng = walk_rng(seed, i)
+        pool = side0 if rng.random() < 0.5 else side1
+        start = v = int(pool[rng.randrange(len(pool))])
+        while v not in terminals:
+            nbrs = t.neighbors(v)
+            v = int(nbrs[rng.randrange(len(nbrs))])
+        outcomes.append((start, v))
+    return outcomes
+
+
 def dense_stationary_rwr(g, restart, dangling, damping):
     """Stationary distribution by solving the full linear system
     (independent of power iteration)."""

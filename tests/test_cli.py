@@ -339,9 +339,23 @@ class TestGraphCommands:
             "user-scores", "--edgelist", edges, "--directed",
             "--partition-mode", "import", "--partition-file", sides, "--out", out,
         )
-        assert code == 4
-        assert "user 'carol' reaches no high-degree vertex (1 of 7 users)" in capsys.readouterr().err
-        assert not out.exists()
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert ("the restart walks of 1 of 7 users reach no high-degree vertex "
+                "(the first is 'carol'); their rwc_user is nan") in err
+        with out.open(encoding="utf-8", newline="") as fh:
+            rows = {r["user_id"]: r for r in csv.DictReader(fh)}
+        assert rows["carol"]["rwc_user"] == "nan"
+        assert not math.isnan(float(rows["carol"]["rho"]))
+        # every other row is the library's table, unchanged
+        g = cv.read_edgelist(edges, directed=True)
+        part = cv.import_partition(g, sides)
+        hds = cv.top_degree(g, part, cv.default_k(part))
+        for row in cv.user_score_table(g, part, hds):
+            if row.user_id != "carol":
+                assert rows[row.user_id] == {"user_id": row.user_id, "side": row.side,
+                                             "rwc_user": repr(row.rwc_user), "rho": repr(row.rho)}
 
 
 class TestOtherCommands:

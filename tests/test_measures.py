@@ -1,11 +1,18 @@
 """Graph-level controversy measures."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import controversy as cv
+import controversy.measures as measures_module
 from controversy.measures import (
     BETWEENNESS_BLOCK_ELEMENTS,
+    DENSITY_FLOOR,
+    KDE_BLOCK_ELEMENTS,
+    KDE_REACH,
     LAYOUT_BLOCK_ELEMENTS,
+    _kde_density,
     dipole_of_polarities,
     propagate_polarity,
 )
@@ -22,9 +29,11 @@ from conftest import (
 from oracles import (
     connected_components,
     dense_force_layout,
+    dense_kde_density,
     loop_edge_betweenness,
     naive_edge_betweenness,
     networkx_edge_betweenness,
+    randrange_walk_outcomes,
 )
 
 
@@ -62,19 +71,12 @@ class TestRwcMc:
         # how walks are scheduled; spot-check by comparing against a
         # manual shuffled accumulation of the same per-walk streams
         g, p = barbell(4)
-        hds = cv.top_degree(g, p, 1)
-        terms = hds.all
-        outcomes = []
-        for i in range(300):
-            rng = cv.walk_rng(17, i)
-            from_side0 = rng.random() < 0.5
-            pool = p.x if from_side0 else p.y
-            start = int(pool[rng.randrange(len(pool))])
-            end = cv.sample_walk(g, start, terms, rng)
-            outcomes.append((from_side0, end in set(hds.x_plus)))
+        x_plus = set(cv.top_degree(g, p, 1).x_plus)
+        outcomes = [(start in p.x, end in x_plus)
+                    for start, end in randrange_walk_outcomes(g, p, 1, 300, 17)]
         counts = np.zeros((2, 2), dtype=int)
-        for from_side0, end_x in sorted(outcomes):  # any order
-            counts[0 if from_side0 else 1][0 if end_x else 1] += 1
+        for from_x, end_x in sorted(outcomes):  # any order
+            counts[0 if from_x else 1][0 if end_x else 1] += 1
         pxx = counts[0, 0] / (counts[0, 0] + counts[1, 0])
         pyx = counts[1, 0] / (counts[0, 0] + counts[1, 0])
         pxy = counts[0, 1] / (counts[0, 1] + counts[1, 1])
@@ -82,6 +84,24 @@ class TestRwcMc:
         assert cv.rwc_mc(g, p, k=1, n_walks=300, seed=17) == pytest.approx(
             pxx * pyy - pyx * pxy
         )
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_walks_follow_the_randrange_stream(self, karate, monkeypatch, swap):
+        # every walk's (start, end) is the one randrange draws from the
+        # same per-walk stream, under either side labelling
+        g, p = karate
+        if swap:
+            p = cv.Partition(1 - p.sides)
+        pairs = []
+
+        def recording_walk(g, start, terminals, rng):
+            end = cv.sample_walk(g, start, terminals, rng)
+            pairs.append((start, end))
+            return end
+
+        monkeypatch.setattr(measures_module, "sample_walk", recording_walk)
+        cv.rwc_mc(g, p, n_walks=2000, seed=5)
+        assert pairs == randrange_walk_outcomes(g, p, None, 2000, 5)
 
 
 class TestRwcRwr:
@@ -195,6 +215,79 @@ class TestBcc:
         assert v1 == v2
         assert 0.0 <= v1 < 1.0
 
+    @pytest.mark.parametrize("graph", ["karate", "planted"])
+    def test_matches_the_dense_kde(self, graph, karate, monkeypatch):
+        if graph == "karate":
+            g, p = karate
+        else:
+            g, p = cv.planted_two_community(cv.PlantedConfig(200, 0.08, 0.004, seed=1))
+        windowed = cv.bcc(g, p, seed=3)
+        monkeypatch.setattr(measures_module, "_kde_density", dense_kde_density)
+        assert windowed == pytest.approx(cv.bcc(g, p, seed=3), rel=1e-13)
+
+
+class TestKdeDensity:
+    """The windowed KDE against the dense sum over every center; they
+    differ only in summation order."""
+
+    @staticmethod
+    def assert_matches_dense(points, centers, bandwidth):
+        got = _kde_density(points, centers, bandwidth)
+        np.testing.assert_allclose(got, dense_kde_density(points, centers, bandwidth),
+                                   rtol=1e-13, atol=0.0)
+        return got
+
+    def test_heavy_tailed_centers(self):
+        rng = np.random.default_rng(4)
+        centers = rng.pareto(1.1, 3000) * 50.0
+        # Scott's rule on these centers spans nearly all of them; both it
+        # and a narrow bandwidth, where the window drops most centers
+        for bandwidth in (measures_module._scott_bandwidth(centers), 1.0):
+            points = rng.choice(centers, 5000) + bandwidth * rng.standard_normal(5000)
+            self.assert_matches_dense(points, centers, bandwidth)
+        far = np.abs(points[:, None] - centers[None, :]) > KDE_REACH * bandwidth
+        assert far.mean() > 0.5
+
+    def test_points_beyond_reach_of_every_center(self):
+        centers = np.linspace(0.0, 1.0, 50)
+        bandwidth = 0.01
+        points = np.array([-0.5, 1.0 + KDE_REACH * bandwidth * 1.01, 3.0, 1e6, 0.5])
+        got = self.assert_matches_dense(points, centers, bandwidth)
+        assert (got[:4] == 0.0).all() and got[4] > 0.0
+        assert (np.maximum(got[:4], DENSITY_FLOOR) == DENSITY_FLOOR).all()
+
+    def test_one_center(self):
+        rng = np.random.default_rng(5)
+        points = np.append(3.0 + rng.standard_normal(1000) * 40.0, 3.0)
+        got = self.assert_matches_dense(points, np.array([3.0]), 0.7)
+        assert got[-1] == pytest.approx(1.0 / (0.7 * np.sqrt(2.0 * np.pi)), rel=1e-15)
+        assert (got == 0.0).any()  # points beyond reach of the one center
+
+    def test_uneven_chunks(self):
+        # 10,007 points, a prime count, over 700 centers in chunks of
+        # about KDE_BLOCK_ELEMENTS / window points each
+        rng = np.random.default_rng(6)
+        centers = rng.normal(0.0, 1.0, 700)
+        points = rng.normal(0.0, 1.5, 10_007)
+        assert 10_007 % (KDE_BLOCK_ELEMENTS // 700) != 0
+        self.assert_matches_dense(points, centers, 0.2)
+
+    def test_single_point_window_wider_than_a_block(self):
+        centers = np.linspace(0.0, 1.0, KDE_BLOCK_ELEMENTS + 7)
+        self.assert_matches_dense(np.array([0.5, 0.25, 2.0]), centers, 0.3)
+
+    def test_memory_stays_bounded(self):
+        rng = np.random.default_rng(7)
+        centers, points = rng.random(6000), rng.random(6000)
+        tracemalloc.start()
+        try:
+            _kde_density(points, centers, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (points, centers) product would be 288 MB; one block is 512 KiB
+        assert peak < 2 * 2**20
+
 
 class TestForceLayout:
     def test_single_edge_separates(self):
@@ -220,13 +313,17 @@ class TestForceLayout:
         b = cv.force_layout(g, iterations=120, seed=7)
         assert (a == b).all()
 
-    @pytest.mark.parametrize("graph", ["karate", "barbell", "planted"])
+    @pytest.mark.parametrize("graph", ["karate", "barbell", "planted", "isolated", "edgeless"])
     def test_bit_identical_to_dense_oracle(self, graph):
         iterations = 500
         if graph == "karate":
             g = cv.read_edgelist(KARATE_EDGES, directed=False)
         elif graph == "barbell":
             g, _ = barbell(5)
+        elif graph == "isolated":
+            g = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4)])  # vertex 5 has no edge
+        elif graph == "edgeless":
+            g = make_graph(5, [])
         else:
             g, _ = cv.planted_two_community(cv.PlantedConfig(300, 0.04, 0.004, seed=1))
             assert g.n_vertices > LAYOUT_BLOCK_ELEMENTS // g.n_vertices
@@ -307,6 +404,19 @@ class TestMblb:
         assert values[1] == pytest.approx(1 / 3, abs=1e-9)
         assert values[2] == pytest.approx(-1 / 3, abs=1e-9)
         assert dipole_of_polarities(values, 4) == pytest.approx(2 / 3, abs=1e-9)
+
+    def test_unconverged_propagation_raises(self):
+        # on a 400-vertex path the sweep shrinks the error by about
+        # cos(pi/400) per sweep: nowhere near 1e-6 after 1000 sweeps
+        g = path(400)
+        with pytest.raises(cv.ConvergenceError, match=r"1000 sweeps \(last change ") as info:
+            propagate_polarity(g, [0], [399])
+        assert 1e-6 <= info.value.residual < 1.0
+        p = cv.Partition(np.array([0] * 200 + [1] * 200, dtype=np.int8))
+        with pytest.raises(cv.ConvergenceError):
+            cv.mblb(g, p)
+        with pytest.raises(ValueError, match="max_iters"):
+            propagate_polarity(g, [0], [399], max_iters=0)
 
     def test_one_sided_values_warn_and_zero(self):
         values = np.array([1.0, 0.5, 0.0, 0.2])

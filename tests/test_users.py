@@ -1,4 +1,6 @@
 """Per-user controversy scores."""
+import math
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,11 @@ class TestUserTable:
         hds = cv.HighDegreeSets(x_plus=(0,), y_plus=(2,), k=1)
         with pytest.raises(cv.DegenerateStructureError, match=r"user '4' .*\(3 of 6 users\)"):
             cv.rwc_user(g, p, hds, 4)
-        with pytest.raises(cv.DegenerateStructureError, match=r"user '3' .*\(3 of 6 users\)"):
-            cv.user_score_table(g, p, hds)
+        # the table writes NaN for the unreached component and keeps the rest
+        rows = cv.user_score_table(g, p, hds)
+        assert [math.isnan(r.rwc_user) for r in rows] == [False] * 3 + [True] * 3
+        assert [r.user_id for r in rows] == list(g.ids)
+        assert all(not math.isnan(r.rho) for r in rows)
+        for v in range(3):
+            assert rows[v].rwc_user == cv.rwc_user(g, p, hds, v)
         assert cv.rwc_user(g, p, hds, 1) == pytest.approx(0.5, abs=1e-12)

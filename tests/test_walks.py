@@ -1,9 +1,11 @@
 """Random-walk engine: terminals, stationary distributions, hitting times."""
+import random
+
 import numpy as np
 import pytest
 
 import controversy as cv
-from controversy.walks import walk_rng
+from controversy.walks import draw_below, walk_rng
 
 from conftest import barbell, complete, cycle, make_graph, path, random_connected_graph, random_partition
 from oracles import absorbing_absorption_probabilities, dense_expected_steps, dense_stationary_rwr
@@ -93,6 +95,16 @@ class TestStationaryRWR:
     def test_damping_validation(self):
         with pytest.raises(ValueError):
             cv.RestartWalkConfig(damping=1.0)
+
+
+class TestDrawBelow:
+    @pytest.mark.parametrize("seed", [0, 1, "7:3", 2**70])
+    def test_same_draws_as_randrange(self, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in [*range(1, 2050), 2**40 + 3]:
+            assert draw_below(ours, n) == theirs.randrange(n)
+        # the same number of bits was consumed, so later draws agree too
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestSampleWalk:
