@@ -18,9 +18,9 @@ import os
 import sys
 import typing
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 
 from . import graph as graphmod
 from .errors import (
@@ -189,9 +189,16 @@ def _build_graph(cfg: PipelineConfig):
     return g, label
 
 
-def _check_overwrite(force, paths):
-    for path in paths:
-        if path and os.path.exists(path) and not force:
+def _check_outputs(cfg, fields):
+    """Refuse an existing output without --force, and two outputs that
+    name one file. ``fields`` are the config fields that name outputs."""
+    seen = set()
+    for path in filter(None, (getattr(cfg, f) for f in fields)):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise InputDataError(f"two outputs name {path}")
+        seen.add(real)
+        if os.path.exists(path) and not cfg.force:
             raise InputDataError(f"refusing to overwrite {path} (use --force)")
 
 
@@ -217,13 +224,10 @@ def _partition(cfg: PipelineConfig, g):
         raise InputDataError(f"unknown partition mode {cfg.partition_mode!r}")
 
 
-def run_pipeline(cfg: PipelineConfig) -> ControversyReport:
+def run_pipeline(cfg: PipelineConfig):
     """Execute build -> largest component -> partition -> measures and
-    write the requested outputs. Nothing is written if any stage fails."""
-    with _stage("output"):
-        _check_overwrite(
-            cfg.force, [cfg.out, cfg.csv_out, cfg.user_scores_out, cfg.layout_out]
-        )
+    return the report with the (path, writer) pairs of the requested
+    outputs. Each measure runs on exactly the parameters it reports."""
     g, label = _load_graph(cfg)
     part = _partition(cfg, g)
 
@@ -232,39 +236,33 @@ def run_pipeline(cfg: PipelineConfig) -> ControversyReport:
     if unknown:
         raise InputDataError(f"unknown measures: {', '.join(unknown)}")
     k = cfg.k if cfg.k is not None else default_k(part)
-    walk_cfg = RestartWalkConfig(
-        damping=cfg.damping, tolerance=cfg.tolerance, max_iters=cfg.max_iters
-    )
-    report = ControversyReport(
-        topic=label,
-        n_vertices=g.n_vertices,
-        n_edges=g.n_edges,
-        config=asdict(cfg),
-    )
-    layout = None
+    walk = {"damping": cfg.damping, "tolerance": cfg.tolerance, "max_iters": cfg.max_iters}
+    walk_cfg = RestartWalkConfig(**walk)
+    report = ControversyReport(topic=label, n_vertices=g.n_vertices, n_edges=g.n_edges,
+                               config=asdict(cfg))
+    # one layout for both ``ec`` and --layout-out
+    layout = cache(lambda iterations: force_layout(g, iterations=iterations, seed=cfg.seed))
     with _stage("measure"):
         for name in wanted:
             if name == "rwc_mc":
-                value = rwc_mc(g, part, k=k, n_walks=cfg.n_walks, seed=cfg.seed)
                 params = {"k": k, "n_walks": cfg.n_walks}
+                value = rwc_mc(g, part, **params, seed=cfg.seed)
             elif name == "rwc_rwr":
+                params = {"k": k, **walk}
                 value = rwc_rwr(g, part, k=k, cfg=walk_cfg)
-                params = {"k": k, "damping": cfg.damping, "tolerance": cfg.tolerance}
             elif name == "bcc":
-                value = bcc(g, part, n_samples=cfg.n_samples, seed=cfg.seed)
                 params = {"n_samples": cfg.n_samples}
+                value = bcc(g, part, **params, seed=cfg.seed)
             elif name == "ec":
-                layout = force_layout(g, iterations=cfg.layout_iterations, seed=cfg.seed)
-                value = ec(layout, part)
                 params = {"layout_iterations": cfg.layout_iterations}
+                value = ec(layout(cfg.layout_iterations), part)
             elif name == "gmck":
-                value = gmck(g, part)
                 params = {}
+                value = gmck(g, part)
             else:
                 params = {"seed_fraction": 0.05, "tol": 1e-6, "max_iters": 1000}
                 value = mblb(g, part, **params)
             report.add(name, value, params, seed=cfg.seed)
-    user_rows = None
     if cfg.user_scores_out:
         with _stage("user-scores"):
             hds = top_degree(g, part, k)
@@ -276,23 +274,20 @@ def run_pipeline(cfg: PipelineConfig) -> ControversyReport:
                   "their rwc_user is nan", file=sys.stderr)
     report.timestamp = datetime.now(timezone.utc).isoformat()
 
-    with _stage("output"):
-        if cfg.layout_out and layout is None:
-            layout = force_layout(g, iterations=cfg.layout_iterations, seed=cfg.seed)
-        writers = []
-        if cfg.out:
-            writers.append((cfg.out, partial(_write_text, text=report.to_json() + "\n")))
-        if cfg.csv_out:
-            row = report.csv_header() + "\n" + report.to_csv_row() + "\n"
-            writers.append((cfg.csv_out, partial(_write_text, text=row)))
-        if user_rows is not None:
-            writers.append((cfg.user_scores_out, partial(write_user_scores, user_rows)))
-        if cfg.layout_out:
+    writers = []
+    if cfg.out:
+        writers.append((cfg.out, partial(_write_text, text=report.to_json() + "\n")))
+    if cfg.csv_out:
+        row = report.csv_header() + "\n" + report.to_csv_row() + "\n"
+        writers.append((cfg.csv_out, partial(_write_text, text=row)))
+    if cfg.user_scores_out:
+        writers.append((cfg.user_scores_out, partial(write_user_scores, user_rows)))
+    if cfg.layout_out:
+        with _stage("output"):
             coords = "".join(f"{uid}\t{float(x)!r}\t{float(y)!r}\n"
-                             for uid, (x, y) in zip(g.ids, layout))
-            writers.append((cfg.layout_out, partial(_write_text, text=coords)))
-        _write_all(writers)
-    return report
+                             for uid, (x, y) in zip(g.ids, layout(cfg.layout_iterations)))
+        writers.append((cfg.layout_out, partial(_write_text, text=coords)))
+    return report, writers
 
 
 def _write_text(path, text):
@@ -498,18 +493,16 @@ def build_parser():
     return parser
 
 
+# Each command returns its (path, writer) pairs and the text it prints
+# when there is no --out; ``main`` guards and writes the outputs.
+
+
 def _cmd_build_graph(cfg):
-    with _stage("output"):
-        _check_overwrite(cfg.force, [cfg.out])
     g, _ = _load_graph(cfg)
-    with _stage("output"):
-        _write_all([(cfg.out, partial(graphmod.write_edgelist, g))])
-    return 0
+    return [(cfg.out, partial(graphmod.write_edgelist, g))], None
 
 
 def _cmd_expand_topic(cfg):
-    with _stage("output"):
-        _check_overwrite(cfg.force, [cfg.out, cfg.write_profiles_path])
     with _stage("expand"):
         if cfg.profiles:
             profiles = read_profiles(cfg.profiles)
@@ -526,109 +519,79 @@ def _cmd_expand_topic(cfg):
         writers.append((cfg.write_profiles_path, partial(write_profiles, profiles)))
     if cfg.out:
         writers.append((cfg.out, partial(_write_text, text=payload + "\n")))
-    with _stage("output"):
-        _write_all(writers)
-    if not cfg.out:
-        print(payload)
-    return 0
+    return writers, payload
 
 
 def _cmd_partition(cfg):
-    with _stage("output"):
-        _check_overwrite(cfg.force, [cfg.out])
     g, _ = _load_graph(cfg)
     part = _partition(cfg, g)
-    with _stage("output"):
-        _write_all([(cfg.out, partial(write_partition, g, part))])
-    return 0
+    return [(cfg.out, partial(write_partition, g, part))], None
 
 
 def _cmd_score(cfg):
-    report = run_pipeline(cfg)
-    if not cfg.out:
-        print(report.to_json())
-    return 0
+    report, writers = run_pipeline(cfg)
+    return writers, report.to_json()
 
 
 def _cmd_user_scores(cfg):
-    cfg.user_scores_out = cfg.user_scores_out or cfg.out
-    cfg.out = None
-    cfg.measures = ""  # user scores only
-    run_pipeline(cfg)
-    return 0
+    """``score`` without measures, its user-score table written to --out."""
+    cfg = replace(cfg, out=None, user_scores_out=cfg.out, measures="")
+    return run_pipeline(cfg)[1], None
 
 
 def _cmd_simulate(cfg):
-    with _stage("output"):
-        _check_overwrite(cfg.force, [cfg.out])
     p1_values = [float(v) for v in str(cfg.p1_grid).split(",") if v]
     p2_values = [float(v) for v in str(cfg.p2_grid).split(",") if v]
     with _stage("simulate"):
-        rows = rwc_sweep(
-            n=cfg.n,
-            p1_values=p1_values,
-            p2_values=p2_values,
-            runs=cfg.runs,
-            base_seed=cfg.seed,
-            k=cfg.k,
-            use_largest_component=cfg.largest_component,
-            redetect=cfg.redetect,
-        )
-    with _stage("output"):
-        _write_all([(cfg.out, partial(write_sweep_csv, rows))])
-    return 0
+        rows = rwc_sweep(n=cfg.n, p1_values=p1_values, p2_values=p2_values, runs=cfg.runs,
+                         base_seed=cfg.seed, k=cfg.k,
+                         use_largest_component=cfg.largest_component, redetect=cfg.redetect)
+    return [(cfg.out, partial(write_sweep_csv, rows))], None
 
 
 def _cmd_sentiment(cfg):
-    with _stage("output"):
-        _check_overwrite(cfg.force, [cfg.out])
     with _stage("sentiment"):
         records = read_sentiment(cfg.scores)
         variance = sentiment_variance(records)
         label = classify_by_variance(variance)
-    payload = json.dumps(
-        {"n_posts": len(records), "variance": variance, "label": label}, indent=2
-    )
-    if cfg.out:
-        with _stage("output"):
-            _write_all([(cfg.out, partial(_write_text, text=payload + "\n"))])
-    else:
-        print(payload)
-    return 0
+    payload = json.dumps({"n_posts": len(records), "variance": variance, "label": label},
+                         indent=2)
+    writers = [(cfg.out, partial(_write_text, text=payload + "\n"))] if cfg.out else []
+    return writers, payload
 
 
+# command -> (function, config class, the config fields that name its outputs)
 _COMMANDS = {
-    "build-graph": (_cmd_build_graph, PipelineConfig),
-    "expand-topic": (_cmd_expand_topic, ExpandTopicConfig),
-    "partition": (_cmd_partition, PipelineConfig),
-    "score": (_cmd_score, PipelineConfig),
-    "user-scores": (_cmd_user_scores, PipelineConfig),
-    "simulate": (_cmd_simulate, SimulateConfig),
-    "sentiment": (_cmd_sentiment, SentimentConfig),
+    "build-graph": (_cmd_build_graph, PipelineConfig, ("out",)),
+    "expand-topic": (_cmd_expand_topic, ExpandTopicConfig, ("out", "write_profiles_path")),
+    "partition": (_cmd_partition, PipelineConfig, ("out",)),
+    "score": (_cmd_score, PipelineConfig, ("out", "csv_out", "user_scores_out", "layout_out")),
+    "user-scores": (_cmd_user_scores, PipelineConfig, ("out", "csv_out", "layout_out")),
+    "simulate": (_cmd_simulate, SimulateConfig, ("out",)),
+    "sentiment": (_cmd_sentiment, SentimentConfig, ("out",)),
 }
+
+# exit code per error class; the first class that matches wins
+_EXIT_CODES = {InputDataError: 2, ConvergenceError: 3, DegenerateStructureError: 4,
+               ValueError: 2, OSError: 2}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    command, config_cls = _COMMANDS[ns.command]
+    ns = build_parser().parse_args(argv)
+    command, config_cls, outputs = _COMMANDS[ns.command]
     try:
-        return command(_resolve(config_cls, ns))
-    except InputDataError as exc:
+        cfg = _resolve(config_cls, ns)
+        with _stage("output"):
+            _check_outputs(cfg, outputs)
+        writers, text = command(cfg)
+        with _stage("output"):
+            _write_all(writers)
+        if not cfg.out and text is not None:
+            print(text)
+        return 0
+    except tuple(_EXIT_CODES) as exc:
         print(f"error [{exc}]", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error [{exc}]", file=sys.stderr)
-        return 3
-    except DegenerateStructureError as exc:
-        print(f"error [{exc}]", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error [{exc}]", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error [{exc}]", file=sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

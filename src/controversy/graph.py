@@ -209,9 +209,11 @@ class CSR(NamedTuple):
 class ConversationGraph:
     """Immutable graph over dense vertex indices 0..n-1.
 
-    ``ids[i]`` is the user id of vertex ``i``. ``arcs`` may be a list of
-    (src, dst, weight) triples or an (m, 3) array; every entry must be
-    integral (2.0 is accepted, 1.5 and NaN are not). Self-loops are
+    ``ids[i]`` is the user id of vertex ``i``, under the rule every reader
+    applies (stripped and lowercased; a leading '#', a tab or a line break
+    is rejected), so that every id can be written and read back. ``arcs``
+    may be a list of (src, dst, weight) triples or an (m, 3) array; every
+    entry must be integral (2.0 is accepted, 1.5 and NaN are not). Self-loops are
     dropped and parallel arcs sum. The graph is stored once as CSR:
     ``out_csr`` holds the directed view and ``csr`` the undirected view,
     which merges both arc directions and sums their weights (for an
@@ -220,7 +222,7 @@ class ConversationGraph:
     """
 
     def __init__(self, ids, arcs, directed):
-        self._ids = tuple(str(i) for i in ids)
+        self._ids = tuple(map(_user_id, ids))
         if len(set(self._ids)) != len(self._ids):
             raise InputDataError("duplicate user ids in vertex list")
         self._index = {u: i for i, u in enumerate(self._ids)}

@@ -31,6 +31,8 @@ class RestartWalkConfig:
     def __post_init__(self):
         if not 0.0 < self.damping < 1.0:
             raise ValueError("damping must be in (0, 1)")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be > 0 and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

@@ -2,11 +2,13 @@
 import csv
 import json
 import math
+from collections import Counter
 
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import controversy as cv
+import controversy.cli as cli
 import controversy.partition as partition_module
 from controversy.cli import main
 
@@ -137,6 +139,59 @@ class TestScore:
         assert code == 2
         assert "measure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_report_parameters_rerun_each_measure(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(
+            "score", "--edgelist", KARATE_EDGES,
+            "--partition-mode", "import", "--partition-file", KARATE_FACTIONS,
+            "--seed", 3, "--k", 2, "--damping", 0.8, "--max-iters", 5000, "--n-walks", 2000,
+            "--n-samples", 2000, "--layout-iterations", 100, "--out", out,
+        ) == 0
+        payload = json.loads(out.read_text())
+        g = cv.read_edgelist(KARATE_EDGES)
+        p = cv.import_partition(g, KARATE_FACTIONS)
+        # each rerun takes every argument from the report entry, none by default
+        rerun = {
+            "rwc_mc": lambda seed, k, n_walks: cv.rwc_mc(g, p, k=k, n_walks=n_walks, seed=seed),
+            "rwc_rwr": lambda seed, k, damping, tolerance, max_iters: cv.rwc_rwr(
+                g, p, k=k, cfg=cv.RestartWalkConfig(damping, tolerance, max_iters)),
+            "bcc": lambda seed, n_samples: cv.bcc(g, p, n_samples=n_samples, seed=seed),
+            "ec": lambda seed, layout_iterations: cv.ec(
+                cv.force_layout(g, iterations=layout_iterations, seed=seed), p),
+            "gmck": lambda seed: cv.gmck(g, p),
+            "mblb": lambda seed, seed_fraction, tol, max_iters: cv.mblb(
+                g, p, seed_fraction=seed_fraction, tol=tol, max_iters=max_iters),
+        }
+        assert [m["name"] for m in payload["measures"]] == list(cv.MEASURE_NAMES)
+        for m in payload["measures"]:
+            assert m["seed"] == 3
+            assert rerun[m["name"]](m["seed"], **m["parameters"]) == m["value"], m["name"]
+
+    @pytest.mark.parametrize("mode, measures", [("spectral", "all"), ("import", "gmck")])
+    def test_pipeline_calls_each_bound_name_once(self, tmp_path, monkeypatch, mode, measures):
+        partitioners = {"spectral": "spectral_bisection", "import": "import_partition"}
+        names = [*cv.MEASURE_NAMES, "force_layout", "user_score_table", "write_user_scores",
+                 *partitioners.values()]
+        calls = Counter()
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        wanted = cv.MEASURE_NAMES if measures == "all" else (measures,)
+        assert run(
+            "score", "--edgelist", KARATE_EDGES, "--partition-mode", mode,
+            "--partition-file", KARATE_FACTIONS, "--measures", ",".join(wanted),
+            "--layout-iterations", 20, "--n-walks", 500, "--n-samples", 500,
+            "--out", tmp_path / "r.json", "--user-scores-out", tmp_path / "users.csv",
+            "--layout-out", tmp_path / "layout.tsv",
+        ) == 0
+        # the layout serves both ec and --layout-out
+        expected = dict.fromkeys([*wanted, "force_layout", "user_score_table",
+                                  "write_user_scores", partitioners[mode]], 1)
+        assert calls == expected
 
     def test_empty_graph_is_input_error(self, tmp_path, capsys):
         records = tmp_path / "r.jsonl"
@@ -314,15 +369,19 @@ class TestGraphCommands:
         assert rows[0] == "user_id,side,rwc_user,rho"
         assert len(rows) == 35
 
-    @pytest.mark.parametrize("max_iters, code", [(1, 3), (0, 2)])
-    def test_user_scores_iteration_budget(self, tmp_path, capsys, max_iters, code):
+    @pytest.mark.parametrize("option, value, code", [
+        pytest.param("max_iters", 1, 3, id="1-3"),
+        pytest.param("max_iters", 0, 2, id="0-2"),
+        *(pytest.param("tolerance", v, 2, id=f"tolerance={v}") for v in ("0", "-1", "nan")),
+    ])
+    def test_user_scores_iteration_budget(self, tmp_path, capsys, option, value, code):
         out = tmp_path / "u.csv"
         assert run(
             "user-scores", "--edgelist", KARATE_EDGES,
             "--partition-mode", "import", "--partition-file", KARATE_FACTIONS,
-            "--max-iters", max_iters, "--out", out,
+            "--" + option.replace("_", "-"), value, "--out", out,
         ) == code
-        assert ("iterations" if code == 3 else "max_iters") in capsys.readouterr().err
+        assert ("iterations" if code == 3 else option) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_directed_user_scores_name_unreached_account(self, tmp_path, capsys):
@@ -472,6 +531,26 @@ class TestAtomicOutputs:
         )
         assert code == 2
         assert "missing" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
+
+    @pytest.mark.parametrize("option", ["--csv-out", "--user-scores-out", "--layout-out"])
+    def test_score_outputs_sharing_a_path_are_rejected(self, tmp_path, capsys, option):
+        # the edge list does not exist: the check runs before any stage
+        path = tmp_path / "x"
+        code = run("score", "--edgelist", tmp_path / "missing.tsv",
+                   "--out", path, option, path, "--force")
+        assert code == 2
+        assert f"output: two outputs name {path}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_expand_topic_outputs_sharing_a_path_are_rejected(self, tmp_path, capsys):
+        records = tmp_path / "r.jsonl"
+        write_records(records)
+        path, same = tmp_path / "p", f"{tmp_path}/./p"
+        code = run("expand-topic", "--seed-tag", "go", "--records", records,
+                   "--out", path, "--write-profiles", same)
+        assert code == 2
+        assert f"two outputs name {same}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
 
     @pytest.mark.parametrize(

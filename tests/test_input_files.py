@@ -118,6 +118,17 @@ class TestHashIds:
             PAIR.index_of("#0")
         assert PAIR.index_of(" 1 ") == 1
 
+    def test_constructor_applies_the_id_rule(self, tmp_path):
+        # '#a' would be written as a line the edge-list reader skips
+        with pytest.raises(cv.InputDataError, match="user id '#a' starts with '#'"):
+            cv.ConversationGraph(["#a", "b", "c"], [(0, 1, 1), (1, 2, 1)], False)
+        g = cv.ConversationGraph([" A", "b", "c"], [(0, 1, 1), (1, 2, 1)], False)
+        assert g.ids == ("a", "b", "c")
+        assert g.index_of("A") == 0
+        path = tmp_path / "e.tsv"
+        cv.write_edgelist(g, path)
+        assert cv.read_edgelist(path) == g
+
 
 class TestLineChecks:
     def test_non_positive_edge_weight_names_the_line(self, tmp_path):

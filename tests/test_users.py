@@ -65,6 +65,9 @@ class TestRwcUser:
             cv.user_score_table(g, p, hds, cv.RestartWalkConfig(max_iters=1))
         with pytest.raises(ValueError, match="max_iters"):
             cv.RestartWalkConfig(max_iters=0)
+        for tolerance in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                cv.RestartWalkConfig(tolerance=tolerance)
 
     def test_range_and_side_swap_invariance(self, karate):
         g, p = karate
