@@ -297,12 +297,18 @@ def _write_text(path, text):
 
 def _write_all(writers):
     """Run every (path, write) pair on a temp file beside its path, then
-    move them all into place, so a failed write leaves no output behind."""
+    move them all into place, so a failed write leaves no output behind.
+    An error names the output path, not its temp file."""
     staged = []
     try:
         for path, write in writers:
             staged.append(f"{path}.{os.getpid()}.tmp")
-            write(staged[-1])
+            try:
+                write(staged[-1])
+            except OSError as exc:
+                if exc.filename == staged[-1]:
+                    exc.filename = path
+                raise
         for tmp, (path, _) in zip(staged, writers):
             os.replace(tmp, path)
     finally:
@@ -539,10 +545,20 @@ def _cmd_user_scores(cfg):
     return run_pipeline(cfg)[1], None
 
 
+def _grid(flag, text):
+    """The values of a comma-separated probability grid."""
+    try:
+        values = [float(v) for v in str(text).split(",") if v]
+    except ValueError:
+        raise InputDataError(f"{flag}: not a comma-separated list of numbers: {text!r}") from None
+    if not values:
+        raise InputDataError(f"{flag}: empty grid")
+    return values
+
+
 def _cmd_simulate(cfg):
-    p1_values = [float(v) for v in str(cfg.p1_grid).split(",") if v]
-    p2_values = [float(v) for v in str(cfg.p2_grid).split(",") if v]
     with _stage("simulate"):
+        p1_values, p2_values = _grid("--p1-grid", cfg.p1_grid), _grid("--p2-grid", cfg.p2_grid)
         rows = rwc_sweep(n=cfg.n, p1_values=p1_values, p2_values=p2_values, runs=cfg.runs,
                          base_seed=cfg.seed, k=cfg.k,
                          use_largest_component=cfg.largest_component, redetect=cfg.redetect)

@@ -183,16 +183,22 @@ class CSR(NamedTuple):
 
     @classmethod
     def from_arcs(cls, n, src, dst, w):
-        """Sort the arcs by (src, dst) and sum the weights of parallel arcs."""
-        order = np.lexsort((dst, src))
-        src, dst, w = src[order], dst[order], w[order]
-        first = np.ones(len(src), dtype=bool)
-        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        """Sort the arcs by (src, dst) and sum the weights of parallel arcs.
+
+        One sort on the key src * n + dst gives the (src, dst) order; the
+        order among parallel arcs is arbitrary, which the integer weight
+        sums do not see."""
+        key = src * n + dst
+        order = np.argsort(key)
+        key, w = key[order], w[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
         starts = np.flatnonzero(first)
+        kept = order[starts]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src[starts], minlength=n), out=indptr[1:])
+        np.cumsum(np.bincount(src[kept], minlength=n), out=indptr[1:])
         weights = np.add.reduceat(w, starts) if len(starts) else w
-        return cls(*map(_frozen, (indptr, dst[starts], weights)))
+        return cls(*map(_frozen, (indptr, dst[kept], weights)))
 
     @property
     def rows(self):
@@ -566,7 +572,7 @@ def write_edgelist(g, path):
     if not g.directed:
         src, dst = np.minimum(src, dst), np.maximum(src, dst)
     # ids are unique, so (src id, dst id) order is (rank, rank) order
-    order = np.lexsort((dst, src))
+    order = np.argsort(src * g.n_vertices + dst)
     ids = [g.ids[v] for v in by_id]
     rows = zip(src[order].tolist(), dst[order].tolist(), arcs[order, 2].tolist())
     with open(path, "w", encoding="utf-8") as fh:

@@ -14,6 +14,8 @@ from .walks import RestartWalkConfig
 
 DEFAULT_P1_GRID = tuple(round(0.002 * i, 3) for i in range(1, 11))
 DEFAULT_P2_GRID = (0.0005, 0.001, 0.002, 0.004)
+# Uniforms drawn per generator call of the planted sampler (float64, 512 KiB).
+PLANTED_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -41,16 +43,23 @@ def planted_two_community(cfg: PlantedConfig):
 
     Vertices 0..n/2-1 form side X, the rest side Y. The random draws
     happen in a fixed order (block X pairs, block Y pairs, cross pairs)
-    so the edge set is a pure function of the seed.
+    so the edge set is a pure function of the seed. A block's pairs are
+    numbered in row-major order (the upper triangle of a side, or the
+    full side X x side Y square) and drawn PLANTED_CHUNK uniforms at a
+    time, so memory is O(chunk + m) rather than O(n^2).
     """
     rng = np.random.default_rng(cfg.seed)
     half = cfg.n // 2
-    iu, ju = np.triu_indices(half, k=1)
+    buf = np.empty(PLANTED_CHUNK)
+    # pair (i, j > i) of a side is number row_start[i] + j - i - 1 of its triangle
+    row_start = np.arange(half, dtype=np.int64)
+    row_start = row_start * (2 * half - row_start - 1) // 2
     pairs = []
-    for offset, prob in ((0, cfg.p1), (half, cfg.p1)):
-        mask = rng.random(len(iu)) < prob
-        pairs.append(np.column_stack((iu[mask], ju[mask])) + offset)
-    xs, ys = np.nonzero(rng.random((half, half)) < cfg.p2)
+    for offset in (0, half):
+        k = _hits(rng, buf, half * (half - 1) // 2, cfg.p1)
+        i = np.searchsorted(row_start, k, side="right") - 1
+        pairs.append(np.column_stack((i, k - row_start[i] + i + 1)) + offset)
+    xs, ys = np.divmod(_hits(rng, buf, half * half, cfg.p2), half)
     pairs.append(np.column_stack((xs, ys + half)))
     pairs = np.concatenate(pairs)
     arcs = np.column_stack((pairs, np.ones(len(pairs), dtype=np.int64)))
@@ -59,6 +68,17 @@ def planted_two_community(cfg: PlantedConfig):
     sides = np.zeros(cfg.n, dtype=np.int8)
     sides[half:] = 1
     return graph, Partition(sides)
+
+
+def _hits(rng, buf, total, prob):
+    """Numbers k < total of the pairs whose uniform is below ``prob``,
+    drawing the total uniforms in order, one chunk of ``buf`` at a time."""
+    hits = []
+    for start in range(0, total, len(buf)):
+        u = buf[: total - start]
+        rng.random(out=u)
+        hits.append(np.flatnonzero(u < prob) + start)
+    return np.concatenate(hits)
 
 
 def _cell_seed(base_seed, i1, i2, run) -> int:

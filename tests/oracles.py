@@ -97,6 +97,44 @@ def loop_write_edgelist(g, path):
             fh.write(f"{a}\t{b}\t{w}\n")
 
 
+def lexsort_csr_arrays(n, src, dst, w):
+    """(indptr, indices, weights) of the arcs ordered by a two-key
+    ``np.lexsort`` on (src, dst), the weights of parallel arcs summed."""
+    order = np.lexsort((dst, src))
+    src, dst, w = src[order], dst[order], w[order]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    starts = np.flatnonzero(first)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[starts], minlength=n), out=indptr[1:])
+    weights = np.add.reduceat(w, starts) if len(starts) else w
+    return indptr, dst[starts], weights
+
+
+def dense_planted_two_community(cfg):
+    """The planted generator drawn in whole blocks: one uniform array per
+    block and ``np.triu_indices`` for the side triangles (O(n^2) memory)."""
+    from controversy.graph import ConversationGraph
+    from controversy.partition import Partition
+
+    rng = np.random.default_rng(cfg.seed)
+    half = cfg.n // 2
+    iu, ju = np.triu_indices(half, k=1)
+    pairs = []
+    for offset, prob in ((0, cfg.p1), (half, cfg.p1)):
+        mask = rng.random(len(iu)) < prob
+        pairs.append(np.column_stack((iu[mask], ju[mask])) + offset)
+    xs, ys = np.nonzero(rng.random((half, half)) < cfg.p2)
+    pairs.append(np.column_stack((xs, ys + half)))
+    pairs = np.concatenate(pairs)
+    arcs = np.column_stack((pairs, np.ones(len(pairs), dtype=np.int64)))
+    ids = [str(i) for i in range(cfg.n)]
+    graph = ConversationGraph(ids, arcs, directed=False)
+    sides = np.zeros(cfg.n, dtype=np.int8)
+    sides[half:] = 1
+    return graph, Partition(sides)
+
+
 def loop_make_record(author, endorsed=None, hashtags=(), urls=(), timestamp=0):
     """``InteractionRecord.make`` without its caches: every id, tag and URL
     normalized afresh on every call."""

@@ -508,6 +508,18 @@ class TestOtherCommands:
         first = lines[1].split(",")
         assert float(first[2]) == 1.0  # p2 = 0 row
 
+    @pytest.mark.parametrize("flag, grid, fault", [
+        ("--p1-grid", "x", "not a comma-separated list of numbers: 'x'"),
+        ("--p2-grid", "0.1,y", "not a comma-separated list of numbers: '0.1,y'"),
+        ("--p1-grid", ",", "empty grid"),
+        ("--p2-grid", "", "empty grid"),
+    ])
+    def test_simulate_bad_grid_names_its_flag(self, tmp_path, capsys, flag, grid, fault):
+        out = tmp_path / "sweep.csv"
+        assert run("simulate", "--n", 20, "--runs", 1, flag, grid, "--out", out) == 2
+        assert f"simulate: {flag}: {fault}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sentiment_command(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
         scores.write_text("p1,-3\np2,3\np3,0\n")
@@ -552,6 +564,15 @@ class TestAtomicOutputs:
         assert code == 2
         assert f"two outputs name {same}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
+
+    def test_failed_write_names_the_output_path(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.csv"
+        code = run("simulate", "--n", 20, "--p1-grid", "0.3", "--p2-grid", "0.1", "--runs", 1,
+                   "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"No such file or directory: '{out}'" in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, writer",

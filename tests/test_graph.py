@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import controversy as cv
-from controversy.graph import url_domain
+from controversy.graph import CSR, url_domain
 
 from conftest import make_graph
-from oracles import connected_components, loop_write_edgelist, tuple_graph
+from oracles import connected_components, lexsort_csr_arrays, loop_write_edgelist, tuple_graph
 
 
 def rec(author, endorsed=None, hashtags=(), urls=(), ts=0):
@@ -188,6 +188,19 @@ class TestGraphStructure:
         for u in range(12):
             for v in tg.neighbors(u):
                 assert u in tg.neighbors(int(v))
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_csr_key_sort_matches_lexsort(self, directed):
+        # 600 arcs in random order over 30 vertices: many parallel duplicates
+        rng = np.random.default_rng(11)
+        src, dst = rng.integers(0, 30, (2, 600))
+        w = rng.integers(1, 5, 600)
+        if not directed:
+            src, dst, w = np.concatenate((src, dst)), np.concatenate((dst, src)), np.tile(w, 2)
+        csr = CSR.from_arcs(30, src, dst, w)
+        assert len(csr.indices) < len(src)
+        for got, want in zip(csr, lexsort_csr_arrays(30, src, dst, w)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestConstructorChecks:

@@ -1,12 +1,21 @@
 """Planted two-community generator and sweeps."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import controversy as cv
+from controversy.synthetic import DEFAULT_P1_GRID, DEFAULT_P2_GRID, _cell_seed
 
-from oracles import cut_edges
+from oracles import cut_edges, dense_planted_two_community
+
+# every fourth cell of the default 10 x 4 grid, seeded as run 0 of rwc_sweep(base_seed=0)
+GRID_CELLS = [
+    cv.PlantedConfig(2000, p1, p2, seed=_cell_seed(0, i1, i2, 0))
+    for i1, p1 in enumerate(DEFAULT_P1_GRID)
+    for i2, p2 in enumerate(DEFAULT_P2_GRID)
+][::4]
 
 
 class TestGenerator:
@@ -52,6 +61,41 @@ class TestGenerator:
     def test_probability_bounds_enforced(self):
         with pytest.raises(cv.InputDataError):
             cv.PlantedConfig(n=10, p1=1.5, p2=0.0)
+
+
+class TestStreamedDraws:
+    """The chunked generator against the whole-block oracle."""
+
+    @pytest.mark.parametrize("cfg", [
+        cv.PlantedConfig(4, 0.5, 0.5, seed=0),
+        cv.PlantedConfig(4, 1.0, 0.0, seed=1),
+        cv.PlantedConfig(40, 0.0, 1.0, seed=2),
+        cv.PlantedConfig(40, 1.0, 1.0, seed=3),
+        cv.PlantedConfig(40, 0.0, 0.0, seed=4),
+        # the cross block is 256 x 256, exactly one chunk
+        cv.PlantedConfig(512, 0.01, 0.01, seed=5),
+        # a side triangle holds 65,703 pairs, one chunk and 167 more
+        cv.PlantedConfig(726, 0.01, 0.002, seed=6),
+        *GRID_CELLS,
+    ], ids=repr)
+    def test_same_graph_as_dense_draws(self, cfg):
+        g, truth = cv.planted_two_community(cfg)
+        ref, ref_truth = dense_planted_two_community(cfg)
+        assert g == ref
+        for got, want in zip(g.csr, ref.csr):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(truth.sides, ref_truth.sides)
+
+    def test_memory_is_not_quadratic(self):
+        # the whole-block draws peak at about 67 MB here
+        cfg = cv.PlantedConfig(4000, 0.01, 0.001, seed=1)
+        tracemalloc.start()
+        try:
+            cv.planted_two_community(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSweep:
