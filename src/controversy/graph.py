@@ -228,12 +228,10 @@ class ConversationGraph:
     """
 
     def __init__(self, ids, arcs, directed):
-        self._ids = tuple(map(_user_id, ids))
-        if len(set(self._ids)) != len(self._ids):
+        ids = tuple(map(_user_id, ids))
+        if len(set(ids)) != len(ids):
             raise InputDataError("duplicate user ids in vertex list")
-        self._index = {u: i for i, u in enumerate(self._ids)}
-        self.directed = bool(directed)
-        n = len(self._ids)
+        n = len(ids)
         arcs = np.asarray(arcs if isinstance(arcs, np.ndarray) else list(arcs)).reshape(-1, 3)
         if arcs.dtype.kind != "i":
             # |x| >= 2**63 would wrap in the int64 cast below
@@ -262,8 +260,19 @@ class ConversationGraph:
                 raise InputDataError(f"arc ({src[i]},{dst[i]}) out of vertex range")
             raise InputDataError(f"non-positive weight on arc ({src[i]},{dst[i]})")
         both = np.concatenate((src, dst)), np.concatenate((dst, src)), np.concatenate((w, w))
-        self.csr = CSR.from_arcs(n, *both)
-        self.out_csr = CSR.from_arcs(n, src, dst, w) if self.directed else self.csr
+        csr = CSR.from_arcs(n, *both)
+        directed = bool(directed)
+        self._assign(ids, directed, csr, CSR.from_arcs(n, src, dst, w) if directed else csr)
+
+    def _assign(self, ids, directed, csr, out_csr):
+        """Set every field from checked ids and CSR arrays (``out_csr`` is
+        ``csr`` for an undirected graph); the one place a graph gets them."""
+        self._ids = ids
+        self._index = {u: i for i, u in enumerate(ids)}
+        self.directed = directed
+        self.csr = csr
+        self.out_csr = out_csr
+        return self
 
     # -- basic accessors ------------------------------------------------
 
@@ -475,14 +484,28 @@ def build_content_graph(records, topic, mode):
 
 
 def induced_subgraph(g, vertices):
-    """Subgraph on the given vertex indices, reindexed in ascending order."""
+    """Subgraph on the given vertex indices, reindexed in ascending order.
+
+    Slices the parent's CSR rows and relabels the neighbours kept through
+    the monotone index map, so every row stays sorted and nothing is
+    re-sorted or re-checked."""
     keep = np.unique(np.fromiter(vertices, dtype=np.int64))
     new_index = np.full(g.n_vertices, -1, dtype=np.int64)
     new_index[keep] = np.arange(len(keep))
-    arcs = new_index[g.arc_array[:, :2]]
-    inside = (arcs >= 0).all(axis=1)
-    arcs = np.column_stack((arcs[inside], g.arc_array[inside, 2]))
-    return ConversationGraph([g.ids[v] for v in keep], arcs, g.directed)
+    csr = _induced_csr(g.csr, new_index, len(keep))
+    out_csr = _induced_csr(g.out_csr, new_index, len(keep)) if g.directed else csr
+    ids = tuple(g.ids[v] for v in keep.tolist())
+    return ConversationGraph.__new__(ConversationGraph)._assign(ids, g.directed, csr, out_csr)
+
+
+def _induced_csr(csr, new_index, n):
+    """The arcs of ``csr`` between kept vertices (``new_index`` >= 0),
+    relabelled through ``new_index`` into an n-vertex CSR."""
+    rows, cols = new_index[csr.rows], new_index[csr.indices]
+    inside = (rows >= 0) & (cols >= 0)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[inside], minlength=n), out=indptr[1:])
+    return CSR(*map(_frozen, (indptr, cols[inside], csr.weights[inside])))
 
 
 def largest_component(g):

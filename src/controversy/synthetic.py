@@ -2,7 +2,12 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -125,45 +130,76 @@ def rwc_sweep(
     is skipped for a run whenever it would leave one side empty (e.g.
     p2 = 0), matching the convention that cross-free sides score 1.
     Cells whose every run degenerates are marked invalid (runs=0).
+
+    Every run is seeded on its own, so the runs are scored in worker
+    processes, one per CPU of the process's affinity mask (see
+    :func:`_workers`); the rows are the same as from one process. The
+    first failing run in grid order raises its error here.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    planted = [
+        PlantedConfig(n=n, p1=p1, p2=p2, seed=_cell_seed(base_seed, i1, i2, run))
+        for i1, p1 in enumerate(p1_values)
+        for i2, p2 in enumerate(p2_values)
+        for run in range(runs)
+    ]
+    score = partial(_score_run, k=k, cfg=cfg, use_largest_component=use_largest_component,
+                    redetect=redetect)
+    scores = _map_runs(score, planted)
     rows = []
-    for i1, p1 in enumerate(p1_values):
-        for i2, p2 in enumerate(p2_values):
-            scores = []
-            for run in range(runs):
-                seed = _cell_seed(base_seed, i1, i2, run)
-                graph, truth = planted_two_community(
-                    PlantedConfig(n=n, p1=p1, p2=p2, seed=seed)
-                )
-                if graph.n_edges == 0:
-                    continue
-                target, part = graph, truth
-                if use_largest_component:
-                    sub = largest_component(graph)
-                    sub_truth = ground_truth_partition_for(sub, n)
-                    if sub_truth is not None:
-                        target, part = sub, sub_truth
-                if redetect:
-                    part = spectral_bisection(target, seed=seed)
-                scores.append(rwc_rwr(target, part, k=k, cfg=cfg))
-            if scores:
-                arr = np.array(scores)
-                rows.append(
-                    SweepRow(
-                        p1=p1,
-                        p2=p2,
-                        mean_rwc=float(arr.mean()),
-                        std_rwc=float(arr.std(ddof=0)),
-                        runs=len(scores),
-                    )
-                )
-            else:
-                rows.append(
-                    SweepRow(p1=p1, p2=p2, mean_rwc=math.nan, std_rwc=math.nan, runs=0)
-                )
+    for c, (p1, p2) in enumerate(product(p1_values, p2_values)):
+        cell = np.array([s for s in scores[c * runs : (c + 1) * runs] if s is not None])
+        mean, std = (float(cell.mean()), float(cell.std(ddof=0))) if len(cell) else (math.nan,) * 2
+        rows.append(SweepRow(p1=p1, p2=p2, mean_rwc=mean, std_rwc=std, runs=len(cell)))
     return rows
+
+
+def _score_run(planted, k, cfg, use_largest_component, redetect):
+    """``rwc_rwr`` of one seeded planted graph; None when it has no edge."""
+    graph, truth = planted_two_community(planted)
+    if graph.n_edges == 0:
+        return None
+    target, part = graph, truth
+    if use_largest_component:
+        sub = largest_component(graph)
+        sub_truth = ground_truth_partition_for(sub, planted.n)
+        if sub_truth is not None:
+            target, part = sub, sub_truth
+    if redetect:
+        part = spectral_bisection(target, seed=planted.seed)
+    return rwc_rwr(target, part, k=k, cfg=cfg)
+
+
+def _workers(tasks) -> int:
+    """Processes to run ``tasks`` independent runs in: the CPUs of this
+    process's affinity mask, at most one per task. 1 (run them here) off
+    Linux, when other threads exist (forking them is unsafe), or inside a
+    daemonic process, which may not start children."""
+    if sys.platform != "linux" or threading.active_count() != 1:
+        return 1
+    workers = min(len(os.sched_getaffinity(0)), tasks)
+    if workers < 2:
+        return 1
+    import multiprocessing
+
+    return 1 if multiprocessing.current_process().daemon else workers
+
+
+def _map_runs(fn, tasks):
+    """``[fn(t) for t in tasks]``, spread over :func:`_workers` forked
+    processes when that is more than one. The first task to fail, in
+    order, raises; the pool is shut down and joined before returning."""
+    workers = _workers(len(tasks))
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = max(1, len(tasks) // (4 * workers))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        # a failing result cancels the futures not yet started
+        return list(pool.map(fn, tasks, chunksize=chunk))
 
 
 def write_sweep_csv(rows, path):

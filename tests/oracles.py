@@ -111,6 +111,20 @@ def lexsort_csr_arrays(n, src, dst, w):
     return indptr, dst[starts], weights
 
 
+def rebuilt_induced_subgraph(g, vertices):
+    """Induced subgraph rebuilt through ``ConversationGraph.__init__`` from
+    the kept stored arcs, reindexed in ascending vertex order."""
+    from controversy.graph import ConversationGraph
+
+    keep = np.unique(np.fromiter(vertices, dtype=np.int64))
+    new_index = np.full(g.n_vertices, -1, dtype=np.int64)
+    new_index[keep] = np.arange(len(keep))
+    arcs = new_index[g.arc_array[:, :2]]
+    inside = (arcs >= 0).all(axis=1)
+    arcs = np.column_stack((arcs[inside], g.arc_array[inside, 2]))
+    return ConversationGraph([g.ids[v] for v in keep], arcs, g.directed)
+
+
 def dense_planted_two_community(cfg):
     """The planted generator drawn in whole blocks: one uniform array per
     block and ``np.triu_indices`` for the side triangles (O(n^2) memory)."""

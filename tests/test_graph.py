@@ -9,7 +9,10 @@ import controversy as cv
 from controversy.graph import CSR, url_domain
 
 from conftest import make_graph
-from oracles import connected_components, lexsort_csr_arrays, loop_write_edgelist, tuple_graph
+from oracles import (
+    connected_components, lexsort_csr_arrays, loop_write_edgelist, rebuilt_induced_subgraph,
+    tuple_graph,
+)
 
 
 def rec(author, endorsed=None, hashtags=(), urls=(), ts=0):
@@ -426,3 +429,47 @@ class TestFileFormats:
         path = tmp_path / "f.tsv"
         path.write_text("# who follows whom\na\tb\nc\td\n")
         assert cv.read_follow_edges(path) == [("a", "b"), ("c", "d")]
+
+
+def assert_sliced_like_rebuilt(g, vertices):
+    """``induced_subgraph`` against the rebuilt form: equal graphs with
+    equal CSR arrays and dtypes in both views."""
+    sub, ref = cv.induced_subgraph(g, vertices), rebuilt_induced_subgraph(g, vertices)
+    assert sub == ref and sub.ids == ref.ids and sub.directed == ref.directed
+    for view in ("csr", "out_csr"):
+        for got, want in zip(getattr(sub, view), getattr(ref, view)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+    assert (sub.out_csr is sub.csr) == (not sub.directed)
+    assert [sub.index_of(u) for u in sub.ids] == list(range(sub.n_vertices))
+    return sub
+
+
+class TestInducedSubgraph:
+    def test_karate_subsets(self, karate):
+        g = karate[0]
+        rng = np.random.default_rng(3)
+        # vertex 0 and a vertex it does not touch: two isolated vertices
+        apart = [0, int(np.setdiff1d(np.arange(1, g.n_vertices), g.csr.indices[: g.csr.indptr[1]])[0])]
+        subsets = [[], [5], range(g.n_vertices), apart, apart + [1, 2, 33]]
+        subsets += [rng.choice(g.n_vertices, size, replace=False) for size in (3, 10, 20, 30)]
+        for vertices in subsets:
+            assert_sliced_like_rebuilt(g, vertices)
+        assert assert_sliced_like_rebuilt(g, apart).n_edges == 0
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_random_subsets(self, directed):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            arcs = np.column_stack((rng.integers(0, n, (3 * n, 2)), rng.integers(1, 4, 3 * n)))
+            g = cv.ConversationGraph([f"v{i}" for i in range(n)], arcs, directed)
+            for size in (0, 1, n // 2, n):
+                assert_sliced_like_rebuilt(g, rng.choice(n, size, replace=False))
+
+    def test_largest_component_is_the_slice(self):
+        edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+        g = make_graph(7, edges, directed=True)
+        sub = cv.largest_component(g)
+        assert sub == assert_sliced_like_rebuilt(g, [3, 4, 5, 6])
+        assert sub.directed and sub.ids == ("3", "4", "5", "6")

@@ -14,6 +14,7 @@ from controversy import graph
 from controversy.cli import main
 
 from oracles import loop_build_retweet_graph, loop_read_records
+from test_graph import assert_sliced_like_rebuilt
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -146,6 +147,18 @@ def test_ingest_users_records_match_the_loop_reader(ingest_users_seed1):
         g = cv.build_retweet_graph(records, topic, tau)
         assert g == loop_build_retweet_graph(records, topic, tau)
         assert g.n_edges > 0
+
+
+def test_ingest_users_component_slices_like_rebuilt(ingest_users_seed1):
+    path, topic = ingest_users_seed1
+    # at tau = 4 the graph falls apart: its largest component holds 193 of 385 users
+    g = cv.build_retweet_graph(cv.read_records(path), topic, 4)
+    sub = cv.largest_component(g)
+    assert g.directed and sub.n_vertices < g.n_vertices
+    keep = [g.index_of(u) for u in sub.ids]
+    assert sub == assert_sliced_like_rebuilt(g, keep)
+    rng = np.random.default_rng(2)
+    assert_sliced_like_rebuilt(g, rng.choice(g.n_vertices, g.n_vertices // 3, replace=False))
 
 
 class TestIllTypedFields:

@@ -1,14 +1,20 @@
 """Planted two-community generator and sweeps."""
+import concurrent.futures
 import math
+import multiprocessing
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import controversy as cv
+import controversy.synthetic as synthetic
+from controversy.cli import main
 from controversy.synthetic import DEFAULT_P1_GRID, DEFAULT_P2_GRID, _cell_seed
 
 from oracles import cut_edges, dense_planted_two_community
+from test_graph import assert_sliced_like_rebuilt
 
 # every fourth cell of the default 10 x 4 grid, seeded as run 0 of rwc_sweep(base_seed=0)
 GRID_CELLS = [
@@ -86,6 +92,15 @@ class TestStreamedDraws:
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(truth.sides, ref_truth.sides)
 
+    @pytest.mark.parametrize("cfg", GRID_CELLS, ids=repr)
+    def test_largest_component_slices_like_rebuilt(self, cfg):
+        g = cv.planted_two_community(cfg)[0]
+        sub = cv.largest_component(g)
+        assert sub == assert_sliced_like_rebuilt(g, [g.index_of(u) for u in sub.ids])
+        # only the sparsest cells fall apart, so slice a random half of each too
+        half = np.random.default_rng(cfg.seed).choice(cfg.n, cfg.n // 2, replace=False)
+        assert_sliced_like_rebuilt(g, half)
+
     def test_memory_is_not_quadratic(self):
         # the whole-block draws peak at about 67 MB here
         cfg = cv.PlantedConfig(4000, 0.01, 0.001, seed=1)
@@ -137,3 +152,86 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == "p1,p2,mean_rwc,std_rwc,runs"
         assert len(lines) == 3
+
+
+def _use_workers(monkeypatch, count):
+    monkeypatch.setattr(synthetic, "_workers", lambda tasks: count)
+
+
+class TestSweepProcesses:
+    """The sweep's runs spread over worker processes against one process."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n=200, runs=2),
+        dict(n=40, p1_values=[0.5, 0.9], p2_values=[0.0], runs=3, base_seed=1),
+        dict(n=10, p1_values=[0.0], p2_values=[0.0], runs=2),
+        dict(n=40, p1_values=[0.6], p2_values=[0.02, 0.1], runs=2, base_seed=5, redetect=True),
+        dict(n=60, p1_values=[0.1], p2_values=[0.01, 0.05], runs=3, base_seed=4,
+             use_largest_component=False),
+    ], ids=["default-grid", "p2=0", "degenerate", "redetect", "full-graph"])
+    def test_same_rows_as_one_process(self, kwargs, monkeypatch):
+        _use_workers(monkeypatch, 1)
+        serial = cv.rwc_sweep(**kwargs)
+        _use_workers(monkeypatch, 2)
+        pooled = cv.rwc_sweep(**kwargs)
+        # NaN != NaN, so compare the rows' reprs as well as the rows
+        assert repr(pooled) == repr(serial)
+        assert all(math.isnan(r.mean_rwc) for r in pooled if not r.valid)
+        assert [r for r in pooled if r.valid] == [r for r in serial if r.valid]
+        assert multiprocessing.active_children() == []
+
+    def test_same_convergence_error(self, monkeypatch):
+        errors = []
+        for count in (1, 2):
+            _use_workers(monkeypatch, count)
+            with pytest.raises(cv.ConvergenceError) as info:
+                cv.rwc_sweep(n=40, p1_values=[0.3, 0.5], p2_values=[0.05], runs=2,
+                             cfg=cv.RestartWalkConfig(max_iters=1))
+            errors.append((str(info.value), info.value.residual))
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1]
+        assert errors[0][1] > 0
+
+    def test_cli_error_is_the_same(self, monkeypatch, tmp_path, capsys):
+        results = []
+        for count in (1, 2):
+            _use_workers(monkeypatch, count)
+            code = main(["simulate", "--k", "0", "--n", "40", "--runs", "2",
+                         "--p1-grid", "0.3,0.5", "--p2-grid", "0.05",
+                         "--out", str(tmp_path / "sweep.csv")])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 2 and "k must be >= 1" in results[0][1]
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_invalid_cell_fails_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(synthetic, "_map_runs", no_run)
+        with pytest.raises(cv.InputDataError, match="p2 must be in"):
+            cv.rwc_sweep(n=40, p1_values=[0.3], p2_values=[0.1, 1.5], runs=1)
+
+    @pytest.mark.parametrize("runs, p2_values, count", [(1, [0.05], None), (2, [0.05], 1)])
+    def test_no_process_for_one_worker(self, runs, p2_values, count, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        if count is not None:
+            _use_workers(monkeypatch, count)
+        rows = cv.rwc_sweep(n=40, p1_values=[0.3], p2_values=p2_values, runs=runs)
+        assert rows[0].valid
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks on Linux only")
+    def test_worker_count_rules(self, monkeypatch):
+        monkeypatch.setattr(synthetic.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(synthetic.threading, "active_count", lambda: 1)
+        assert synthetic._workers(1) == 1
+        assert synthetic._workers(2) == 2
+        assert synthetic._workers(40) == 3
+        monkeypatch.setattr(synthetic.threading, "active_count", lambda: 2)
+        assert synthetic._workers(40) == 1
+        monkeypatch.undo()
+        monkeypatch.setattr(synthetic.os, "sched_getaffinity", lambda pid: {0})
+        assert synthetic._workers(40) == 1
