@@ -20,9 +20,9 @@ import typing
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, asdict, replace
 from datetime import datetime, timezone
-from functools import cache, partial
+from functools import partial
 
-from . import graph as graphmod
+from . import _pool, graph as graphmod
 from .errors import (
     ControversyError,
     ConvergenceError,
@@ -224,10 +224,44 @@ def _partition(cfg: PipelineConfig, g):
         raise InputDataError(f"unknown partition mode {cfg.partition_mode!r}")
 
 
+# the tasks of the measure stage, longest first: ``force_layout`` gives the
+# coordinates that both ``ec`` and --layout-out read, ``user_score_table``
+# the rows of --user-scores-out
+_TASK_ORDER = ("force_layout", "rwc_mc", "bcc", "user_score_table", "rwc_rwr", "gmck", "mblb")
+
+
+def _measure_task(name, g, part, cfg, k, walk):
+    """(parameters, value) of one task of the measure stage. A module-level
+    function, so that a worker process can run it; it calls each stage
+    through this module's names."""
+    if name == "force_layout":
+        params = {"layout_iterations": cfg.layout_iterations}
+        return params, force_layout(g, iterations=cfg.layout_iterations, seed=cfg.seed)
+    if name == "rwc_mc":
+        params = {"k": k, "n_walks": cfg.n_walks}
+        return params, rwc_mc(g, part, **params, seed=cfg.seed)
+    if name == "bcc":
+        params = {"n_samples": cfg.n_samples}
+        return params, bcc(g, part, **params, seed=cfg.seed)
+    if name == "user_score_table":
+        return {}, user_score_table(g, part, top_degree(g, part, k), walk)
+    if name == "rwc_rwr":
+        return {"k": k, **asdict(walk)}, rwc_rwr(g, part, k=k, cfg=walk)
+    if name == "gmck":
+        return {}, gmck(g, part)
+    params = {"seed_fraction": 0.05, "tol": 1e-6, "max_iters": 1000}
+    return params, mblb(g, part, **params)
+
+
 def run_pipeline(cfg: PipelineConfig):
     """Execute build -> largest component -> partition -> measures and
     return the report with the (path, writer) pairs of the requested
-    outputs. Each measure runs on exactly the parameters it reports."""
+    outputs. Each measure runs on exactly the parameters it reports.
+
+    The measures, the layout and the user scores run side by side in
+    worker processes (see :func:`controversy._pool.results`); values,
+    warnings and the first error are those of running them one by one
+    in ``cfg.measures`` order."""
     g, label = _load_graph(cfg)
     part = _partition(cfg, g)
 
@@ -236,42 +270,35 @@ def run_pipeline(cfg: PipelineConfig):
     if unknown:
         raise InputDataError(f"unknown measures: {', '.join(unknown)}")
     k = cfg.k if cfg.k is not None else default_k(part)
-    walk = {"damping": cfg.damping, "tolerance": cfg.tolerance, "max_iters": cfg.max_iters}
-    walk_cfg = RestartWalkConfig(**walk)
+    walk = RestartWalkConfig(damping=cfg.damping, tolerance=cfg.tolerance,
+                             max_iters=cfg.max_iters)
     report = ControversyReport(topic=label, n_vertices=g.n_vertices, n_edges=g.n_edges,
                                config=asdict(cfg))
-    # one layout for both ``ec`` and --layout-out
-    layout = cache(lambda iterations: force_layout(g, iterations=iterations, seed=cfg.seed))
-    with _stage("measure"):
-        for name in wanted:
-            if name == "rwc_mc":
-                params = {"k": k, "n_walks": cfg.n_walks}
-                value = rwc_mc(g, part, **params, seed=cfg.seed)
-            elif name == "rwc_rwr":
-                params = {"k": k, **walk}
-                value = rwc_rwr(g, part, k=k, cfg=walk_cfg)
-            elif name == "bcc":
-                params = {"n_samples": cfg.n_samples}
-                value = bcc(g, part, **params, seed=cfg.seed)
-            elif name == "ec":
-                params = {"layout_iterations": cfg.layout_iterations}
-                value = ec(layout(cfg.layout_iterations), part)
-            elif name == "gmck":
-                params = {}
-                value = gmck(g, part)
-            else:
-                params = {"seed_fraction": 0.05, "tol": 1e-6, "max_iters": 1000}
-                value = mblb(g, part, **params)
-            report.add(name, value, params, seed=cfg.seed)
+    needed = {"force_layout" if m == "ec" else m for m in wanted}
+    if cfg.layout_out:
+        needed.add("force_layout")
     if cfg.user_scores_out:
-        with _stage("user-scores"):
-            hds = top_degree(g, part, k)
-            user_rows = user_score_table(g, part, hds, walk_cfg)
-        unreached = [r.user_id for r in user_rows if math.isnan(r.rwc_user)]
-        if unreached:
-            print(f"warning: the restart walks of {len(unreached)} of {len(user_rows)} users "
-                  f"reach no high-degree vertex (the first is {unreached[0]!r}); "
-                  "their rwc_user is nan", file=sys.stderr)
+        needed.add("user_score_table")
+    tasks = {name: (name, g, part, cfg, k, walk) for name in _TASK_ORDER if name in needed}
+    with _pool.results(_measure_task, tasks) as result:
+        with _stage("measure"):
+            for name in wanted:
+                params, value = result("force_layout" if name == "ec" else name)
+                if name == "ec":
+                    value = ec(value, part)
+                report.add(name, value, params, seed=cfg.seed)
+        if cfg.user_scores_out:
+            with _stage("user-scores"):
+                user_rows = result("user_score_table")[1]
+            unreached = [r.user_id for r in user_rows if math.isnan(r.rwc_user)]
+            if unreached:
+                print(f"warning: the restart walks of {len(unreached)} of {len(user_rows)} "
+                      f"users reach no high-degree vertex (the first is {unreached[0]!r}); "
+                      "their rwc_user is nan", file=sys.stderr)
+        if cfg.layout_out:
+            with _stage("output"):
+                coords = "".join(f"{uid}\t{float(x)!r}\t{float(y)!r}\n"
+                                 for uid, (x, y) in zip(g.ids, result("force_layout")[1]))
     report.timestamp = datetime.now(timezone.utc).isoformat()
 
     writers = []
@@ -283,9 +310,6 @@ def run_pipeline(cfg: PipelineConfig):
     if cfg.user_scores_out:
         writers.append((cfg.user_scores_out, partial(write_user_scores, user_rows)))
     if cfg.layout_out:
-        with _stage("output"):
-            coords = "".join(f"{uid}\t{float(x)!r}\t{float(y)!r}\n"
-                             for uid, (x, y) in zip(g.ids, layout(cfg.layout_iterations)))
         writers.append((cfg.layout_out, partial(_write_text, text=coords)))
     return report, writers
 

@@ -2,15 +2,13 @@
 from __future__ import annotations
 
 import math
-import os
-import sys
-import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
 import numpy as np
 
+from . import _pool
 from .errors import InputDataError
 from .graph import ConversationGraph, largest_component
 from .partition import Partition, spectral_bisection
@@ -133,8 +131,9 @@ def rwc_sweep(
 
     Every run is seeded on its own, so the runs are scored in worker
     processes, one per CPU of the process's affinity mask (see
-    :func:`_workers`); the rows are the same as from one process. The
-    first failing run in grid order raises its error here.
+    :func:`controversy._pool.workers`); the rows are the same as from
+    one process. The first failing run in grid order raises its error
+    here.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -146,7 +145,7 @@ def rwc_sweep(
     ]
     score = partial(_score_run, k=k, cfg=cfg, use_largest_component=use_largest_component,
                     redetect=redetect)
-    scores = _map_runs(score, planted)
+    scores = _pool.map_runs(score, planted)
     rows = []
     for c, (p1, p2) in enumerate(product(p1_values, p2_values)):
         cell = np.array([s for s in scores[c * runs : (c + 1) * runs] if s is not None])
@@ -169,37 +168,6 @@ def _score_run(planted, k, cfg, use_largest_component, redetect):
     if redetect:
         part = spectral_bisection(target, seed=planted.seed)
     return rwc_rwr(target, part, k=k, cfg=cfg)
-
-
-def _workers(tasks) -> int:
-    """Processes to run ``tasks`` independent runs in: the CPUs of this
-    process's affinity mask, at most one per task. 1 (run them here) off
-    Linux, when other threads exist (forking them is unsafe), or inside a
-    daemonic process, which may not start children."""
-    if sys.platform != "linux" or threading.active_count() != 1:
-        return 1
-    workers = min(len(os.sched_getaffinity(0)), tasks)
-    if workers < 2:
-        return 1
-    import multiprocessing
-
-    return 1 if multiprocessing.current_process().daemon else workers
-
-
-def _map_runs(fn, tasks):
-    """``[fn(t) for t in tasks]``, spread over :func:`_workers` forked
-    processes when that is more than one. The first task to fail, in
-    order, raises; the pool is shut down and joined before returning."""
-    workers = _workers(len(tasks))
-    if workers == 1:
-        return [fn(t) for t in tasks]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        # a failing result cancels the futures not yet started
-        return list(pool.map(fn, tasks, chunksize=chunk))
 
 
 def write_sweep_csv(rows, path):

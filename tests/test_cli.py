@@ -1,15 +1,22 @@
 """End-to-end command-line behavior."""
+import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
+import os
+import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import controversy as cv
 import controversy.cli as cli
+import controversy.measures as measures_module
 import controversy.partition as partition_module
+from controversy import _pool
 from controversy.cli import main
 
 from conftest import KARATE_EDGES, KARATE_FACTIONS
@@ -17,6 +24,31 @@ from conftest import KARATE_EDGES, KARATE_FACTIONS
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def use_workers(monkeypatch, count):
+    monkeypatch.setattr(_pool, "workers", lambda tasks: count)
+
+
+PARTITIONERS = {"spectral": "spectral_bisection", "import": "import_partition"}
+COUNTED = [*cv.MEASURE_NAMES, "force_layout", "user_score_table", "write_user_scores",
+           *PARTITIONERS.values()]
+
+
+def score_counted(tmp_path, mode, measures):
+    """Run ``score`` with every output; the measures it ran and the count
+    each name of COUNTED it calls should have."""
+    wanted = cv.MEASURE_NAMES if measures == "all" else (measures,)
+    assert run(
+        "score", "--edgelist", KARATE_EDGES, "--partition-mode", mode,
+        "--partition-file", KARATE_FACTIONS, "--measures", ",".join(wanted),
+        "--layout-iterations", 20, "--n-walks", 500, "--n-samples", 500,
+        "--out", tmp_path / "r.json", "--user-scores-out", tmp_path / "users.csv",
+        "--layout-out", tmp_path / "layout.tsv",
+    ) == 0
+    # the layout serves both ec and --layout-out
+    return wanted, dict.fromkeys([*wanted, "force_layout", "user_score_table",
+                                  "write_user_scores", PARTITIONERS[mode]], 1)
 
 
 def write_records(path):
@@ -170,28 +202,41 @@ class TestScore:
 
     @pytest.mark.parametrize("mode, measures", [("spectral", "all"), ("import", "gmck")])
     def test_pipeline_calls_each_bound_name_once(self, tmp_path, monkeypatch, mode, measures):
-        partitioners = {"spectral": "spectral_bisection", "import": "import_partition"}
-        names = [*cv.MEASURE_NAMES, "force_layout", "user_score_table", "write_user_scores",
-                 *partitioners.values()]
+        # counted in this process, so the measures must run here too
+        use_workers(monkeypatch, 1)
         calls = Counter()
-        for name in names:
+        for name in COUNTED:
             def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(cli, name, counted)
-        wanted = cv.MEASURE_NAMES if measures == "all" else (measures,)
-        assert run(
-            "score", "--edgelist", KARATE_EDGES, "--partition-mode", mode,
-            "--partition-file", KARATE_FACTIONS, "--measures", ",".join(wanted),
-            "--layout-iterations", 20, "--n-walks", 500, "--n-samples", 500,
-            "--out", tmp_path / "r.json", "--user-scores-out", tmp_path / "users.csv",
-            "--layout-out", tmp_path / "layout.tsv",
-        ) == 0
-        # the layout serves both ec and --layout-out
-        expected = dict.fromkeys([*wanted, "force_layout", "user_score_table",
-                                  "write_user_scores", partitioners[mode]], 1)
+        _, expected = score_counted(tmp_path, mode, measures)
         assert calls == expected
+
+    @pytest.mark.parametrize("mode, measures", [("spectral", "all"), ("import", "gmck")])
+    def test_pool_calls_each_bound_name_once(self, tmp_path, monkeypatch, mode, measures):
+        """The same counts with two worker processes, counted in shared
+        memory, which the forked workers write to."""
+        use_workers(monkeypatch, 2)
+        calls = {name: multiprocessing.Value("i", 0) for name in COUNTED}
+        elsewhere = multiprocessing.Value("i", 0)  # calls made outside this process
+        here = os.getpid()
+        for name in COUNTED:
+            def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                with calls[_name].get_lock():
+                    calls[_name].value += 1
+                if os.getpid() != here:
+                    with elsewhere.get_lock():
+                        elsewhere.value += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        wanted, expected = score_counted(tmp_path, mode, measures)
+        assert {name: c.value for name, c in calls.items() if c.value} == expected
+        # the parent computes ec from the coordinates, partitions and writes
+        in_parent = ("ec" in wanted) + 2
+        assert elsewhere.value == sum(expected.values()) - in_parent
 
     def test_empty_graph_is_input_error(self, tmp_path, capsys):
         records = tmp_path / "r.jsonl"
@@ -266,6 +311,158 @@ class TestScore:
         conf = tmp_path / "run.conf"
         conf.write_text("bogus_key=1\n")
         assert run("score", "--config", conf, "--edgelist", KARATE_EDGES) == 2
+
+
+@pytest.fixture(scope="module")
+def planted_edges(tmp_path_factory):
+    g, _ = cv.planted_two_community(cv.PlantedConfig(100, 0.15, 0.01, seed=1))
+    path = tmp_path_factory.mktemp("planted") / "planted.tsv"
+    cv.write_edgelist(g, path)
+    return path
+
+
+def outputs_with_workers(monkeypatch, count, argv, paths):
+    """Exit code and every output's bytes (the report's JSON without its
+    timestamp) of one command run with ``count`` worker processes; the
+    outputs are removed again, so that runs compare on the same paths."""
+    use_workers(monkeypatch, count)
+    code = run(*argv)
+    files = {}
+    for path in filter(os.path.exists, paths):
+        if path.name == "r.json":
+            files[path.name] = json.loads(path.read_text())
+            del files[path.name]["timestamp"]
+        else:
+            files[path.name] = path.read_bytes()
+        path.unlink()
+    assert multiprocessing.active_children() == []
+    return code, files
+
+
+class TestScoreProcesses:
+    """The measure stage spread over worker processes against one process."""
+
+    @pytest.mark.parametrize("source", ["factions", "spectral", "planted"])
+    @pytest.mark.parametrize("measures, outputs, extra", [
+        (",".join(cv.MEASURE_NAMES), ("r.json", "row.csv", "layout.tsv", "users.csv"), ()),
+        ("ec", ("r.json", "row.csv", "layout.tsv"), ()),
+        ("rwc_mc,bcc", ("r.json", "row.csv", "users.csv"), ()),
+        ("", ("r.json", "layout.tsv"), ()),
+        ("rwc_mc,rwc_rwr,gmck,mblb", ("r.json", "row.csv", "users.csv"), ("--directed",)),
+    ], ids=["all", "ec", "rwc_mc,bcc", "layout-only", "directed"])
+    def test_same_outputs_as_one_process(self, source, measures, outputs, extra, tmp_path,
+                                         monkeypatch, planted_edges):
+        flags = {"r.json": "--out", "row.csv": "--csv-out", "layout.tsv": "--layout-out",
+                 "users.csv": "--user-scores-out"}
+        edges = planted_edges if source == "planted" else KARATE_EDGES
+        argv = ["score", "--edgelist", edges, "--measures", measures, *extra,
+                "--layout-iterations", 50, "--n-walks", 2000, "--n-samples", 2000]
+        if source == "factions":
+            argv += ["--partition-mode", "import", "--partition-file", KARATE_FACTIONS]
+        for name in outputs:
+            argv += [flags[name], tmp_path / name]
+        paths = [tmp_path / name for name in outputs]
+        serial = outputs_with_workers(monkeypatch, 1, argv, paths)
+        pooled = outputs_with_workers(monkeypatch, 2, argv, paths)
+        assert serial[0] == 0 and set(serial[1]) == set(outputs)
+        assert pooled == serial
+
+    @pytest.mark.parametrize("source", ["factions", "spectral", "planted"])
+    def test_same_user_scores_as_one_process(self, source, tmp_path, monkeypatch,
+                                             planted_edges):
+        edges = planted_edges if source == "planted" else KARATE_EDGES
+        argv = ["user-scores", "--edgelist", edges, "--out", tmp_path / "users.csv"]
+        if source == "factions":
+            argv += ["--partition-mode", "import", "--partition-file", KARATE_FACTIONS]
+        serial = outputs_with_workers(monkeypatch, 1, argv, [tmp_path / "users.csv"])
+        pooled = outputs_with_workers(monkeypatch, 2, argv, [tmp_path / "users.csv"])
+        assert serial[0] == 0 and pooled == serial
+
+    @pytest.mark.parametrize("measures, first", [("rwc_mc,ec", "n_walks"),
+                                                 ("ec,rwc_mc", "iterations")])
+    def test_first_failure_in_measures_order(self, measures, first, tmp_path, monkeypatch,
+                                             capsys):
+        results = []
+        for count in (1, 2):
+            use_workers(monkeypatch, count)
+            code = run("score", "--edgelist", KARATE_EDGES, "--measures", measures,
+                       "--n-walks", 0, "--layout-iterations", -5, "--out", tmp_path / "r.json")
+            results.append((code, capsys.readouterr().err))
+            assert multiprocessing.active_children() == []
+        assert results[0] == results[1]
+        assert results[0][0] == 2
+        assert results[0][1].startswith(f"error [measure: {first} must be")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_same_convergence_error(self, monkeypatch):
+        cfg = cli.PipelineConfig(edgelist=str(KARATE_EDGES), measures="gmck,rwc_rwr,mblb",
+                                 max_iters=1)
+        errors = []
+        for count in (1, 2):
+            use_workers(monkeypatch, count)
+            with pytest.raises(cv.ConvergenceError) as info:
+                cli.run_pipeline(cfg)
+            errors.append((str(info.value), info.value.residual))
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1]
+        assert errors[0][0].startswith("measure: ") and errors[0][1] > 0
+
+    def test_layout_only_for_output_fails_in_output_stage(self, tmp_path, monkeypatch, capsys):
+        results = []
+        for count in (1, 2):
+            use_workers(monkeypatch, count)
+            code = run("score", "--edgelist", KARATE_EDGES, "--measures", "gmck,rwc_rwr",
+                       "--layout-iterations", -5, "--layout-out", tmp_path / "layout.tsv",
+                       "--out", tmp_path / "r.json")
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0] == (2, "error [output: iterations must be >= 0]\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_worker_warning_reaches_the_caller(self, monkeypatch):
+        # a one-sided propagation: every vertex on the + side
+        monkeypatch.setattr(measures_module, "propagate_polarity",
+                            lambda g, *args: np.ones(g.n_vertices))
+        cfg = cli.PipelineConfig(edgelist=str(KARATE_EDGES), measures="gmck,mblb,rwc_rwr")
+        seen = []
+        for count in (1, 2):
+            use_workers(monkeypatch, count)
+            with pytest.warns(UserWarning, match="one-sided") as caught:
+                report, _ = cli.run_pipeline(cfg)
+            assert report.value_of("mblb") == 0.0
+            seen.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
+            # the default filter shows a warning once per location
+            with warnings.catch_warnings(record=True) as shown:
+                warnings.simplefilter("default")
+                cli.run_pipeline(cfg)
+                cli.run_pipeline(cfg)
+            seen.append([str(w.message) for w in shown])
+        assert seen[0] == seen[2] and seen[1] == seen[3]
+        assert len(seen[0]) == len(seen[1]) == 1
+        assert seen[0][0][2] == cli.__file__
+
+    def test_no_process_left(self, tmp_path, monkeypatch):
+        use_workers(monkeypatch, 2)
+        cfg = cli.PipelineConfig(edgelist=str(KARATE_EDGES), layout_iterations=20,
+                                 n_walks=500, n_samples=500)
+        cli.run_pipeline(cfg)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(cv.InputDataError):
+            cli.run_pipeline(cli.PipelineConfig(edgelist=str(KARATE_EDGES), n_samples=0))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("argv", [
+        ("score", "--measures", "gmck"),
+        ("score", "--measures", "ec", "--layout-out", "layout.tsv", "--layout-iterations", 20),
+        ("user-scores",),
+    ], ids=["one-measure", "layout", "user-scores"])
+    def test_one_task_builds_no_pool(self, argv, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, "--edgelist", KARATE_EDGES, "--out", "out.txt") == 0
 
 
 class TestGraphCommands:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import controversy as cv
-import controversy.synthetic as synthetic
+from controversy import _pool
 from controversy.cli import main
 from controversy.synthetic import DEFAULT_P1_GRID, DEFAULT_P2_GRID, _cell_seed
 
@@ -155,7 +155,7 @@ class TestSweep:
 
 
 def _use_workers(monkeypatch, count):
-    monkeypatch.setattr(synthetic, "_workers", lambda tasks: count)
+    monkeypatch.setattr(_pool, "workers", lambda tasks: count)
 
 
 class TestSweepProcesses:
@@ -208,7 +208,7 @@ class TestSweepProcesses:
         def no_run(*args, **kwargs):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr(synthetic, "_map_runs", no_run)
+        monkeypatch.setattr(_pool, "map_runs", no_run)
         with pytest.raises(cv.InputDataError, match="p2 must be in"):
             cv.rwc_sweep(n=40, p1_values=[0.3], p2_values=[0.1, 1.5], runs=1)
 
@@ -225,13 +225,13 @@ class TestSweepProcesses:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks on Linux only")
     def test_worker_count_rules(self, monkeypatch):
-        monkeypatch.setattr(synthetic.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(synthetic.threading, "active_count", lambda: 1)
-        assert synthetic._workers(1) == 1
-        assert synthetic._workers(2) == 2
-        assert synthetic._workers(40) == 3
-        monkeypatch.setattr(synthetic.threading, "active_count", lambda: 2)
-        assert synthetic._workers(40) == 1
+        monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(_pool.threading, "active_count", lambda: 1)
+        assert _pool.workers(1) == 1
+        assert _pool.workers(2) == 2
+        assert _pool.workers(40) == 3
+        monkeypatch.setattr(_pool.threading, "active_count", lambda: 2)
+        assert _pool.workers(40) == 1
         monkeypatch.undo()
-        monkeypatch.setattr(synthetic.os, "sched_getaffinity", lambda pid: {0})
-        assert synthetic._workers(40) == 1
+        monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: {0})
+        assert _pool.workers(40) == 1
