@@ -2,8 +2,9 @@
 
 One subcommand per pipeline stage plus end-to-end ``score``, the
 synthetic ``simulate`` sweep, and the ``sentiment`` variance check.
-Each subcommand's flags map 1:1 onto its config dataclass
-(:class:`PipelineConfig` for the graph commands); a ``key=value`` config
+A subcommand's flags and config-file keys are the same set: the options
+its ``_COMMANDS`` entry lists, each a field of its config dataclass
+(:class:`PipelineConfig` for the graph commands). A ``key=value`` config
 file overrides the dataclass defaults and explicit flags override both.
 
 Exit codes: 0 success, 2 input error, 3 numerical non-convergence,
@@ -20,7 +21,7 @@ import typing
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, asdict, replace
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 
 from . import _pool, graph as graphmod
 from .errors import (
@@ -49,7 +50,9 @@ from .users import user_score_table, write_user_scores
 from .walks import RestartWalkConfig, default_k, top_degree
 
 DEFAULT_SEED = 0
-GRAPH_KINDS = ("retweet", "follow", "content")
+# the values each choice field of PipelineConfig takes
+CHOICES = {"kind": ("retweet", "follow", "content"), "content_mode": graphmod.CONTENT_MODES,
+           "partition_mode": ("spectral", "import")}
 
 
 @dataclass
@@ -91,16 +94,22 @@ class PipelineConfig:
     layout_out: str | None = None
     force: bool = False
 
+    def __post_init__(self):
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise InputDataError(f"unknown {name} {getattr(self, name)!r} "
+                                     f"(one of: {', '.join(allowed)})")
+
 
 @dataclass
 class ExpandTopicConfig:
     """What ``expand-topic`` reads: a seed hashtag and the profiles
     (given, or derived from records) to expand it with."""
 
-    topic_seed: str | None = None
+    seed_tag: str | None = None
     profiles: str | None = None
     records: str | None = None
-    write_profiles_path: str | None = None
+    write_profiles: str | None = None
     expand_k: int = ExpansionConfig.k
     expand_alpha: float = ExpansionConfig.alpha
     out: str | None = None
@@ -167,8 +176,6 @@ def _build_graph(cfg: PipelineConfig):
         label = cfg.topic_label or os.path.splitext(os.path.basename(cfg.edgelist))[0]
         return g, label
     records = graphmod.read_records(cfg.records)
-    if cfg.kind not in GRAPH_KINDS:
-        raise InputDataError(f"unknown graph kind {cfg.kind!r}")
     if cfg.kind == "follow":
         if not cfg.follows:
             raise InputDataError("follow graphs need --follows")
@@ -189,11 +196,11 @@ def _build_graph(cfg: PipelineConfig):
     return g, label
 
 
-def _check_outputs(cfg, fields):
+def _check_outputs(cfg, options):
     """Refuse an existing output without --force, and two outputs that
-    name one file. ``fields`` are the config fields that name outputs."""
+    name one file, among the command's ``options``."""
     seen = set()
-    for path in filter(None, (getattr(cfg, f) for f in fields)):
+    for path in filter(None, (getattr(cfg, f) for f in _OUTPUTS if f in options)):
         real = os.path.realpath(path)
         if real in seen:
             raise InputDataError(f"two outputs name {path}")
@@ -219,9 +226,7 @@ def _partition(cfg: PipelineConfig, g):
             if not cfg.partition_file:
                 raise InputDataError("partition import needs --partition-file")
             return import_partition(g, cfg.partition_file)
-        if cfg.partition_mode == "spectral":
-            return spectral_bisection(g, seed=cfg.seed)
-        raise InputDataError(f"unknown partition mode {cfg.partition_mode!r}")
+        return spectral_bisection(g, seed=cfg.seed)
 
 
 # the tasks of the measure stage, longest first: ``force_layout`` gives the
@@ -357,6 +362,10 @@ def _read_config_file(path):
     return values
 
 
+# each config class's field types (X or X | None), shared by parser and config-file reader
+_type_hints = cache(typing.get_type_hints)
+
+
 def _config_value(path, key, raw, kind):
     """A config file's text for ``key`` as a value of the field type
     ``kind`` (``int``, ``float``, ``bool``, ``str``, or one of them
@@ -380,146 +389,79 @@ def _config_value(path, key, raw, kind):
     return value
 
 
-def _resolve(config_cls, ns):
-    """The command's config: dataclass defaults < config file < explicit
-    flags. Every flag defaults to ``argparse.SUPPRESS``, so ``ns`` holds
-    only the flags actually given."""
-    values = asdict(config_cls())
+def _flag(option):
+    return "--" + option.replace("_", "-")
+
+
+def _resolve(ns, config_cls, options, required):
+    """The command's config: dataclass defaults < config file < explicit flags,
+    both of which set exactly the command's options. Every flag defaults to
+    ``argparse.SUPPRESS``, so ``ns`` holds only the flags actually given."""
+    values = {}
     if getattr(ns, "config", None):
         file_values = _read_config_file(ns.config)
-        unknown = set(file_values) - set(values)
-        if unknown:
-            raise InputDataError(
-                f"{ns.config}: unknown config keys: {', '.join(sorted(unknown))}"
-            )
-        kinds = typing.get_type_hints(config_cls)
-        values.update(
-            (key, _config_value(ns.config, key, raw, kinds[key]))
-            for key, raw in file_values.items()
-        )
+        if unknown := sorted(set(file_values) - set(options)):
+            raise InputDataError(f"{ns.config}: unknown config keys: {', '.join(unknown)}")
+        hints = _type_hints(config_cls)
+        values.update((key, _config_value(ns.config, key, raw, hints[key]))
+                      for key, raw in file_values.items())
     values.update((k, v) for k, v in vars(ns).items() if k not in ("command", "config"))
+    missing = [_flag(name) for name in required if values.get(name) is None]
+    if missing:
+        raise InputDataError(f"missing required option: {', '.join(missing)}")
     return config_cls(**values)
 
 
-def _add_bool(parser, name, help_text):
-    dest = name.replace("-", "_")
-    parser.add_argument(f"--{name}", dest=dest, action="store_true", help=help_text)
-
-
-def _add_no_largest_component(parser, help_text="keep the full graph"):
-    parser.add_argument("--no-largest-component", dest="largest_component",
-                        action="store_false", help=help_text)
+# the help line of each option that has one
+_HELP = {
+    "seed_tag": "hashtag to expand",
+    "edgelist": "TSV edge list (src, dst, optional weight)",
+    "directed": "read the edge list as directed arcs",
+    "records": "JSON-lines interaction records",
+    "kind": "graph built from records",
+    "follows": "TSV follower/followee pairs (kind=follow)",
+    "content_mode": "what links two authors (kind=content)",
+    "tau": "per-hashtag retweet threshold",
+    "topic_tags": "comma-separated explicit topic members",
+    "profiles": "JSON-lines hashtag profiles for expansion",
+    "largest_component": "keep the full graph",
+    "partition_mode": "how the two sides are found",
+    "measures": f"comma list from: {','.join(MEASURE_NAMES)}",
+    "k": "authorities per side (default: 5%% of smaller side)",
+    "tolerance": "restart-walk error tolerance",
+    "max_iters": "restart-walk iteration budget (exit 3 when exceeded)",
+    "out": "output file (score, expand-topic and sentiment print to stdout without it)",
+    "write_profiles": "also write the derived profiles here",
+    "redetect": "re-partition spectrally instead of using ground truth",
+    "scores": "CSV post_id,score",
+    "force": "overwrite existing outputs",
+}
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="controversy",
-        description="Quantify how controversial a topic is from its conversation graph.",
-    )
+    """One subparser per ``_COMMANDS`` entry, one flag per option: ``--name`` typed
+    by its field, or for a bool ``--name`` or (default true) ``--no-name``."""
+    parser = argparse.ArgumentParser(prog="controversy", description=(
+        "Quantify how controversial a topic is from its conversation graph."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def new_sub(name, help_text):
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+    for name, (command, config_cls, options, required) in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key=value defaults file (flags override)")
-        return p
-
-    def add_source_flags(p, with_topic=True):
-        p.add_argument("--edgelist", help="TSV edge list (src, dst, optional weight)")
-        _add_bool(p, "directed", "read the edge list as directed arcs")
-        p.add_argument("--records", help="JSON-lines interaction records")
-        p.add_argument("--kind", choices=GRAPH_KINDS, help="graph built from records")
-        p.add_argument("--follows", help="TSV follower/followee pairs (kind=follow)")
-        p.add_argument("--content-mode", dest="content_mode",
-                       choices=("shared-hashtag", "shared-url", "shared-domain"))
-        p.add_argument("--tau", type=int, help="per-hashtag retweet threshold")
-        if with_topic:
-            p.add_argument("--topic-seed", dest="topic_seed")
-            p.add_argument("--topic-tags", dest="topic_tags",
-                           help="comma-separated explicit topic members")
-            p.add_argument("--profiles", help="JSON-lines hashtag profiles for expansion")
-            p.add_argument("--expand-k", dest="expand_k", type=int)
-            p.add_argument("--expand-alpha", dest="expand_alpha", type=float)
-
-    def add_walk_bound_flags(p):
-        p.add_argument("--tolerance", type=float, help="restart-walk error tolerance")
-        p.add_argument("--max-iters", dest="max_iters", type=int,
-                       help="restart-walk iteration budget (exit 3 when exceeded)")
-
-    p = new_sub("build-graph", "build a conversation graph and write its edge list")
-    add_source_flags(p)
-    p.add_argument("--out", required=True)
-    _add_bool(p, "force", "overwrite existing outputs")
-    _add_no_largest_component(p)
-
-    p = new_sub("expand-topic", "expand a seed hashtag into a topic")
-    p.add_argument("--seed-tag", dest="topic_seed", required=True)
-    p.add_argument("--profiles", help="JSON-lines hashtag profiles")
-    p.add_argument("--records", help="derive profiles from these records instead")
-    p.add_argument("--write-profiles", dest="write_profiles_path",
-                   help="also write the derived profiles here")
-    p.add_argument("--expand-k", dest="expand_k", type=int)
-    p.add_argument("--expand-alpha", dest="expand_alpha", type=float)
-    p.add_argument("--out")
-    _add_bool(p, "force", "overwrite existing outputs")
-
-    p = new_sub("partition", "bisect a graph (spectral) or import labels")
-    add_source_flags(p)
-    p.add_argument("--partition-mode", dest="partition_mode", choices=("spectral", "import"))
-    p.add_argument("--partition-file", dest="partition_file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    _add_bool(p, "force", "overwrite existing outputs")
-    _add_no_largest_component(p)
-
-    p = new_sub("score", "run the full pipeline and emit a report")
-    add_source_flags(p)
-    p.add_argument("--partition-mode", dest="partition_mode", choices=("spectral", "import"))
-    p.add_argument("--partition-file", dest="partition_file")
-    p.add_argument("--measures", help=f"comma list from: {','.join(MEASURE_NAMES)}")
-    p.add_argument("--k", type=int, help="authorities per side (default: 5%% of smaller side)")
-    p.add_argument("--damping", type=float)
-    add_walk_bound_flags(p)
-    p.add_argument("--n-walks", dest="n_walks", type=int)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--layout-iterations", dest="layout_iterations", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--topic-label", dest="topic_label")
-    p.add_argument("--out", help="report JSON (stdout when omitted)")
-    p.add_argument("--csv-out", dest="csv_out")
-    p.add_argument("--user-scores-out", dest="user_scores_out")
-    p.add_argument("--layout-out", dest="layout_out")
-    _add_bool(p, "force", "overwrite existing outputs")
-    _add_no_largest_component(p)
-
-    p = new_sub("user-scores", "per-user controversy scores")
-    add_source_flags(p, with_topic=True)
-    p.add_argument("--partition-mode", dest="partition_mode", choices=("spectral", "import"))
-    p.add_argument("--partition-file", dest="partition_file")
-    p.add_argument("--k", type=int)
-    p.add_argument("--damping", type=float)
-    add_walk_bound_flags(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    _add_bool(p, "force", "overwrite existing outputs")
-    _add_no_largest_component(p)
-
-    p = new_sub("simulate", "planted two-community sweep over (p1, p2)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p1-grid", dest="p1_grid")
-    p.add_argument("--p2-grid", dest="p2_grid")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=int)
-    _add_bool(p, "redetect", "re-partition spectrally instead of using ground truth")
-    _add_no_largest_component(p, "score the full graph")
-    p.add_argument("--out", required=True)
-    _add_bool(p, "force", "overwrite existing outputs")
-
-    p = new_sub("sentiment", "variance label for per-post sentiment scores")
-    p.add_argument("--scores", required=True, help="CSV post_id,score")
-    p.add_argument("--out")
-    _add_bool(p, "force", "overwrite existing outputs")
-
+        hints = _type_hints(config_cls)
+        for option in options:
+            flag, kind = _flag(option), (typing.get_args(hints[option]) or (hints[option],))[0]
+            if kind is not bool:
+                spec = {"type": kind}
+            elif getattr(config_cls, option):
+                flag, spec = "--no-" + flag[2:], {"action": "store_false"}
+            else:
+                spec = {"action": "store_true"}
+            text = _HELP.get(option, "")
+            if option in CHOICES:
+                text += f": one of {', '.join(CHOICES[option])}"
+            if option in required:
+                text += " (required)"
+            p.add_argument(flag, dest=option, help=text, **spec)
     return parser
 
 
@@ -528,11 +470,13 @@ def build_parser():
 
 
 def _cmd_build_graph(cfg):
+    """Build a conversation graph and write its edge list."""
     g, _ = _load_graph(cfg)
     return [(cfg.out, partial(graphmod.write_edgelist, g))], None
 
 
 def _cmd_expand_topic(cfg):
+    """Expand a seed hashtag into a topic (profiles given or derived from records)."""
     with _stage("expand"):
         if cfg.profiles:
             profiles = read_profiles(cfg.profiles)
@@ -541,30 +485,32 @@ def _cmd_expand_topic(cfg):
         else:
             raise InputDataError("need --profiles or --records")
         topic = expand_topic(
-            cfg.topic_seed, profiles, ExpansionConfig(alpha=cfg.expand_alpha, k=cfg.expand_k)
+            cfg.seed_tag, profiles, ExpansionConfig(alpha=cfg.expand_alpha, k=cfg.expand_k)
         )
     payload = json.dumps({"seed": topic.seed, "members": list(topic.members)}, indent=2)
     writers = []
-    if cfg.write_profiles_path:
-        writers.append((cfg.write_profiles_path, partial(write_profiles, profiles)))
+    if cfg.write_profiles:
+        writers.append((cfg.write_profiles, partial(write_profiles, profiles)))
     if cfg.out:
         writers.append((cfg.out, partial(_write_text, text=payload + "\n")))
     return writers, payload
 
 
 def _cmd_partition(cfg):
+    """Bisect a graph (spectral) or import side labels."""
     g, _ = _load_graph(cfg)
     part = _partition(cfg, g)
     return [(cfg.out, partial(write_partition, g, part))], None
 
 
 def _cmd_score(cfg):
+    """Run the full pipeline and emit a report."""
     report, writers = run_pipeline(cfg)
     return writers, report.to_json()
 
 
 def _cmd_user_scores(cfg):
-    """``score`` without measures, its user-score table written to --out."""
+    """Per-user controversy scores (the score pipeline without its measures)."""
     cfg = replace(cfg, out=None, user_scores_out=cfg.out, measures="")
     return run_pipeline(cfg)[1], None
 
@@ -581,6 +527,7 @@ def _grid(flag, text):
 
 
 def _cmd_simulate(cfg):
+    """Planted two-community sweep over (p1, p2)."""
     with _stage("simulate"):
         p1_values, p2_values = _grid("--p1-grid", cfg.p1_grid), _grid("--p2-grid", cfg.p2_grid)
         rows = rwc_sweep(n=cfg.n, p1_values=p1_values, p2_values=p2_values, runs=cfg.runs,
@@ -590,6 +537,7 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_sentiment(cfg):
+    """Variance label for per-post sentiment scores."""
     with _stage("sentiment"):
         records = read_sentiment(cfg.scores)
         variance = sentiment_variance(records)
@@ -600,15 +548,29 @@ def _cmd_sentiment(cfg):
     return writers, payload
 
 
-# command -> (function, config class, the config fields that name its outputs)
+# the options each graph command shares
+_GRAPH = ("edgelist", "directed", "records", "kind", "follows", "content_mode", "tau",
+          "topic_seed", "topic_tags", "profiles", "expand_k", "expand_alpha", "largest_component")
+_SIDES = ("partition_mode", "partition_file", "seed")
+_WALK = ("k", "damping", "tolerance", "max_iters")
+# the options that name output files
+_OUTPUTS = ("out", "csv_out", "user_scores_out", "layout_out", "write_profiles")
+
+# command -> (function, config class, its options, the options it cannot run
+# without). Its flags and config-file keys are exactly its options.
 _COMMANDS = {
-    "build-graph": (_cmd_build_graph, PipelineConfig, ("out",)),
-    "expand-topic": (_cmd_expand_topic, ExpandTopicConfig, ("out", "write_profiles_path")),
-    "partition": (_cmd_partition, PipelineConfig, ("out",)),
-    "score": (_cmd_score, PipelineConfig, ("out", "csv_out", "user_scores_out", "layout_out")),
-    "user-scores": (_cmd_user_scores, PipelineConfig, ("out", "csv_out", "layout_out")),
-    "simulate": (_cmd_simulate, SimulateConfig, ("out",)),
-    "sentiment": (_cmd_sentiment, SentimentConfig, ("out",)),
+    "build-graph": (_cmd_build_graph, PipelineConfig, (*_GRAPH, "out", "force"), ("out",)),
+    "expand-topic": (_cmd_expand_topic, ExpandTopicConfig, ("seed_tag", "profiles", "records",
+                     "write_profiles", "expand_k", "expand_alpha", "out", "force"), ("seed_tag",)),
+    "partition": (_cmd_partition, PipelineConfig, (*_GRAPH, *_SIDES, "out", "force"), ("out",)),
+    "score": (_cmd_score, PipelineConfig, (*_GRAPH, *_SIDES, "measures", *_WALK, "n_walks",
+              "n_samples", "layout_iterations", "topic_label", "out", "csv_out",
+              "user_scores_out", "layout_out", "force"), ()),
+    "user-scores": (_cmd_user_scores, PipelineConfig,
+                    (*_GRAPH, *_SIDES, *_WALK, "out", "force"), ("out",)),
+    "simulate": (_cmd_simulate, SimulateConfig, ("n", "p1_grid", "p2_grid", "runs", "seed", "k",
+                 "redetect", "largest_component", "out", "force"), ("out",)),
+    "sentiment": (_cmd_sentiment, SentimentConfig, ("scores", "out", "force"), ("scores",)),
 }
 
 # exit code per error class; the first class that matches wins
@@ -618,11 +580,11 @@ _EXIT_CODES = {InputDataError: 2, ConvergenceError: 3, DegenerateStructureError:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    command, config_cls, outputs = _COMMANDS[ns.command]
+    command, config_cls, options, required = _COMMANDS[ns.command]
     try:
-        cfg = _resolve(config_cls, ns)
+        cfg = _resolve(ns, config_cls, options, required)
         with _stage("output"):
-            _check_outputs(cfg, outputs)
+            _check_outputs(cfg, options)
         writers, text = command(cfg)
         with _stage("output"):
             _write_all(writers)

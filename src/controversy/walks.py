@@ -43,7 +43,6 @@ class HighDegreeSets:
 
     x_plus: tuple
     y_plus: tuple
-    k: int
 
     @property
     def all(self):
@@ -67,7 +66,7 @@ def top_degree(g, p, k) -> HighDegreeSets:
     if k < 1:
         raise ValueError("k must be >= 1")
     x_plus, y_plus = (tuple(highest_degree(g, side, k).tolist()) for side in (p.x, p.y))
-    return HighDegreeSets(x_plus=x_plus, y_plus=y_plus, k=k)
+    return HighDegreeSets(x_plus=x_plus, y_plus=y_plus)
 
 
 def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None) -> np.ndarray:

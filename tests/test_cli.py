@@ -1,6 +1,8 @@
 """End-to-end command-line behavior."""
+import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -14,6 +16,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import controversy as cv
 import controversy.cli as cli
+import controversy.graph as graph_module
 import controversy.measures as measures_module
 import controversy.partition as partition_module
 from controversy import _pool
@@ -728,6 +731,101 @@ class TestOtherCommands:
     def test_sentiment_missing_file(self, tmp_path, capsys):
         code = run("sentiment", "--scores", tmp_path / "nope.csv")
         assert code == 2
+
+
+class TestOptions:
+    """Each subcommand's flags and config-file keys are its ``_COMMANDS`` options."""
+
+    def test_flags_are_exactly_the_command_options(self):
+        subparsers = next(action.choices for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert sorted(subparsers) == sorted(cli._COMMANDS)
+        covered = {}
+        for name, (_, config_cls, options, required) in cli._COMMANDS.items():
+            dests = [a.dest for a in subparsers[name]._actions if a.dest not in ("help", "config")]
+            assert sorted(dests) == sorted(options)
+            assert set(options) <= {f.name for f in dataclasses.fields(config_cls)}
+            assert set(required) <= set(options)
+            covered.setdefault(config_cls, set()).update(options)
+        assert set(covered) == {cli.PipelineConfig, cli.ExpandTopicConfig, cli.SimulateConfig,
+                                cli.SentimentConfig}
+        for config_cls, options in covered.items():
+            assert {f.name for f in dataclasses.fields(config_cls)} == options
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_build_graph_takes_out_from_config(self, tmp_path):
+        conf, out, expected = tmp_path / "run.conf", tmp_path / "g.tsv", tmp_path / "flags.tsv"
+        conf.write_text(f"edgelist={KARATE_EDGES}\nout={out}\n")
+        assert run("build-graph", "--config", conf) == 0
+        assert run("build-graph", "--edgelist", KARATE_EDGES, "--out", expected) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_expand_topic_takes_renamed_keys_from_config(self, tmp_path, capsys):
+        records, conf, profiles = tmp_path / "r.jsonl", tmp_path / "run.conf", tmp_path / "p.jsonl"
+        write_records(records)
+        conf.write_text(f"records={records}\nseed_tag=go\nwrite_profiles={profiles}\n")
+        assert run("expand-topic", "--config", conf) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == "go"
+        assert profiles.exists()
+
+    @pytest.mark.parametrize("command, lines, unknown", [
+        ("user-scores", "csv_out=row.csv\n", "csv_out"),
+        ("user-scores", "layout_out=l.tsv\ncsv_out=row.csv\n", "csv_out, layout_out"),
+        ("partition", "n_walks=5\nmeasures=bogus\nlayout_out=l2.tsv\n",
+         "layout_out, measures, n_walks"),
+    ])
+    def test_keys_of_other_commands_are_unknown(self, command, lines, unknown, tmp_path,
+                                                monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.conf").write_text(
+            f"edgelist={KARATE_EDGES}\npartition_mode=import\n"
+            f"partition_file={KARATE_FACTIONS}\n{lines}"
+        )
+        assert run(command, "--config", "run.conf", "--out", "out") == 2
+        assert f"run.conf: unknown config keys: {unknown}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
+    @pytest.mark.parametrize("given", ["file", "flag"])
+    @pytest.mark.parametrize("field", sorted(cli.CHOICES))
+    def test_unknown_choice_exits_before_any_stage(self, field, given, tmp_path, monkeypatch,
+                                                   capsys):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(graph_module, "read_records", unread)
+        monkeypatch.setattr(graph_module, "read_edgelist", unread)
+        records, conf, out = tmp_path / "r.jsonl", tmp_path / "run.conf", tmp_path / "r.json"
+        write_records(records)
+        conf.write_text(f"{field}=bogus\n" if given == "file" else "")
+        argv = ["score", "--config", conf, "--records", records, "--topic-seed", "go",
+                "--out", out]
+        if given == "flag":
+            argv += [cli._flag(field), "bogus"]
+        assert run(*argv) == 2
+        allowed = ", ".join(cli.CHOICES[field])
+        assert f"unknown {field} 'bogus' (one of: {allowed})" in capsys.readouterr().err
+        assert not out.exists()
+        # library callers meet the same check
+        with pytest.raises(cv.InputDataError, match=f"unknown {field}"):
+            cli.PipelineConfig(**{field: "bogus"})
+
+    @pytest.mark.parametrize("command, flag", [
+        ("build-graph", "--out"), ("partition", "--out"), ("user-scores", "--out"),
+        ("simulate", "--out"), ("expand-topic", "--seed-tag"), ("sentiment", "--scores"),
+    ])
+    def test_missing_required_option_names_its_flag(self, command, flag, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.conf").write_text("out=null\n" if flag == "--out" else "")
+        assert run(command, "--config", "run.conf") == 2
+        assert f"missing required option: {flag}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
 
 
 class TestAtomicOutputs:

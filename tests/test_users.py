@@ -93,7 +93,7 @@ class TestHittingScores:
         # sides and their authorities, so mirrored vertices negate
         g = cycle(6)
         p = cv.Partition(np.array([0, 0, 0, 1, 1, 1], dtype=np.int8))
-        hds = cv.HighDegreeSets(x_plus=(1,), y_plus=(4,), k=1)
+        hds = cv.HighDegreeSets(x_plus=(1,), y_plus=(4,))
         rho = cv.hitting_score_all(g, p, hds)
         for v in range(6):
             assert rho[v] == pytest.approx(-rho[5 - v], abs=1e-12)
@@ -157,7 +157,7 @@ class TestUserTable:
         g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         p = cv.Partition(np.array([0, 0, 1, 0, 1, 1], dtype=np.int8))
         # authorities both land in the first triangle
-        hds = cv.HighDegreeSets(x_plus=(0,), y_plus=(2,), k=1)
+        hds = cv.HighDegreeSets(x_plus=(0,), y_plus=(2,))
         with pytest.raises(cv.DegenerateStructureError, match=r"user '4' .*\(3 of 6 users\)"):
             cv.rwc_user(g, p, hds, 4)
         # the table writes NaN for the unreached component and keeps the rest
