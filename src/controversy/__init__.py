@@ -70,7 +70,7 @@ from .topics import (
     read_profiles,
     write_profiles,
 )
-from .users import UserScore, hitting_score_all, rwc_user, user_score_table
+from .users import hitting_score_all, rwc_user, user_score_table
 from .walks import (
     HighDegreeSets,
     RestartWalkConfig,

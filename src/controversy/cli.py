@@ -99,6 +99,13 @@ class PipelineConfig:
             if getattr(self, name) not in allowed:
                 raise InputDataError(f"unknown {name} {getattr(self, name)!r} "
                                      f"(one of: {', '.join(allowed)})")
+        if unknown := [m for m in self.wanted if m not in MEASURE_NAMES]:
+            raise InputDataError(f"unknown measures: {', '.join(unknown)}")
+
+    @property
+    def wanted(self):
+        """The names in ``measures``, in order."""
+        return [m.strip() for m in self.measures.split(",") if m.strip()]
 
 
 @dataclass
@@ -231,7 +238,7 @@ def _partition(cfg: PipelineConfig, g):
 
 # the tasks of the measure stage, longest first: ``force_layout`` gives the
 # coordinates that both ``ec`` and --layout-out read, ``user_score_table``
-# the rows of --user-scores-out
+# the score arrays of --user-scores-out
 _TASK_ORDER = ("force_layout", "rwc_mc", "bcc", "user_score_table", "rwc_rwr", "gmck", "mblb")
 
 
@@ -270,16 +277,12 @@ def run_pipeline(cfg: PipelineConfig):
     g, label = _load_graph(cfg)
     part = _partition(cfg, g)
 
-    wanted = [m.strip() for m in cfg.measures.split(",") if m.strip()]
-    unknown = [m for m in wanted if m not in MEASURE_NAMES]
-    if unknown:
-        raise InputDataError(f"unknown measures: {', '.join(unknown)}")
     k = cfg.k if cfg.k is not None else default_k(part)
     walk = RestartWalkConfig(damping=cfg.damping, tolerance=cfg.tolerance,
                              max_iters=cfg.max_iters)
     report = ControversyReport(topic=label, n_vertices=g.n_vertices, n_edges=g.n_edges,
                                config=asdict(cfg))
-    needed = {"force_layout" if m == "ec" else m for m in wanted}
+    needed = {"force_layout" if m == "ec" else m for m in cfg.wanted}
     if cfg.layout_out:
         needed.add("force_layout")
     if cfg.user_scores_out:
@@ -287,17 +290,17 @@ def run_pipeline(cfg: PipelineConfig):
     tasks = {name: (name, g, part, cfg, k, walk) for name in _TASK_ORDER if name in needed}
     with _pool.results(_measure_task, tasks) as result:
         with _stage("measure"):
-            for name in wanted:
+            for name in cfg.wanted:
                 params, value = result("force_layout" if name == "ec" else name)
                 if name == "ec":
                     value = ec(value, part)
                 report.add(name, value, params, seed=cfg.seed)
         if cfg.user_scores_out:
             with _stage("user-scores"):
-                user_rows = result("user_score_table")[1]
-            unreached = [r.user_id for r in user_rows if math.isnan(r.rwc_user)]
+                scores = result("user_score_table")[1]
+            unreached = [u for u, v in zip(g.ids, scores[0].tolist()) if math.isnan(v)]
             if unreached:
-                print(f"warning: the restart walks of {len(unreached)} of {len(user_rows)} "
+                print(f"warning: the restart walks of {len(unreached)} of {g.n_vertices} "
                       f"users reach no high-degree vertex (the first is {unreached[0]!r}); "
                       "their rwc_user is nan", file=sys.stderr)
         if cfg.layout_out:
@@ -313,7 +316,7 @@ def run_pipeline(cfg: PipelineConfig):
         row = report.csv_header() + "\n" + report.to_csv_row() + "\n"
         writers.append((cfg.csv_out, partial(_write_text, text=row)))
     if cfg.user_scores_out:
-        writers.append((cfg.user_scores_out, partial(write_user_scores, user_rows)))
+        writers.append((cfg.user_scores_out, partial(write_user_scores, g, part, scores)))
     if cfg.layout_out:
         writers.append((cfg.layout_out, partial(_write_text, text=coords)))
     return report, writers

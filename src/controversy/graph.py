@@ -168,9 +168,6 @@ class Topic:
                 ordered.append(tag)
         return cls(seed=seed, members=tuple(ordered))
 
-    def __contains__(self, tag):
-        return normalize_tag(tag) in self.members
-
 
 class CSR(NamedTuple):
     """Compressed sparse rows: the neighbours of vertex ``v`` are
@@ -370,7 +367,7 @@ def graph_from_weighted_pairs(pairs, directed):
     same edge set always produces the same graph no matter the input order.
     """
     memo = _Memo(_user_id)
-    pairs = [(_id(a, memo), _id(b, memo), int(w)) for a, b, w in pairs]
+    pairs = [(_id(a, memo), _id(b, memo), w) for a, b, w in pairs]
     pairs = [(a, b, w) for a, b, w in pairs if a != b]
     ids = sorted({a for a, _, _ in pairs} | {b for _, b, _ in pairs})
     index = {u: i for i, u in enumerate(ids)}

@@ -149,8 +149,8 @@ def rwc_rwr(g, p: Partition, k=None, cfg: RestartWalkConfig | None = None) -> fl
 
 def edge_betweenness(g):
     """Exact edge betweenness over ordered vertex pairs (both (s,t) and
-    (t,s) count) on the unweighted undirected view. Returns
-    {(u, v) with u < v: value}, keyed in ``g.edge_array`` order.
+    (t,s) count) on the unweighted undirected view. Returns one value
+    per row of ``g.edge_array``.
 
     Brandes' accumulation in algebraic form, for a block of sources at
     once: a level-synchronous BFS counts shortest paths (sigma) by sparse
@@ -192,7 +192,7 @@ def edge_betweenness(g):
         du, dv = depth[u], depth[v]
         values += np.where(dv == du + 1, sigma[u] * ratio[v], 0.0).sum(axis=1)
         values += np.where(du == dv + 1, sigma[v] * ratio[u], 0.0).sum(axis=1)
-    return dict(zip(map(tuple, edges[:, :2].tolist()), values.tolist()))
+    return values
 
 
 def _scott_bandwidth(values):
@@ -256,8 +256,7 @@ def bcc(g, p: Partition, n_samples=10000, seed=0) -> float:
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    bc = edge_betweenness(g)
-    values = np.fromiter(bc.values(), dtype=float, count=len(bc))
+    values = edge_betweenness(g)
     edges = g.edge_array
     cut = p.sides[edges[:, 0]] != p.sides[edges[:, 1]]
     cut_vals, rest_vals = values[cut], values[~cut]

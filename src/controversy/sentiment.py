@@ -46,11 +46,11 @@ def classify_by_variance(variance) -> str:
 
 
 def read_sentiment(path):
-    """Read a ``post_id,score`` CSV (header row optional)."""
+    """Read a ``post_id,score`` CSV (optional header: the first non-blank line)."""
     records = []
-    for lineno, line in read_lines(path):
+    for i, (lineno, line) in enumerate(read_lines(path)):
         line = line.strip()
-        if lineno == 1 and line.lower().replace(" ", "") == "post_id,score":
+        if i == 0 and line.lower().replace(" ", "") == "post_id,score":
             continue
         parts = line.split(",")
         try:

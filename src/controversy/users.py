@@ -2,32 +2,26 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateStructureError
+from .errors import ConvergenceError
 from .partition import Partition
 from .walks import HighDegreeSets, RestartWalkConfig, expected_hitting_times
 
 
-@dataclass(frozen=True)
-class UserScore:
-    user_id: str
-    side: str
-    rwc_user: float
-    rho: float
+def rwc_user(g, p: Partition, hds: HighDegreeSets, *,
+             cfg: RestartWalkConfig | None = None) -> np.ndarray:
+    """Own-side share of the authority mass of each user's restart walk:
+    one value per vertex in [0, 1], NaN where the walk reaches no authority.
 
-
-def _authority_hits(g, hds: HighDegreeSets, cfg: RestartWalkConfig | None) -> np.ndarray:
-    """Expected visits to X+ (column 0) and Y+ (column 1) per excursion of
-    the restart walk started at each vertex (one row per start vertex).
-
-    An excursion from u follows uniform out-arcs with probability
-    ``damping`` per step and ends at a restart; authorities and vertices
-    without out-arcs always restart. With Q the step matrix with those
-    rows zeroed, the visits are N = (I - d*Q)^-1 and the rows are
-    N @ [1_X+, 1_Y+]. Solved by the fixed-point iteration
+    The walk starts and restarts at the user. An excursion follows uniform
+    out-arcs with probability ``damping`` per step and ends at a restart;
+    authorities (X+ and Y+) and vertices without out-arcs always restart.
+    With Q the step matrix with those rows zeroed, the expected visits to
+    X+ and Y+ per excursion from every start vertex are the rows of
+    H = (I - d*Q)^-1 @ [1_X+, 1_Y+], and the score is H[u, own side] over
+    H[u, X+] + H[u, Y+]. H comes from the fixed-point iteration
     H <- B + d*Q*H. Each step shrinks the max-norm change by a factor of
     at least d, so the remaining error is at most change * d / (1 - d);
     the iteration stops when that bound drops below the configured
@@ -49,39 +43,16 @@ def _authority_hits(g, hds: HighDegreeSets, cfg: RestartWalkConfig | None) -> np
         error_bound = float(np.abs(new - hits).max()) * d / (1.0 - d)
         hits = new
         if error_bound < cfg.tolerance:
-            return hits
-    raise ConvergenceError(
-        f"user restart walks did not converge in {cfg.max_iters} iterations "
-        f"(last error bound {error_bound:.3e})",
-        residual=error_bound,
-    )
-
-
-def _rwc_user_all(g, p: Partition, hds: HighDegreeSets, cfg: RestartWalkConfig | None) -> np.ndarray:
-    """rwc_user of every vertex; NaN where the walk reaches no authority."""
-    hits = _authority_hits(g, hds, cfg)
+            break
+    else:
+        raise ConvergenceError(
+            f"user restart walks did not converge in {cfg.max_iters} iterations "
+            f"(last error bound {error_bound:.3e})",
+            residual=error_bound,
+        )
     own = np.where(p.sides == 0, hits[:, 0], hits[:, 1])
     with np.errstate(invalid="ignore"):
         return own / (hits[:, 0] + hits[:, 1])
-
-
-def rwc_user(g, p: Partition, hds: HighDegreeSets, u, cfg: RestartWalkConfig | None = None) -> float:
-    """Probability mass the user's restart walk puts on their own side's
-    authorities, normalized over both sides.
-
-    The walk starts and restarts at ``u``; top-degree vertices of both
-    sides are dangling and teleport back to ``u`` with probability 1.
-    Returns a value in [0, 1], read from the batched solve for all users.
-    """
-    u = int(u)
-    values = _rwc_user_all(g, p, hds, cfg)
-    if np.isnan(values[u]):
-        count = int(np.isnan(values).sum())
-        raise DegenerateStructureError(
-            f"the restart walk of user {g.ids[u]!r} reaches no high-degree vertex "
-            f"({count} of {g.n_vertices} users)"
-        )
-    return float(values[u])
 
 
 def _strict_rank_fraction(values, rel_tol=1e-9) -> np.ndarray:
@@ -119,7 +90,8 @@ def hitting_score_all(g, p: Partition, hds: HighDegreeSets) -> np.ndarray:
 
 
 def user_score_table(g, p: Partition, hds: HighDegreeSets, cfg: RestartWalkConfig | None = None):
-    """UserScore rows for every vertex (restart-walk score + hitting rank).
+    """``(rwc_user, rho)``: the restart-walk score and the hitting rank of
+    every vertex, as two arrays in vertex order.
 
     A user whose restart walk reaches no authority (on a directed graph,
     an account that is only ever retweeted has no out-arc to leave by)
@@ -127,16 +99,15 @@ def user_score_table(g, p: Partition, hds: HighDegreeSets, cfg: RestartWalkConfi
     times and is always defined.
     """
     rho = hitting_score_all(g, p, hds)
-    values = _rwc_user_all(g, p, hds, cfg)
-    return [
-        UserScore(user_id=g.ids[v], side=p.side_of(v), rwc_user=float(values[v]), rho=float(rho[v]))
-        for v in range(g.n_vertices)
-    ]
+    return rwc_user(g, p, hds, cfg=cfg), rho
 
 
-def write_user_scores(rows, path):
-    """CSV table: user_id,side,rwc_user,rho (ids quoted where needed)."""
+def write_user_scores(g, p: Partition, scores, path):
+    """CSV table: user_id,side,rwc_user,rho (ids quoted where needed), one
+    row per vertex of ``g`` from the ``(rwc_user, rho)`` arrays ``scores``."""
+    rwc, rho = scores
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("user_id", "side", "rwc_user", "rho"))
-        writer.writerows((r.user_id, r.side, repr(r.rwc_user), repr(r.rho)) for r in rows)
+        writer.writerows(zip(g.ids, map("XY".__getitem__, p.sides.tolist()),
+                             map(repr, rwc.tolist()), map(repr, rho.tolist())))

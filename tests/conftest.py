@@ -51,6 +51,14 @@ def complete(n):
     return make_graph(n, clique_edges(range(n)))
 
 
+def keyed_betweenness(g):
+    """``cv.edge_betweenness(g)`` keyed by its ``g.edge_array`` rows
+    {(u, v) with u < v: value}, the form the oracles return."""
+    values = cv.edge_betweenness(g)
+    assert isinstance(values, np.ndarray) and values.shape == (g.n_edges,)
+    return dict(zip(map(tuple, g.edge_array[:, :2].tolist()), values.tolist()))
+
+
 def random_connected_graph(rng, n, extra_edge_prob=0.15):
     """Random spanning tree plus independent extra edges: always connected."""
     edges = set()

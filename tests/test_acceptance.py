@@ -23,7 +23,7 @@ import pytest
 import controversy as cv
 from controversy.synthetic import ground_truth_partition_for
 
-from conftest import ACCEPTANCE_LINES, KARATE_EDGES, KARATE_FACTIONS, barbell, cycle, path, random_connected_graph, random_partition, two_cliques
+from conftest import ACCEPTANCE_LINES, KARATE_EDGES, KARATE_FACTIONS, barbell, cycle, keyed_betweenness, path, random_connected_graph, random_partition, two_cliques
 from oracles import (
     dense_expected_steps,
     dense_harmonic_polarity,
@@ -238,7 +238,7 @@ def test_criterion_5_oracle_equivalence():
     for _ in range(50):
         n = int(rng.integers(4, 31))
         g = random_connected_graph(rng, n, extra_edge_prob=0.12)
-        fast = cv.edge_betweenness(g)
+        fast = keyed_betweenness(g)
         slow = naive_edge_betweenness(g)
         worst_bc = max(
             worst_bc, max(abs(fast[e] - slow[e]) for e in fast) if fast else 0.0
@@ -263,7 +263,7 @@ def test_criterion_5_oracle_equivalence():
         if m_x + m_y > 0:
             expected = (m_x if p.side_of(u) == "X" else m_y) / (m_x + m_y)
             worst_user = max(
-                worst_user, abs(cv.rwc_user(g, p, hds, u, cfg) - expected)
+                worst_user, abs(cv.rwc_user(g, p, hds, cfg=cfg)[u] - expected)
             )
     pi_ok = worst_pi < 1e-8 and worst_user < 1e-8
 

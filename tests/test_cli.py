@@ -611,10 +611,11 @@ class TestGraphCommands:
         g = cv.read_edgelist(edges, directed=True)
         part = cv.import_partition(g, sides)
         hds = cv.top_degree(g, part, cv.default_k(part))
-        for row in cv.user_score_table(g, part, hds):
-            if row.user_id != "carol":
-                assert rows[row.user_id] == {"user_id": row.user_id, "side": row.side,
-                                             "rwc_user": repr(row.rwc_user), "rho": repr(row.rho)}
+        rwc, rho = cv.user_score_table(g, part, hds)
+        for v, uid in enumerate(g.ids):
+            if uid != "carol":
+                assert rows[uid] == {"user_id": uid, "side": part.side_of(v),
+                                     "rwc_user": repr(float(rwc[v])), "rho": repr(float(rho[v]))}
 
 
 class TestOtherCommands:
@@ -814,6 +815,28 @@ class TestOptions:
         # library callers meet the same check
         with pytest.raises(cv.InputDataError, match=f"unknown {field}"):
             cli.PipelineConfig(**{field: "bogus"})
+
+    def test_unknown_measure_exits_before_any_stage(self, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "missing.tsv"
+        assert run("score", "--edgelist", KARATE_EDGES, "--partition-mode", "import",
+                   "--partition-file", missing, "--measures", "gmck,bogus") == 2
+        err = capsys.readouterr().err
+        assert "unknown measures: bogus" in err and "missing.tsv" not in err
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(graph_module, "read_records", unread)
+        records, out = tmp_path / "r.jsonl", tmp_path / "r.json"
+        write_records(records)
+        assert run("score", "--records", records, "--topic-seed", "go", "--measures", "bogus",
+                   "--out", out) == 2
+        assert "unknown measures: bogus" in capsys.readouterr().err
+        assert not out.exists()
+        # library callers meet the same check; user-scores asks for no measure
+        with pytest.raises(cv.InputDataError, match="unknown measures: bogus, x"):
+            cli.PipelineConfig(measures="gmck, bogus,x")
+        assert cli.PipelineConfig(measures="").wanted == []
 
     @pytest.mark.parametrize("command, flag", [
         ("build-graph", "--out"), ("partition", "--out"), ("user-scores", "--out"),

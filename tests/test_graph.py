@@ -218,6 +218,13 @@ class TestConstructorChecks:
         with pytest.raises(cv.InputDataError, match="out of vertex range"):
             cv.ConversationGraph(["a", "b"], [(-1, 0, 1)], directed)
 
+    def test_weighted_pairs_keep_their_weights(self):
+        # the constructor's integer check applies; nothing is truncated first
+        with pytest.raises(cv.InputDataError, match=r"non-integral entry in arc .*1\.5\)"):
+            cv.graph_from_weighted_pairs([("a", "b", 1.5), ("b", "c", 2.9)], False)
+        g = cv.graph_from_weighted_pairs([("a", "b", 2.0)], False)
+        assert g.edge_array.tolist() == [[0, 1, 2]]
+
     @pytest.mark.parametrize("weight", [0, -2])
     def test_non_positive_weight_rejected(self, weight):
         with pytest.raises(cv.InputDataError, match=r"non-positive weight on arc \(0,1\)"):

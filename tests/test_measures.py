@@ -21,6 +21,7 @@ from conftest import (
     KARATE_EDGES,
     barbell,
     complete,
+    keyed_betweenness,
     make_graph,
     path,
     random_connected_graph,
@@ -137,21 +138,21 @@ class TestRwcRwr:
 class TestEdgeBetweenness:
     def test_path_by_hand(self):
         g = path(3)
-        bc = cv.edge_betweenness(g)
-        assert bc[(0, 1)] == pytest.approx(4.0)
-        assert bc[(1, 2)] == pytest.approx(4.0)
+        assert g.edge_array[:, :2].tolist() == [[0, 1], [1, 2]]
+        assert cv.edge_betweenness(g).tolist() == pytest.approx([4.0, 4.0])
 
     def test_complete_graph_uniform(self):
         g = complete(6)
-        values = list(cv.edge_betweenness(g).values())
-        assert max(values) == pytest.approx(min(values))
+        values = cv.edge_betweenness(g)
+        assert values.shape == (15,)
+        assert values.max() == pytest.approx(values.min())
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(12):
             n = int(rng.integers(4, 31))
             g = random_connected_graph(rng, n, extra_edge_prob=0.12)
-            fast = cv.edge_betweenness(g)
+            fast = keyed_betweenness(g)
             slow = naive_edge_betweenness(g)
             assert fast.keys() == slow.keys()
             for e in fast:
@@ -159,7 +160,7 @@ class TestEdgeBetweenness:
 
     @staticmethod
     def assert_matches_networkx(g):
-        fast, ref = cv.edge_betweenness(g), networkx_edge_betweenness(g)
+        fast, ref = keyed_betweenness(g), networkx_edge_betweenness(g)
         assert fast.keys() == ref.keys()
         for e in ref:
             assert fast[e] == pytest.approx(ref[e], rel=1e-12)
@@ -168,7 +169,7 @@ class TestEdgeBetweenness:
         g, _ = cv.planted_two_community(cv.PlantedConfig(300, 0.03, 0.002, seed=3))
         assert g.n_vertices > BETWEENNESS_BLOCK_ELEMENTS // (g.n_vertices + g.n_edges)
         self.assert_matches_networkx(g)
-        fast, loop = cv.edge_betweenness(g), loop_edge_betweenness(g)
+        fast, loop = keyed_betweenness(g), loop_edge_betweenness(g)
         assert list(fast) == list(loop)
         for e in fast:
             assert fast[e] == pytest.approx(loop[e], rel=1e-12)
@@ -180,7 +181,7 @@ class TestEdgeBetweenness:
         assert g.n_vertices > BETWEENNESS_BLOCK_ELEMENTS // (g.n_vertices + g.n_edges)
         self.assert_matches_networkx(g)
         self.assert_matches_networkx(make_graph(7, [(0, 1), (1, 2), (4, 5)]))
-        assert cv.edge_betweenness(make_graph(3, [])) == {}
+        assert cv.edge_betweenness(make_graph(3, [])).shape == (0,)
 
 
 class TestBcc:

@@ -74,6 +74,15 @@ class TestReader:
         f2.write_text("p1,0.5\n")
         assert cv.read_sentiment(f2)[0].post_id == "p1"
 
+    def test_header_after_blank_lines(self, tmp_path):
+        f = tmp_path / "s1.csv"
+        f.write_text("\npost_id,score\np1,1\np2,-1\n")
+        assert [(r.post_id, r.score) for r in cv.read_sentiment(f)] == [("p1", 1.0), ("p2", -1.0)]
+        # only the first non-blank line may be the header
+        f.write_text("p1,1\npost_id,score\n")
+        with pytest.raises(cv.InputDataError, match="s1.csv:2: bad score 'score'"):
+            cv.read_sentiment(f)
+
     def test_bad_score(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("p1,huge\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import controversy as cv
-from controversy.users import _strict_rank_fraction
+from controversy.users import _strict_rank_fraction, write_user_scores
 
 from conftest import barbell, complete, cycle, make_graph, two_cliques
 from oracles import dense_stationary_rwr, power_rwc_user
@@ -15,9 +15,13 @@ class TestRwcUser:
     def test_disconnected_sides_give_one(self):
         g, p = two_cliques(5)
         hds = cv.top_degree(g, p, 1)
-        for u in range(5):
-            assert cv.rwc_user(g, p, hds, u) == 1.0
-        assert [r.rwc_user for r in cv.user_score_table(g, p, hds)] == [1.0] * 10
+        assert cv.rwc_user(g, p, hds).tolist() == [1.0] * 10
+        assert cv.user_score_table(g, p, hds)[0].tolist() == [1.0] * 10
+
+    def test_one_user_call_is_gone(self, karate):
+        g, p = karate
+        with pytest.raises(TypeError):
+            cv.rwc_user(g, p, cv.top_degree(g, p, 1), 4)
 
     def test_mirror_symmetric_vertex_gets_half(self):
         # path 0-1-2-3-4 with the center on side X; the map v -> 4-v swaps
@@ -26,13 +30,14 @@ class TestRwcUser:
         p = cv.Partition(np.array([0, 0, 0, 1, 1], dtype=np.int8))
         hds = cv.top_degree(g, p, 1)
         assert hds.x_plus == (1,) and hds.y_plus == (3,)
-        assert cv.rwc_user(g, p, hds, 2) == pytest.approx(0.5, abs=1e-12)
+        assert cv.rwc_user(g, p, hds)[2] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_dense_solver(self):
         g = make_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
         p = cv.Partition(np.array([0, 0, 0, 1, 1, 1], dtype=np.int8))
         hds = cv.top_degree(g, p, 1)
         cfg = cv.RestartWalkConfig()
+        values = cv.rwc_user(g, p, hds, cfg=cfg)
         for u in range(6):
             pi = cv.stationary_rwr(g, [u], hds.all, cfg)
             oracle = dense_stationary_rwr(g, [u], hds.all, cfg.damping)
@@ -40,9 +45,7 @@ class TestRwcUser:
             m_x = oracle[list(hds.x_plus)].sum()
             m_y = oracle[list(hds.y_plus)].sum()
             own = m_x if p.side_of(u) == "X" else m_y
-            assert cv.rwc_user(g, p, hds, u, cfg) == pytest.approx(
-                own / (m_x + m_y), abs=1e-8
-            )
+            assert values[u] == pytest.approx(own / (m_x + m_y), abs=1e-8)
 
     @pytest.mark.parametrize("graph", ["karate", "planted"])
     def test_matches_power_iteration_oracle(self, graph, karate):
@@ -54,8 +57,8 @@ class TestRwcUser:
             vertices = range(0, g.n_vertices, 10)
         hds = cv.top_degree(g, p, cv.default_k(p))
         cfg = cv.RestartWalkConfig()
-        table = cv.user_score_table(g, p, hds, cfg)
-        worst = max(abs(table[u].rwc_user - power_rwc_user(g, p, hds, u, cfg)) for u in vertices)
+        table, _ = cv.user_score_table(g, p, hds, cfg)
+        worst = max(abs(table[u] - power_rwc_user(g, p, hds, u, cfg)) for u in vertices)
         assert worst < 1e-9
 
     def test_iteration_budget_raises(self, karate):
@@ -73,10 +76,9 @@ class TestRwcUser:
         g, p = karate
         hds = cv.top_degree(g, p, 1)
         hds_swapped = cv.top_degree(g, p.swapped(), 1)
-        for u in (0, 8, 33):
-            value = cv.rwc_user(g, p, hds, u)
-            assert 0.0 <= value <= 1.0
-            assert cv.rwc_user(g, p.swapped(), hds_swapped, u) == value
+        values = cv.rwc_user(g, p, hds)
+        assert ((values >= 0.0) & (values <= 1.0)).all()
+        assert cv.rwc_user(g, p.swapped(), hds_swapped).tolist() == values.tolist()
 
 
 class TestHittingScores:
@@ -138,33 +140,38 @@ class TestUserTable:
     def test_table_and_csv(self, tmp_path, karate):
         g, p = karate
         hds = cv.top_degree(g, p, 1)
-        rows = cv.user_score_table(g, p, hds)
-        assert len(rows) == g.n_vertices
-        assert {r.side for r in rows} == {"X", "Y"}
-        swapped = cv.user_score_table(g, p.swapped(), cv.top_degree(g, p.swapped(), 1))
-        assert [r.rwc_user for r in swapped] == [r.rwc_user for r in rows]
-        assert [r.rho for r in swapped] == [-r.rho for r in rows]
-        assert [r.side for r in swapped] == [{"X": "Y", "Y": "X"}[r.side] for r in rows]
-        out = tmp_path / "users.csv"
-        from controversy.users import write_user_scores
-
-        write_user_scores(rows, out)
+        rwc, rho = cv.user_score_table(g, p, hds)
+        assert rwc.shape == rho.shape == (g.n_vertices,)
+        p_swapped = p.swapped()
+        rwc_swapped, rho_swapped = cv.user_score_table(g, p_swapped, cv.top_degree(g, p_swapped, 1))
+        assert rwc_swapped.tolist() == rwc.tolist()
+        assert rho_swapped.tolist() == (-rho).tolist()
+        out, out_swapped = tmp_path / "users.csv", tmp_path / "swapped.csv"
+        write_user_scores(g, p, (rwc, rho), out)
+        write_user_scores(g, p_swapped, (rwc_swapped, rho_swapped), out_swapped)
         lines = out.read_text().splitlines()
         assert lines[0] == "user_id,side,rwc_user,rho"
-        assert len(lines) == g.n_vertices + 1
+        rows = [line.split(",") for line in lines[1:]]
+        assert rows == [[u, p.side_of(v), repr(float(rwc[v])), repr(float(rho[v]))]
+                        for v, u in enumerate(g.ids)]
+        assert {r[1] for r in rows} == {"X", "Y"}
+        swapped = [line.split(",") for line in out_swapped.read_text().splitlines()[1:]]
+        assert [r[1] for r in swapped] == [{"X": "Y", "Y": "X"}[r[1]] for r in rows]
 
-    def test_isolated_component_without_authorities_errors(self):
+    def test_isolated_component_without_authorities_gives_nan(self, tmp_path):
         g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         p = cv.Partition(np.array([0, 0, 1, 0, 1, 1], dtype=np.int8))
         # authorities both land in the first triangle
         hds = cv.HighDegreeSets(x_plus=(0,), y_plus=(2,))
-        with pytest.raises(cv.DegenerateStructureError, match=r"user '4' .*\(3 of 6 users\)"):
-            cv.rwc_user(g, p, hds, 4)
+        values = cv.rwc_user(g, p, hds)
+        assert np.isnan(values).tolist() == [False] * 3 + [True] * 3
+        assert values[1] == pytest.approx(0.5, abs=1e-12)
         # the table writes NaN for the unreached component and keeps the rest
-        rows = cv.user_score_table(g, p, hds)
-        assert [math.isnan(r.rwc_user) for r in rows] == [False] * 3 + [True] * 3
-        assert [r.user_id for r in rows] == list(g.ids)
-        assert all(not math.isnan(r.rho) for r in rows)
-        for v in range(3):
-            assert rows[v].rwc_user == cv.rwc_user(g, p, hds, v)
-        assert cv.rwc_user(g, p, hds, 1) == pytest.approx(0.5, abs=1e-12)
+        rwc, rho = cv.user_score_table(g, p, hds)
+        np.testing.assert_array_equal(rwc, values)
+        assert not np.isnan(rho).any()
+        out = tmp_path / "users.csv"
+        write_user_scores(g, p, (rwc, rho), out)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == list(g.ids)
+        assert [r[2] == "nan" for r in rows] == [False] * 3 + [True] * 3
