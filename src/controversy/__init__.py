@@ -72,7 +72,6 @@ from .topics import (
 )
 from .users import hitting_score_all, rwc_user, user_score_table
 from .walks import (
-    HighDegreeSets,
     RestartWalkConfig,
     default_k,
     expected_hitting_times,

@@ -47,7 +47,7 @@ from .sentiment import classify_by_variance, read_sentiment, sentiment_variance
 from .synthetic import DEFAULT_P1_GRID, DEFAULT_P2_GRID, rwc_sweep, write_sweep_csv
 from .topics import ExpansionConfig, build_profiles, expand_topic, read_profiles, write_profiles
 from .users import user_score_table, write_user_scores
-from .walks import RestartWalkConfig, default_k, top_degree
+from .walks import RestartWalkConfig, default_k
 
 DEFAULT_SEED = 0
 # the values each choice field of PipelineConfig takes
@@ -99,8 +99,11 @@ class PipelineConfig:
             if getattr(self, name) not in allowed:
                 raise InputDataError(f"unknown {name} {getattr(self, name)!r} "
                                      f"(one of: {', '.join(allowed)})")
-        if unknown := [m for m in self.wanted if m not in MEASURE_NAMES]:
+        wanted = self.wanted
+        if unknown := [m for m in wanted if m not in MEASURE_NAMES]:
             raise InputDataError(f"unknown measures: {', '.join(unknown)}")
+        if repeated := sorted({m for m in wanted if wanted.count(m) > 1}):
+            raise InputDataError(f"duplicate measures: {', '.join(repeated)}")
 
     @property
     def wanted(self):
@@ -256,7 +259,7 @@ def _measure_task(name, g, part, cfg, k, walk):
         params = {"n_samples": cfg.n_samples}
         return params, bcc(g, part, **params, seed=cfg.seed)
     if name == "user_score_table":
-        return {}, user_score_table(g, part, top_degree(g, part, k), walk)
+        return {}, user_score_table(g, part, k, walk)
     if name == "rwc_rwr":
         return {"k": k, **asdict(walk)}, rwc_rwr(g, part, k=k, cfg=walk)
     if name == "gmck":

@@ -20,7 +20,6 @@ from .errors import ConvergenceError, DegenerateStructureError
 from .partition import Partition
 from .walks import (
     RestartWalkConfig,
-    default_k,
     draw_below,
     highest_degree,
     sample_walk,
@@ -58,26 +57,20 @@ def rwc_mc(g, p: Partition, k=None, n_walks=10000, seed=0) -> float:
     """
     if n_walks < 1:
         raise ValueError("n_walks must be >= 1")
-    k = default_k(p) if k is None else k
-    hds = top_degree(g, p, k)
-    terminals = hds.all
-    x_plus = frozenset(hds.x_plus)
-    # sampling is keyed to the side containing vertex 0 so that relabeling
-    # X/Y cannot change which walks get drawn
-    side0_is_x = p.side_of(0) == "X"
-    side0, side1 = (p.x.tolist(), p.y.tolist()) if side0_is_x else (p.y.tolist(), p.x.tolist())
-    counts = [0, 0, 0, 0]  # start on side0 / side1 x end on side0's / side1's terminals
+    x_plus, y_plus = top_degree(g, p, k)
+    terminals = frozenset(x_plus.tolist() + y_plus.tolist())
+    # sampling is keyed to vertex 0's side, so relabeling X/Y draws the same
+    # walks; every authority lies on its own side, so a walk ends on sides[end]
+    sides = p.sides.tolist()
+    pools = [p.x.tolist(), p.y.tolist()]
+    counts = [[0, 0], [0, 0]]  # [start side][end side]
     for i in range(n_walks):
         rng = walk_rng(seed, i)
-        from_side0 = rng.random() < 0.5
-        pool = side0 if from_side0 else side1
+        start = sides[0] if rng.random() < 0.5 else 1 - sides[0]
+        pool = pools[start]
         end = sample_walk(g, pool[draw_below(rng, len(pool))], terminals, rng)
-        end_side0 = (end in x_plus) == side0_is_x
-        counts[(0 if from_side0 else 2) + (0 if end_side0 else 1)] += 1
-    if side0_is_x:
-        c_xx, c_xy, c_yx, c_yy = counts
-    else:
-        c_yy, c_yx, c_xy, c_xx = counts
+        counts[start][sides[end]] += 1
+    (c_xx, c_xy), (c_yx, c_yy) = counts
     end_x = c_xx + c_yx
     end_y = c_yy + c_xy
     if end_x == 0 or end_y == 0:
@@ -106,14 +99,12 @@ def rwr_conditionals(g, p: Partition, k=None, cfg: RestartWalkConfig | None = No
     xx + yx = 1 and xy + yy = 1.
     """
     cfg = cfg or RestartWalkConfig()
-    k = default_k(p) if k is None else k
-    hds = top_degree(g, p, k)
-    dangling = hds.all
+    x_plus, y_plus = top_degree(g, p, k)
+    dangling = np.concatenate((x_plus, y_plus))
     p1 = stationary_rwr(g, p.x, dangling, cfg)
     p2 = stationary_rwr(g, p.y, dangling, cfg)
     w_x = len(p.x) / g.n_vertices
     w_y = len(p.y) / g.n_vertices
-    x_plus, y_plus = list(hds.x_plus), list(hds.y_plus)
     m1x, m2x = float(p1[x_plus].sum()), float(p2[x_plus].sum())
     m1y, m2y = float(p1[y_plus].sum()), float(p2[y_plus].sum())
     den_x = w_x * m1x + w_y * m2x

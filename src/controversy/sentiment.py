@@ -1,6 +1,7 @@
 """Sentiment-variance controversy signal over precomputed per-post scores."""
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,18 +47,18 @@ def classify_by_variance(variance) -> str:
 
 
 def read_sentiment(path):
-    """Read a ``post_id,score`` CSV (optional header: the first non-blank line)."""
+    """Read a ``post_id,score`` CSV, one record a line (optional header: first non-blank line)."""
     records = []
     for i, (lineno, line) in enumerate(read_lines(path)):
         line = line.strip()
         if i == 0 and line.lower().replace(" ", "") == "post_id,score":
             continue
-        parts = line.split(",")
         try:
+            parts = next(csv.reader([line]))  # csv.Error: a NUL byte, before Python 3.11
             if len(parts) != 2:
                 raise InputDataError("expected post_id,score")
             records.append(SentimentRecord(post_id=parts[0].strip(), score=float(parts[1])))
-        except InputDataError as exc:
+        except (InputDataError, csv.Error) as exc:
             raise InputDataError(f"{path}:{lineno}: {exc}") from None
         except ValueError:
             raise InputDataError(f"{path}:{lineno}: bad score {parts[1]!r}") from None

@@ -7,11 +7,10 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .partition import Partition
-from .walks import HighDegreeSets, RestartWalkConfig, expected_hitting_times
+from .walks import RestartWalkConfig, expected_hitting_times, top_degree
 
 
-def rwc_user(g, p: Partition, hds: HighDegreeSets, *,
-             cfg: RestartWalkConfig | None = None) -> np.ndarray:
+def rwc_user(g, p: Partition, k=None, *, cfg: RestartWalkConfig | None = None) -> np.ndarray:
     """Own-side share of the authority mass of each user's restart walk:
     one value per vertex in [0, 1], NaN where the walk reaches no authority.
 
@@ -28,11 +27,11 @@ def rwc_user(g, p: Partition, hds: HighDegreeSets, *,
     tolerance.
     """
     cfg = cfg or RestartWalkConfig()
+    x_plus, y_plus = top_degree(g, p, k)
     targets = np.zeros((g.n_vertices, 2))
-    targets[list(hds.x_plus), 0] = 1.0
-    targets[list(hds.y_plus), 1] = 1.0
-    restart_row = np.diff(g.out_csr.indptr) == 0
-    restart_row[list(hds.all)] = True
+    targets[x_plus, 0] = 1.0
+    targets[y_plus, 1] = 1.0
+    restart_row = targets.any(axis=1) | (np.diff(g.out_csr.indptr) == 0)
     step = g.transition_t.T
     d = cfg.damping
     hits = targets
@@ -77,19 +76,18 @@ def _strict_rank_fraction(values, rel_tol=1e-9) -> np.ndarray:
     return ranks / n
 
 
-def hitting_score_all(g, p: Partition, hds: HighDegreeSets) -> np.ndarray:
+def hitting_score_all(g, p: Partition, k=None) -> np.ndarray:
     """Signed hitting-time score per vertex, in (-1, 1).
 
     rho(u) = rank_X(u) - rank_Y(u), ranking each vertex by the fraction
     of vertices that reach X+ (resp. Y+) strictly faster. Vertices near
     X's authorities and far from Y's score close to +1.
     """
-    l_x = expected_hitting_times(g, hds.x_plus)
-    l_y = expected_hitting_times(g, hds.y_plus)
+    l_x, l_y = (expected_hitting_times(g, authorities) for authorities in top_degree(g, p, k))
     return _strict_rank_fraction(l_x) - _strict_rank_fraction(l_y)
 
 
-def user_score_table(g, p: Partition, hds: HighDegreeSets, cfg: RestartWalkConfig | None = None):
+def user_score_table(g, p: Partition, k=None, cfg: RestartWalkConfig | None = None):
     """``(rwc_user, rho)``: the restart-walk score and the hitting rank of
     every vertex, as two arrays in vertex order.
 
@@ -98,8 +96,8 @@ def user_score_table(g, p: Partition, hds: HighDegreeSets, cfg: RestartWalkConfi
     gets ``rwc_user`` NaN; its ``rho`` comes from the undirected hitting
     times and is always defined.
     """
-    rho = hitting_score_all(g, p, hds)
-    return rwc_user(g, p, hds, cfg=cfg), rho
+    rho = hitting_score_all(g, p, k)
+    return rwc_user(g, p, k, cfg=cfg), rho
 
 
 def write_user_scores(g, p: Partition, scores, path):

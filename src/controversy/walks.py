@@ -37,21 +37,9 @@ class RestartWalkConfig:
             raise ValueError("max_iters must be >= 1")
 
 
-@dataclass(frozen=True)
-class HighDegreeSets:
-    """Top-k degree vertices of each side (the walk terminals)."""
-
-    x_plus: tuple
-    y_plus: tuple
-
-    @property
-    def all(self):
-        return frozenset(self.x_plus) | frozenset(self.y_plus)
-
-
 def default_k(p) -> int:
-    """5% of the smaller side, at least 1 (the same convention the
-    dipole-moment seeds use)."""
+    """5% of the smaller side, at least 1, on both sides (``mblb`` seeds
+    differ: ceil(0.05 * |side|) of each side)."""
     return max(1, math.ceil(0.05 * min(len(p.x), len(p.y))))
 
 
@@ -61,12 +49,13 @@ def highest_degree(g, side, k):
     return side[np.argsort(-g.degrees[side], kind="stable")][:k]
 
 
-def top_degree(g, p, k) -> HighDegreeSets:
-    """Pick the k highest-degree vertices per side, ties to the smaller index."""
+def top_degree(g, p, k=None):
+    """The authorities ``(x_plus, y_plus)``: each side's k (default
+    :func:`default_k`) highest-degree vertices, ties to the smaller index."""
+    k = default_k(p) if k is None else k
     if k < 1:
         raise ValueError("k must be >= 1")
-    x_plus, y_plus = (tuple(highest_degree(g, side, k).tolist()) for side in (p.x, p.y))
-    return HighDegreeSets(x_plus=x_plus, y_plus=y_plus)
+    return highest_degree(g, p.x, k), highest_degree(g, p.y, k)
 
 
 def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None) -> np.ndarray:

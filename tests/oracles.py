@@ -383,11 +383,11 @@ def randrange_walk_outcomes(g, p, k, n_walks, seed):
     side by one ``random()`` (keyed to the side holding vertex 0), a start
     by ``randrange(len(side))``, then one ``randrange(degree)`` per step
     until a top-degree vertex of either side is hit."""
-    from controversy.walks import default_k, top_degree, walk_rng
+    from controversy.walks import top_degree, walk_rng
 
     t = tuple_graph(g)
-    hds = top_degree(g, p, default_k(p) if k is None else k)
-    terminals = set(hds.x_plus) | set(hds.y_plus)
+    x_plus, y_plus = top_degree(g, p, k)
+    terminals = set(x_plus.tolist()) | set(y_plus.tolist())
     side0, side1 = (p.x, p.y) if p.side_of(0) == "X" else (p.y, p.x)
     outcomes = []
     for i in range(n_walks):
@@ -425,15 +425,16 @@ def dense_stationary_rwr(g, restart, dangling, damping):
     return np.linalg.solve(A, b)
 
 
-def power_rwc_user(g, p, hds, u, cfg=None):
+def power_rwc_user(g, p, x_plus, y_plus, u, cfg=None):
     """Restart-walk user score from one stationary power iteration that
-    restarts at ``u``: the own side's share of the authority mass."""
+    restarts at ``u`` with the authorities ``x_plus`` and ``y_plus``
+    dangling: the own side's share of the authority mass."""
     # imported here: the other oracles run on graphs without the library
     from controversy.walks import stationary_rwr
 
-    pi = stationary_rwr(g, [int(u)], hds.all, cfg)
-    m_x = pi[list(hds.x_plus)].sum()
-    m_y = pi[list(hds.y_plus)].sum()
+    pi = stationary_rwr(g, [int(u)], list(x_plus) + list(y_plus), cfg)
+    m_x = pi[list(x_plus)].sum()
+    m_y = pi[list(y_plus)].sum()
     own = m_x if p.side_of(u) == "X" else m_y
     return float(own / (m_x + m_y))
 

@@ -251,19 +251,20 @@ def test_criterion_5_oracle_equivalence():
         n = int(rng.integers(4, 51))
         g = random_connected_graph(rng, n, extra_edge_prob=0.1)
         p = random_partition(rng, n)
-        hds = cv.top_degree(g, p, cv.default_k(p))
+        x_plus, y_plus = cv.top_degree(g, p)
+        authorities = np.concatenate((x_plus, y_plus))
         cfg = cv.RestartWalkConfig()
-        pi = cv.stationary_rwr(g, p.x, hds.all, cfg)
-        oracle = dense_stationary_rwr(g, p.x, hds.all, cfg.damping)
+        pi = cv.stationary_rwr(g, p.x, authorities, cfg)
+        oracle = dense_stationary_rwr(g, p.x, authorities, cfg.damping)
         worst_pi = max(worst_pi, float(np.abs(pi - oracle).sum()))
         u = int(rng.integers(0, n))
-        user_pi = dense_stationary_rwr(g, [u], hds.all, cfg.damping)
-        m_x = user_pi[list(hds.x_plus)].sum()
-        m_y = user_pi[list(hds.y_plus)].sum()
+        user_pi = dense_stationary_rwr(g, [u], authorities, cfg.damping)
+        m_x = user_pi[x_plus].sum()
+        m_y = user_pi[y_plus].sum()
         if m_x + m_y > 0:
             expected = (m_x if p.side_of(u) == "X" else m_y) / (m_x + m_y)
             worst_user = max(
-                worst_user, abs(cv.rwc_user(g, p, hds, cfg=cfg)[u] - expected)
+                worst_user, abs(cv.rwc_user(g, p, cfg=cfg)[u] - expected)
             )
     pi_ok = worst_pi < 1e-8 and worst_user < 1e-8
 
@@ -348,10 +349,8 @@ def test_criterion_7_property_corpus():
         if i < 25 and values != each_measure(g, p, seed=i):
             determinism_ok = False
         if i < 40:
-            hds = cv.top_degree(g, p, cv.default_k(p))
-            hds_swapped = cv.top_degree(g, p.swapped(), cv.default_k(p))
-            rho = cv.hitting_score_all(g, p, hds)
-            if not np.array_equal(rho, -cv.hitting_score_all(g, p.swapped(), hds_swapped)):
+            rho = cv.hitting_score_all(g, p)
+            if not np.array_equal(rho, -cv.hitting_score_all(g, p.swapped())):
                 rho_ok = False
             if not ((rho > -1.0).all() and (rho < 1.0).all()):
                 rho_ok = False

@@ -569,6 +569,21 @@ class TestGraphCommands:
         assert rows[0] == "user_id,side,rwc_user,rho"
         assert len(rows) == 35
 
+    def test_user_scores_k_reaches_the_table(self, tmp_path):
+        g = cv.read_edgelist(KARATE_EDGES, directed=False)
+        part = cv.import_partition(g, KARATE_FACTIONS)
+        tables = {}
+        for k in (1, 3):
+            out = tmp_path / f"u{k}.csv"
+            assert run("user-scores", "--edgelist", KARATE_EDGES, "--partition-mode", "import",
+                       "--partition-file", KARATE_FACTIONS, "--k", k, "--out", out) == 0
+            with out.open(encoding="utf-8", newline="") as fh:
+                tables[k] = [tuple(r) for r in csv.reader(fh)][1:]
+        rwc, rho = cv.user_score_table(g, part, 3)
+        assert tables[3] == [(uid, part.side_of(v), repr(float(rwc[v])), repr(float(rho[v])))
+                             for v, uid in enumerate(g.ids)]
+        assert tables[3] != tables[1]
+
     @pytest.mark.parametrize("option, value, code", [
         pytest.param("max_iters", 1, 3, id="1-3"),
         pytest.param("max_iters", 0, 2, id="0-2"),
@@ -610,8 +625,7 @@ class TestGraphCommands:
         # every other row is the library's table, unchanged
         g = cv.read_edgelist(edges, directed=True)
         part = cv.import_partition(g, sides)
-        hds = cv.top_degree(g, part, cv.default_k(part))
-        rwc, rho = cv.user_score_table(g, part, hds)
+        rwc, rho = cv.user_score_table(g, part)
         for v, uid in enumerate(g.ids):
             if uid != "carol":
                 assert rows[uid] == {"user_id": uid, "side": part.side_of(v),
@@ -837,6 +851,16 @@ class TestOptions:
         with pytest.raises(cv.InputDataError, match="unknown measures: bogus, x"):
             cli.PipelineConfig(measures="gmck, bogus,x")
         assert cli.PipelineConfig(measures="").wanted == []
+
+    def test_repeated_measure_exits_before_any_stage(self, tmp_path, capsys):
+        missing, out = tmp_path / "missing.tsv", tmp_path / "r.json"
+        assert run("score", "--edgelist", missing, "--measures", "gmck,gmck,ec",
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "duplicate measures: gmck" in err and "missing.tsv" not in err
+        assert not out.exists()
+        with pytest.raises(cv.InputDataError, match="duplicate measures: ec, gmck"):
+            cli.PipelineConfig(measures="gmck, ec,gmck,ec,mblb")
 
     @pytest.mark.parametrize("command, flag", [
         ("build-graph", "--out"), ("partition", "--out"), ("user-scores", "--out"),

@@ -72,7 +72,7 @@ class TestRwcMc:
         # how walks are scheduled; spot-check by comparing against a
         # manual shuffled accumulation of the same per-walk streams
         g, p = barbell(4)
-        x_plus = set(cv.top_degree(g, p, 1).x_plus)
+        x_plus = set(cv.top_degree(g, p, 1)[0].tolist())
         outcomes = [(start in p.x, end in x_plus)
                     for start, end in randrange_walk_outcomes(g, p, 1, 300, 17)]
         counts = np.zeros((2, 2), dtype=int)

@@ -131,8 +131,7 @@ class TestVectorisedAgainstLoops:
         rng = np.random.default_rng(8)
         cases = [np.array([]), np.array([np.inf]), np.array([2.0, 2.0 + 1e-12, np.inf, 0.0])]
         for g, p in CORPUS[:40]:
-            hds = cv.top_degree(g, p, cv.default_k(p))
-            cases.append(cv.expected_hitting_times(g, hds.x_plus))
+            cases.append(cv.expected_hitting_times(g, cv.top_degree(g, p)[0]))
         for _ in range(30):
             # chains of near-ties, exact ties and infinities
             vals = np.cumsum(rng.choice([0.0, 5e-10, 1.0], size=int(rng.integers(1, 25))))
@@ -158,30 +157,29 @@ class TestSideSwapSymmetry:
 class TestUserScoreSymmetry:
     def test_rho_antisymmetric_and_in_open_interval(self):
         for i, (g, p) in enumerate(CORPUS[:40]):
-            hds = cv.top_degree(g, p, cv.default_k(p))
-            hds_swapped = cv.top_degree(g, p.swapped(), cv.default_k(p))
-            rho = cv.hitting_score_all(g, p, hds)
-            rho_swapped = cv.hitting_score_all(g, p.swapped(), hds_swapped)
+            rho = cv.hitting_score_all(g, p)
+            rho_swapped = cv.hitting_score_all(g, p.swapped())
             assert np.array_equal(rho, -rho_swapped)
             assert (rho > -1.0).all() and (rho < 1.0).all()
 
     def test_rwc_user_swap_invariant_and_in_range(self):
         for g, p in CORPUS[:25]:
-            hds = cv.top_degree(g, p, cv.default_k(p))
-            hds_swapped = cv.top_degree(g, p.swapped(), cv.default_k(p))
-            values = cv.rwc_user(g, p, hds)
+            values = cv.rwc_user(g, p)
             assert ((values >= 0.0) & (values <= 1.0)).all()
-            assert cv.rwc_user(g, p.swapped(), hds_swapped).tolist() == values.tolist()
-            table, _ = cv.user_score_table(g, p, hds)
-            swapped, _ = cv.user_score_table(g, p.swapped(), hds_swapped)
+            assert cv.rwc_user(g, p.swapped()).tolist() == values.tolist()
+            table, _ = cv.user_score_table(g, p)
+            swapped, _ = cv.user_score_table(g, p.swapped())
             assert swapped.tolist() == table.tolist() == values.tolist()
 
 
-def dense_rwc_user(g, p, hds, u):
+def dense_rwc_user(g, p, u):
     """Own-side share of the authority mass of one dense stationary solve
-    restarting at u, and the total authority mass."""
-    pi = dense_stationary_rwr(g, [u], hds.all, cv.RestartWalkConfig().damping)
-    m_x, m_y = pi[list(hds.x_plus)].sum(), pi[list(hds.y_plus)].sum()
+    restarting at u (default-k authorities dangling), and the total
+    authority mass."""
+    x_plus, y_plus = cv.top_degree(g, p)
+    pi = dense_stationary_rwr(g, [u], np.concatenate((x_plus, y_plus)),
+                              cv.RestartWalkConfig().damping)
+    m_x, m_y = pi[x_plus].sum(), pi[y_plus].sum()
     total = m_x + m_y
     return ((m_x if p.sides[u] == 0 else m_y) / total if total > 0 else None), total
 
@@ -189,10 +187,9 @@ def dense_rwc_user(g, p, hds, u):
 class TestUserScoresAgainstDenseOracle:
     def test_every_vertex_of_the_corpus(self):
         for g, p in CORPUS:
-            hds = cv.top_degree(g, p, cv.default_k(p))
-            table, _ = cv.user_score_table(g, p, hds)
+            table, _ = cv.user_score_table(g, p)
             for u, value in enumerate(table):
-                expected, _ = dense_rwc_user(g, p, hds, u)
+                expected, _ = dense_rwc_user(g, p, u)
                 assert abs(value - expected) < 1e-8
 
     def test_directed_graphs_with_sinks(self):
@@ -202,10 +199,9 @@ class TestUserScoresAgainstDenseOracle:
             if g.n_vertices < 2:
                 continue
             p = cv.Partition(np.resize([0, 1], g.n_vertices)[rng.permutation(g.n_vertices)])
-            hds = cv.top_degree(g, p, cv.default_k(p))
-            values = cv.rwc_user(g, p, hds)
+            values = cv.rwc_user(g, p)
             for u in range(g.n_vertices):
-                expected, total = dense_rwc_user(g, p, hds, u)
+                expected, total = dense_rwc_user(g, p, u)
                 if total < 1e-12:
                     assert np.isnan(values[u])
                     unreached += 1
@@ -248,9 +244,9 @@ class TestDeterminism:
         # per-walk streams are a pure function of (seed, walk index), so
         # an interleaved/chunked execution reproduces the same counts
         g, p = CORPUS[0]
-        hds = cv.top_degree(g, p, cv.default_k(p))
-        terms = hds.all
-        x_plus = set(hds.x_plus)
+        x_plus, y_plus = cv.top_degree(g, p)
+        terms = set(x_plus.tolist() + y_plus.tolist())
+        x_plus = set(x_plus.tolist())
 
         def outcome(i):
             rng = cv.walk_rng(77, i)
@@ -267,6 +263,6 @@ class TestDeterminism:
 
     def test_stationary_distribution_deterministic(self):
         g, p = CORPUS[1]
-        a = cv.stationary_rwr(g, p.x, cv.top_degree(g, p, 1).all)
-        b = cv.stationary_rwr(g, p.x, cv.top_degree(g, p, 1).all)
+        a = cv.stationary_rwr(g, p.x, np.concatenate(cv.top_degree(g, p, 1)))
+        b = cv.stationary_rwr(g, p.x, np.concatenate(cv.top_degree(g, p, 1)))
         assert (a == b).all()

@@ -74,6 +74,16 @@ class TestReader:
         f2.write_text("p1,0.5\n")
         assert cv.read_sentiment(f2)[0].post_id == "p1"
 
+    def test_quoted_fields(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_text('post_id,score\n"a,b",1\np2,-1\n"p""3",2\n')
+        assert [(r.post_id, r.score) for r in cv.read_sentiment(f)] == [
+            ("a,b", 1.0), ("p2", -1.0), ('p"3', 2.0)]
+        # a field is one line's: an open quote does not join the next line
+        f.write_text('"a\nb",1\n')
+        with pytest.raises(cv.InputDataError, match="s.csv:1: expected post_id,score"):
+            cv.read_sentiment(f)
+
     def test_header_after_blank_lines(self, tmp_path):
         f = tmp_path / "s1.csv"
         f.write_text("\npost_id,score\np1,1\np2,-1\n")

@@ -14,36 +14,39 @@ from oracles import dense_stationary_rwr, power_rwc_user
 class TestRwcUser:
     def test_disconnected_sides_give_one(self):
         g, p = two_cliques(5)
-        hds = cv.top_degree(g, p, 1)
-        assert cv.rwc_user(g, p, hds).tolist() == [1.0] * 10
-        assert cv.user_score_table(g, p, hds)[0].tolist() == [1.0] * 10
+        assert cv.rwc_user(g, p, 1).tolist() == [1.0] * 10
+        assert cv.user_score_table(g, p, 1)[0].tolist() == [1.0] * 10
 
     def test_one_user_call_is_gone(self, karate):
         g, p = karate
         with pytest.raises(TypeError):
-            cv.rwc_user(g, p, cv.top_degree(g, p, 1), 4)
+            cv.rwc_user(g, p, 1, 4)
+        # so is an authority pair passed where k belongs
+        with pytest.raises(TypeError):
+            cv.user_score_table(g, p, cv.top_degree(g, p, 1))
 
     def test_mirror_symmetric_vertex_gets_half(self):
         # path 0-1-2-3-4 with the center on side X; the map v -> 4-v swaps
         # the two authorities and fixes the center
         g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         p = cv.Partition(np.array([0, 0, 0, 1, 1], dtype=np.int8))
-        hds = cv.top_degree(g, p, 1)
-        assert hds.x_plus == (1,) and hds.y_plus == (3,)
-        assert cv.rwc_user(g, p, hds)[2] == pytest.approx(0.5, abs=1e-12)
+        x_plus, y_plus = cv.top_degree(g, p, 1)
+        assert x_plus.tolist() == [1] and y_plus.tolist() == [3]
+        assert cv.rwc_user(g, p, 1)[2] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_dense_solver(self):
         g = make_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
         p = cv.Partition(np.array([0, 0, 0, 1, 1, 1], dtype=np.int8))
-        hds = cv.top_degree(g, p, 1)
+        x_plus, y_plus = cv.top_degree(g, p, 1)
+        authorities = np.concatenate((x_plus, y_plus))
         cfg = cv.RestartWalkConfig()
-        values = cv.rwc_user(g, p, hds, cfg=cfg)
+        values = cv.rwc_user(g, p, 1, cfg=cfg)
         for u in range(6):
-            pi = cv.stationary_rwr(g, [u], hds.all, cfg)
-            oracle = dense_stationary_rwr(g, [u], hds.all, cfg.damping)
+            pi = cv.stationary_rwr(g, [u], authorities, cfg)
+            oracle = dense_stationary_rwr(g, [u], authorities, cfg.damping)
             assert np.abs(pi - oracle).sum() < 1e-8
-            m_x = oracle[list(hds.x_plus)].sum()
-            m_y = oracle[list(hds.y_plus)].sum()
+            m_x = oracle[x_plus].sum()
+            m_y = oracle[y_plus].sum()
             own = m_x if p.side_of(u) == "X" else m_y
             assert values[u] == pytest.approx(own / (m_x + m_y), abs=1e-8)
 
@@ -55,17 +58,16 @@ class TestRwcUser:
         else:
             g, p = cv.planted_two_community(cv.PlantedConfig(1000, 0.02, 0.001, seed=1))
             vertices = range(0, g.n_vertices, 10)
-        hds = cv.top_degree(g, p, cv.default_k(p))
+        x_plus, y_plus = cv.top_degree(g, p)
         cfg = cv.RestartWalkConfig()
-        table, _ = cv.user_score_table(g, p, hds, cfg)
-        worst = max(abs(table[u] - power_rwc_user(g, p, hds, u, cfg)) for u in vertices)
+        table, _ = cv.user_score_table(g, p, cfg=cfg)
+        worst = max(abs(table[u] - power_rwc_user(g, p, x_plus, y_plus, u, cfg)) for u in vertices)
         assert worst < 1e-9
 
     def test_iteration_budget_raises(self, karate):
         g, p = karate
-        hds = cv.top_degree(g, p, 1)
         with pytest.raises(cv.ConvergenceError, match="1 iterations"):
-            cv.user_score_table(g, p, hds, cv.RestartWalkConfig(max_iters=1))
+            cv.user_score_table(g, p, 1, cv.RestartWalkConfig(max_iters=1))
         with pytest.raises(ValueError, match="max_iters"):
             cv.RestartWalkConfig(max_iters=0)
         for tolerance in (0.0, -1.0, math.nan):
@@ -74,31 +76,28 @@ class TestRwcUser:
 
     def test_range_and_side_swap_invariance(self, karate):
         g, p = karate
-        hds = cv.top_degree(g, p, 1)
-        hds_swapped = cv.top_degree(g, p.swapped(), 1)
-        values = cv.rwc_user(g, p, hds)
+        values = cv.rwc_user(g, p, 1)
         assert ((values >= 0.0) & (values <= 1.0)).all()
-        assert cv.rwc_user(g, p.swapped(), hds_swapped).tolist() == values.tolist()
+        assert cv.rwc_user(g, p.swapped(), 1).tolist() == values.tolist()
 
 
 class TestHittingScores:
     def test_antisymmetric_under_side_swap(self, karate):
         g, p = karate
-        hds = cv.top_degree(g, p, 1)
-        swapped = cv.top_degree(g, p.swapped(), 1)
-        rho = cv.hitting_score_all(g, p, hds)
-        rho_swapped = cv.hitting_score_all(g, p.swapped(), swapped)
+        rho = cv.hitting_score_all(g, p, 1)
+        rho_swapped = cv.hitting_score_all(g, p.swapped(), 1)
         assert np.allclose(rho, -rho_swapped, atol=0)
 
     def test_mirror_pairs_on_even_cycle(self):
-        # C6 split into two arcs; the reflection v -> 5-v exchanges the
-        # sides and their authorities, so mirrored vertices negate
+        # C6 split into two arcs; k = 1 picks authorities 0 and 3, and the
+        # rotation v -> v+3 exchanges the sides and their authorities, so
+        # rotated vertices negate
         g = cycle(6)
         p = cv.Partition(np.array([0, 0, 0, 1, 1, 1], dtype=np.int8))
-        hds = cv.HighDegreeSets(x_plus=(1,), y_plus=(4,))
-        rho = cv.hitting_score_all(g, p, hds)
+        assert [a.tolist() for a in cv.top_degree(g, p, 1)] == [[0], [3]]
+        rho = cv.hitting_score_all(g, p, 1)
         for v in range(6):
-            assert rho[v] == pytest.approx(-rho[5 - v], abs=1e-12)
+            assert rho[v] == pytest.approx(-rho[(v + 3) % 6], abs=1e-12)
 
     def test_rank_fraction_strictness_with_ties_and_inf(self):
         vals = np.array([0.0, 1.0, 1.0, np.inf, np.inf])
@@ -110,16 +109,15 @@ class TestHittingScores:
         # l_own = 0 and l_other = 5/3 uniformly, hence rho = -/+ 0.5
         g = complete(6)
         p = cv.Partition(np.array([0, 0, 0, 1, 1, 1], dtype=np.int8))
-        hds = cv.top_degree(g, p, 3)
-        l_x = cv.expected_hitting_times(g, hds.x_plus)
+        l_x = cv.expected_hitting_times(g, cv.top_degree(g, p, 3)[0])
         assert l_x[list(p.y)] == pytest.approx([5 / 3] * 3, abs=1e-10)
-        rho = cv.hitting_score_all(g, p, hds)
+        rho = cv.hitting_score_all(g, p, 3)
         assert rho[list(p.x)] == pytest.approx([-0.5] * 3)
         assert rho[list(p.y)] == pytest.approx([0.5] * 3)
 
     def test_rho_open_interval(self, karate):
         g, p = karate
-        rho = cv.hitting_score_all(g, p, cv.top_degree(g, p, 2))
+        rho = cv.hitting_score_all(g, p, 2)
         assert (rho > -1.0).all() and (rho < 1.0).all()
 
     def test_barbell_authorities_rank_extreme(self):
@@ -127,11 +125,11 @@ class TestHittingScores:
         # vertex with hitting time 0 to its own side, so its own-side rank
         # bottoms out and the pair sits at the signed extremes
         g, p = barbell(5)
-        hds = cv.top_degree(g, p, 1)
-        assert hds.x_plus == (4,) and hds.y_plus == (5,)
-        l_x = cv.expected_hitting_times(g, hds.x_plus)
+        x_plus, y_plus = cv.top_degree(g, p, 1)
+        assert x_plus.tolist() == [4] and y_plus.tolist() == [5]
+        l_x = cv.expected_hitting_times(g, x_plus)
         assert l_x[4] == 0.0 and (l_x[np.arange(10) != 4] > 0).all()
-        rho = cv.hitting_score_all(g, p, hds)
+        rho = cv.hitting_score_all(g, p, 1)
         assert rho[4] == rho.min() and rho[5] == rho.max()
         assert rho[4] == pytest.approx(-rho[5], abs=1e-12)
 
@@ -139,11 +137,10 @@ class TestHittingScores:
 class TestUserTable:
     def test_table_and_csv(self, tmp_path, karate):
         g, p = karate
-        hds = cv.top_degree(g, p, 1)
-        rwc, rho = cv.user_score_table(g, p, hds)
+        rwc, rho = cv.user_score_table(g, p, 1)
         assert rwc.shape == rho.shape == (g.n_vertices,)
         p_swapped = p.swapped()
-        rwc_swapped, rho_swapped = cv.user_score_table(g, p_swapped, cv.top_degree(g, p_swapped, 1))
+        rwc_swapped, rho_swapped = cv.user_score_table(g, p_swapped, 1)
         assert rwc_swapped.tolist() == rwc.tolist()
         assert rho_swapped.tolist() == (-rho).tolist()
         out, out_swapped = tmp_path / "users.csv", tmp_path / "swapped.csv"
@@ -161,13 +158,13 @@ class TestUserTable:
     def test_isolated_component_without_authorities_gives_nan(self, tmp_path):
         g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         p = cv.Partition(np.array([0, 0, 1, 0, 1, 1], dtype=np.int8))
-        # authorities both land in the first triangle
-        hds = cv.HighDegreeSets(x_plus=(0,), y_plus=(2,))
-        values = cv.rwc_user(g, p, hds)
+        # k = 1 puts both authorities in the first triangle
+        assert [a.tolist() for a in cv.top_degree(g, p, 1)] == [[0], [2]]
+        values = cv.rwc_user(g, p, 1)
         assert np.isnan(values).tolist() == [False] * 3 + [True] * 3
         assert values[1] == pytest.approx(0.5, abs=1e-12)
         # the table writes NaN for the unreached component and keeps the rest
-        rwc, rho = cv.user_score_table(g, p, hds)
+        rwc, rho = cv.user_score_table(g, p, 1)
         np.testing.assert_array_equal(rwc, values)
         assert not np.isnan(rho).any()
         out = tmp_path / "users.csv"

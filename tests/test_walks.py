@@ -14,25 +14,33 @@ from oracles import absorbing_absorption_probabilities, dense_expected_steps, de
 class TestTopDegree:
     def test_barbell_bridge_endpoints(self):
         g, p = barbell(5)
-        hds = cv.top_degree(g, p, 1)
-        assert hds.x_plus == (4,) and hds.y_plus == (5,)
+        x_plus, y_plus = cv.top_degree(g, p, 1)
+        assert x_plus.tolist() == [4] and y_plus.tolist() == [5]
 
     def test_star_hub(self):
         g = make_graph(5, [(0, i) for i in range(1, 5)])
         p = cv.Partition(np.array([0, 0, 1, 1, 1], dtype=np.int8))
-        assert cv.top_degree(g, p, 1).x_plus == (0,)
+        assert cv.top_degree(g, p, 1)[0].tolist() == [0]
 
     def test_k_clamps_to_side_size(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
         p = cv.Partition(np.array([0, 0, 1, 1], dtype=np.int8))
-        hds = cv.top_degree(g, p, 5)
-        assert set(hds.x_plus) == {0, 1} and set(hds.y_plus) == {2, 3}
+        x_plus, y_plus = cv.top_degree(g, p, 5)
+        assert x_plus.tolist() == [1, 0] and y_plus.tolist() == [2, 3]
 
     def test_tie_break_by_index(self):
         g = cycle(6)
         p = cv.Partition(np.array([0, 0, 0, 1, 1, 1], dtype=np.int8))
-        hds = cv.top_degree(g, p, 2)
-        assert hds.x_plus == (0, 1) and hds.y_plus == (3, 4)
+        x_plus, y_plus = cv.top_degree(g, p, 2)
+        assert x_plus.tolist() == [0, 1] and y_plus.tolist() == [3, 4]
+
+    def test_k_defaults_to_default_k_and_must_be_positive(self):
+        g = cycle(100)
+        p = cv.Partition(np.array([0] * 30 + [1] * 70, dtype=np.int8))
+        x_plus, y_plus = cv.top_degree(g, p)  # default_k(p) == 2
+        assert x_plus.tolist() == [0, 1] and y_plus.tolist() == [30, 31]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            cv.top_degree(g, p, 0)
 
     def test_default_k_is_five_percent_of_smaller_side(self):
         p = cv.Partition(np.array([0] * 30 + [1] * 70, dtype=np.int8))
@@ -58,7 +66,7 @@ class TestStationaryRWR:
         for trial in range(10):
             g = random_connected_graph(rng, int(rng.integers(3, 30)))
             p = random_partition(rng, g.n_vertices)
-            pi = cv.stationary_rwr(g, p.x, cv.top_degree(g, p, 1).all)
+            pi = cv.stationary_rwr(g, p.x, np.concatenate(cv.top_degree(g, p, 1)))
             assert float(pi.sum()) == pytest.approx(1.0, abs=1e-9)
             assert (pi >= -1e-15).all()
 
@@ -68,10 +76,10 @@ class TestStationaryRWR:
             n = int(rng.integers(3, 51))
             g = random_connected_graph(rng, n, extra_edge_prob=0.1)
             p = random_partition(rng, n)
-            hds = cv.top_degree(g, p, int(rng.integers(1, 3)))
+            authorities = np.concatenate(cv.top_degree(g, p, int(rng.integers(1, 3))))
             cfg = cv.RestartWalkConfig(damping=float(rng.uniform(0.3, 0.95)))
-            pi = cv.stationary_rwr(g, p.x, hds.all, cfg)
-            oracle = dense_stationary_rwr(g, p.x, hds.all, cfg.damping)
+            pi = cv.stationary_rwr(g, p.x, authorities, cfg)
+            oracle = dense_stationary_rwr(g, p.x, authorities, cfg.damping)
             assert np.abs(pi - oracle).sum() < 1e-8
 
     def test_directed_sink_restarts(self):
@@ -119,7 +127,7 @@ class TestSampleWalk:
 
     def test_reproducible_for_fixed_stream(self):
         g, p = barbell(5)
-        terms = cv.top_degree(g, p, 1).all
+        terms = set(np.concatenate(cv.top_degree(g, p, 1)).tolist())
         first = [cv.sample_walk(g, 0, terms, walk_rng(9, i)) for i in range(50)]
         second = [cv.sample_walk(g, 0, terms, walk_rng(9, i)) for i in range(50)]
         assert first == second
