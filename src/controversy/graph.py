@@ -180,22 +180,11 @@ class CSR(NamedTuple):
 
     @classmethod
     def from_arcs(cls, n, src, dst, w):
-        """Sort the arcs by (src, dst) and sum the weights of parallel arcs.
-
-        One sort on the key src * n + dst gives the (src, dst) order; the
-        order among parallel arcs is arbitrary, which the integer weight
-        sums do not see."""
-        key = src * n + dst
-        order = np.argsort(key)
-        key, w = key[order], w[order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(first)
-        kept = order[starts]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src[kept], minlength=n), out=indptr[1:])
-        weights = np.add.reduceat(w, starts) if len(starts) else w
-        return cls(*map(_frozen, (indptr, dst[kept], weights)))
+        """Sort the arcs by (src, dst) and sum the weights of parallel arcs,
+        through scipy's COO -> CSR conversion (the integer weight sums do
+        not see the order among parallel arcs)."""
+        m = sp.coo_matrix((w, (src, dst)), shape=(n, n)).tocsr()
+        return cls(*map(_frozen, (m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data)))
 
     @property
     def rows(self):

@@ -58,7 +58,15 @@ def rwc_mc(g, p: Partition, k=None, n_walks=10000, seed=0) -> float:
     if n_walks < 1:
         raise ValueError("n_walks must be >= 1")
     x_plus, y_plus = top_degree(g, p, k)
-    terminals = frozenset(x_plus.tolist() + y_plus.tolist())
+    authorities = np.concatenate((x_plus, y_plus))
+    labels = g.component_labels
+    stranded = np.flatnonzero(~np.isin(labels, labels[authorities]))
+    if len(stranded):
+        raise DegenerateStructureError(
+            f"{len(stranded)} vertices lie in components without an authority "
+            f"(first: {g.ids[stranded[0]]!r}); no walk from them can end"
+        )
+    terminals = frozenset(authorities.tolist())
     # sampling is keyed to vertex 0's side, so relabeling X/Y draws the same
     # walks; every authority lies on its own side, so a walk ends on sides[end]
     sides = p.sides.tolist()
@@ -70,19 +78,22 @@ def rwc_mc(g, p: Partition, k=None, n_walks=10000, seed=0) -> float:
         pool = pools[start]
         end = sample_walk(g, pool[draw_below(rng, len(pool))], terminals, rng)
         counts[start][sides[end]] += 1
-    (c_xx, c_xy), (c_yx, c_yy) = counts
-    end_x = c_xx + c_yx
-    end_y = c_yy + c_xy
-    if end_x == 0 or end_y == 0:
-        raise DegenerateStructureError(
-            "insufficient terminations: no walk ended on one side; "
-            "try increasing n_walks"
-        )
-    p_xx = c_xx / end_x
-    p_yx = c_yx / end_x
-    p_xy = c_xy / end_y
-    p_yy = c_yy / end_y
-    return float(p_xx * p_yy - p_yx * p_xy)
+    return _rwc(_conditionals(np.array(counts, dtype=float), "insufficient terminations: "
+                              "no walk ended on one side; try increasing n_walks"))
+
+
+def _conditionals(table, degenerate):
+    """Pr[start side | end side] from a 2 x 2 table indexed [start side][end
+    side] (X = 0, Y = 1); an end side with no weight raises ``degenerate``."""
+    ends = table.sum(axis=0)
+    if (ends <= 0.0).any():
+        raise DegenerateStructureError(degenerate)
+    return table / ends
+
+
+def _rwc(c):
+    """P_XX * P_YY - P_XY * P_YX of a :func:`_conditionals` table."""
+    return float(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -91,34 +102,22 @@ def rwc_mc(g, p: Partition, k=None, n_walks=10000, seed=0) -> float:
 
 
 def rwr_conditionals(g, p: Partition, k=None, cfg: RestartWalkConfig | None = None):
-    """The four start-side probabilities conditioned on where the restart
-    walk sits at steady state (own/other side's top-degree vertices).
+    """The start-side probabilities conditioned on where the restart walk
+    sits at steady state (either side's top-degree vertices).
 
-    Returns a dict with keys "xx", "xy", "yx", "yy" where e.g. "xy" is
-    Pr[start = X | end = Y+]. Complements hold by construction:
-    xx + yx = 1 and xy + yy = 1.
+    Returns a 2 x 2 array ``c`` indexed [start side][end side] (X = 0,
+    Y = 1), where e.g. ``c[0, 1]`` is Pr[start = X | end = Y+]. Each
+    column sums to 1 by construction.
     """
     cfg = cfg or RestartWalkConfig()
     x_plus, y_plus = top_degree(g, p, k)
     dangling = np.concatenate((x_plus, y_plus))
-    p1 = stationary_rwr(g, p.x, dangling, cfg)
-    p2 = stationary_rwr(g, p.y, dangling, cfg)
-    w_x = len(p.x) / g.n_vertices
-    w_y = len(p.y) / g.n_vertices
-    m1x, m2x = float(p1[x_plus].sum()), float(p2[x_plus].sum())
-    m1y, m2y = float(p1[y_plus].sum()), float(p2[y_plus].sum())
-    den_x = w_x * m1x + w_y * m2x
-    den_y = w_x * m1y + w_y * m2y
-    if den_x <= 0.0 or den_y <= 0.0:
-        raise DegenerateStructureError(
-            "no stationary mass on a high-degree set; cannot condition"
-        )
-    return {
-        "xx": w_x * m1x / den_x,
-        "yx": w_y * m2x / den_x,
-        "xy": w_x * m1y / den_y,
-        "yy": w_y * m2y / den_y,
-    }
+    table = np.empty((2, 2))
+    for start, side in enumerate((p.x, p.y)):
+        pi = stationary_rwr(g, side, dangling, cfg)
+        w = len(side) / g.n_vertices
+        table[start] = w * pi[x_plus].sum(), w * pi[y_plus].sum()
+    return _conditionals(table, "no stationary mass on a high-degree set; cannot condition")
 
 
 def rwc_rwr(g, p: Partition, k=None, cfg: RestartWalkConfig | None = None) -> float:
@@ -129,8 +128,7 @@ def rwc_rwr(g, p: Partition, k=None, cfg: RestartWalkConfig | None = None) -> fl
     conditional probabilities into P_xx*P_yy - P_xy*P_yx. Well-defined on
     disconnected graphs (two cross-free sides score exactly 1).
     """
-    c = rwr_conditionals(g, p, k, cfg)
-    return float(c["xx"] * c["yy"] - c["xy"] * c["yx"])
+    return _rwc(rwr_conditionals(g, p, k, cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,4 @@ def write_sweep_csv(rows, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("p1,p2,mean_rwc,std_rwc,runs\n")
         for r in rows:
-            mean = "nan" if math.isnan(r.mean_rwc) else repr(r.mean_rwc)
-            std = "nan" if math.isnan(r.std_rwc) else repr(r.std_rwc)
-            fh.write(f"{r.p1!r},{r.p2!r},{mean},{std},{r.runs}\n")
+            fh.write(f"{r.p1!r},{r.p2!r},{r.mean_rwc!r},{r.std_rwc!r},{r.runs}\n")

@@ -81,7 +81,8 @@ def hitting_score_all(g, p: Partition, k=None) -> np.ndarray:
 
     rho(u) = rank_X(u) - rank_Y(u), ranking each vertex by the fraction
     of vertices that reach X+ (resp. Y+) strictly faster. Vertices near
-    X's authorities and far from Y's score close to +1.
+    X's authorities and far from Y's score close to -1, and the mirror
+    ones close to +1.
     """
     l_x, l_y = (expected_hitting_times(g, authorities) for authorities in top_degree(g, p, k))
     return _strict_rank_fraction(l_x) - _strict_rank_fraction(l_y)

@@ -213,7 +213,7 @@ def test_criterion_4_closed_form_anchors():
     ] + [(g, p) for g, p in CORPUS[:20]]
     for g, p in graphs:
         c = cv.rwr_conditionals(g, p)
-        if abs(c["xx"] + c["yx"] - 1.0) > 1e-9 or abs(c["xy"] + c["yy"] - 1.0) > 1e-9:
+        if abs(c[0, 0] + c[1, 0] - 1.0) > 1e-9 or abs(c[0, 1] + c[1, 1] - 1.0) > 1e-9:
             complement_ok = False
     ok = gmck_ok and rwr_ok and mblb_ok and complement_ok
     record(

@@ -286,6 +286,21 @@ class TestScore:
         assert code == 4
         assert "degenerate" in capsys.readouterr().err
 
+    def test_authority_free_component_exits_4(self, tmp_path, capsys):
+        # k = 1 puts both authorities in the first triangle
+        edges = tmp_path / "e.tsv"
+        edges.write_text("a\tb\nb\tc\na\tc\nd\te\ne\tf\nd\tf\nx\ty\n")
+        part = tmp_path / "p.tsv"
+        part.write_text("a\t0\nb\t1\nc\t0\nd\t0\ne\t1\nf\t1\nx\t0\ny\t1\n")
+        code = run(
+            "score", "--edgelist", edges, "--no-largest-component",
+            "--partition-mode", "import", "--partition-file", part,
+            "--measures", "rwc_mc", "--n-walks", 100, "--out", tmp_path / "r.json",
+        )
+        assert code == 4
+        assert "without an authority" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_both_sources_rejected(self, tmp_path, capsys):
         records = tmp_path / "r.jsonl"
         write_records(records)

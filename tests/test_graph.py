@@ -1,6 +1,7 @@
 """Graph construction, normalization, and file formats."""
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,17 @@ class TestGraphStructure:
         assert len(csr.indices) < len(src)
         for got, want in zip(csr, lexsort_csr_arrays(30, src, dst, w)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_constructor_memory_per_edge(self):
+        g = cv.planted_two_community(cv.PlantedConfig(4000, 0.01, 0.001, seed=1))[0]
+        arcs = np.array(g.edge_array)
+        tracemalloc.start()
+        try:
+            cv.ConversationGraph(g.ids, arcs, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * len(arcs)
 
 
 class TestConstructorChecks:

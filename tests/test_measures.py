@@ -61,6 +61,21 @@ class TestRwcMc:
         with pytest.raises(cv.DegenerateStructureError, match="insufficient"):
             cv.rwc_mc(g, p, k=1, n_walks=1, seed=0)
 
+    def test_authority_free_component_fails_before_walking(self, monkeypatch):
+        # two triangles plus an edge x-y; k = 1 puts both authorities in
+        # the first triangle, so no walk from d, e, f, x or y can end
+        ids = ["a", "b", "c", "d", "e", "f", "x", "y"]
+        arcs = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1), (6, 7, 1)]
+        g = cv.ConversationGraph(ids, arcs, False)
+        p = cv.Partition([0, 1, 0, 0, 1, 1, 0, 1])
+
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(measures_module, "sample_walk", no_walk)
+        with pytest.raises(cv.DegenerateStructureError, match=r"5 vertices .* \(first: 'd'\)"):
+            cv.rwc_mc(g, p, k=1, n_walks=100)
+
     def test_deterministic_given_seed(self):
         g, p = barbell(4)
         a = cv.rwc_mc(g, p, k=1, n_walks=500, seed=11)
@@ -109,8 +124,8 @@ class TestRwcRwr:
     def test_complement_identities(self, karate):
         g, p = karate
         c = cv.rwr_conditionals(g, p, k=1)
-        assert c["xx"] + c["yx"] == pytest.approx(1.0, abs=1e-9)
-        assert c["xy"] + c["yy"] == pytest.approx(1.0, abs=1e-9)
+        assert c[0, 0] + c[1, 0] == pytest.approx(1.0, abs=1e-9)
+        assert c[0, 1] + c[1, 1] == pytest.approx(1.0, abs=1e-9)
 
     def test_disconnected_sides_score_exactly_one(self):
         g, p = two_cliques(10)

@@ -229,8 +229,8 @@ class TestComplementIdentities:
     def test_conditionals_complement_to_one(self):
         for g, p in CORPUS[:50]:
             c = cv.rwr_conditionals(g, p, k=cv.default_k(p))
-            assert abs(c["xx"] + c["yx"] - 1.0) < 1e-9
-            assert abs(c["xy"] + c["yy"] - 1.0) < 1e-9
+            assert abs(c[0, 0] + c[1, 0] - 1.0) < 1e-9
+            assert abs(c[0, 1] + c[1, 1] - 1.0) < 1e-9
 
 
 class TestDeterminism:

@@ -122,11 +122,13 @@ class TestSweep:
             assert row.valid
             assert row.mean_rwc == 1.0
 
-    def test_degenerate_cell_marked_invalid(self):
+    def test_degenerate_cell_marked_invalid(self, tmp_path):
         rows = cv.rwc_sweep(n=10, p1_values=[0.0], p2_values=[0.0], runs=2, base_seed=0)
         assert len(rows) == 1
         assert not rows[0].valid
         assert math.isnan(rows[0].mean_rwc)
+        cv.write_sweep_csv(rows, tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[1] == "0.0,0.0,nan,nan,0"
 
     def test_monotone_in_p2_on_average(self):
         rows = cv.rwc_sweep(
