@@ -3,9 +3,9 @@
 One subcommand per pipeline stage plus end-to-end ``score``, the
 synthetic ``simulate`` sweep, and the ``sentiment`` variance check.
 A subcommand's flags and config-file keys are the same set: the options
-its ``_COMMANDS`` entry lists, each a field of its config dataclass
-(:class:`PipelineConfig` for the graph commands). A ``key=value`` config
-file overrides the dataclass defaults and explicit flags override both.
+its ``_COMMANDS`` entry lists, each a field of :class:`PipelineConfig`,
+the one config dataclass. A ``key=value`` config file overrides the
+dataclass defaults and explicit flags override both.
 
 Exit codes: 0 success, 2 input error, 3 numerical non-convergence,
 4 degenerate structure (empty cut/boundary/terminations).
@@ -49,7 +49,6 @@ from .topics import ExpansionConfig, build_profiles, expand_topic, read_profiles
 from .users import user_score_table, write_user_scores
 from .walks import RestartWalkConfig, default_k
 
-DEFAULT_SEED = 0
 # the values each choice field of PipelineConfig takes
 CHOICES = {"kind": ("retweet", "follow", "content"), "content_mode": graphmod.CONTENT_MODES,
            "partition_mode": ("spectral", "import")}
@@ -57,7 +56,8 @@ CHOICES = {"kind": ("retweet", "follow", "content"), "content_mode": graphmod.CO
 
 @dataclass
 class PipelineConfig:
-    """Everything one ``score`` run needs; doubles as the report config."""
+    """Every subcommand's options; each subcommand reads the options its
+    ``_COMMANDS`` entry lists. ``score``'s options are the report config."""
 
     # graph source: exactly one of edgelist / records
     edgelist: str | None = None
@@ -79,13 +79,13 @@ class PipelineConfig:
     # measure parameters
     measures: str = ",".join(MEASURE_NAMES)
     k: int | None = None
-    damping: float = 0.85
-    tolerance: float = 1e-10
-    max_iters: int = 10000
+    damping: float = RestartWalkConfig.damping
+    tolerance: float = RestartWalkConfig.tolerance
+    max_iters: int = RestartWalkConfig.max_iters
     n_walks: int = 10000
     n_samples: int = 10000
     layout_iterations: int = 500
-    seed: int = DEFAULT_SEED
+    seed: int = 0
     topic_label: str | None = None
     # outputs
     out: str | None = None
@@ -93,6 +93,18 @@ class PipelineConfig:
     user_scores_out: str | None = None
     layout_out: str | None = None
     force: bool = False
+    # expand-topic: the hashtag to expand; where to write the derived profiles
+    seed_tag: str | None = None
+    write_profiles: str | None = None
+    # simulate: the planted sweep's size, (p1, p2) grids (comma-separated),
+    # runs per cell, and whether to re-partition spectrally
+    n: int = 2000
+    p1_grid: str = ",".join(str(v) for v in DEFAULT_P1_GRID)
+    p2_grid: str = ",".join(str(v) for v in DEFAULT_P2_GRID)
+    runs: int = 10
+    redetect: bool = False
+    # sentiment: a post_id,score CSV
+    scores: str | None = None
 
     def __post_init__(self):
         for name, allowed in CHOICES.items():
@@ -104,7 +116,8 @@ class PipelineConfig:
             raise InputDataError(f"unknown measures: {', '.join(unknown)}")
         if repeated := sorted({m for m in wanted if wanted.count(m) > 1}):
             raise InputDataError(f"duplicate measures: {', '.join(repeated)}")
-        self.walk  # checks the restart-walk options before any input is read
+        # check the restart-walk and expansion options before any input is read
+        self.walk, self.expansion
 
     @property
     def wanted(self):
@@ -117,46 +130,10 @@ class PipelineConfig:
         return RestartWalkConfig(damping=self.damping, tolerance=self.tolerance,
                                  max_iters=self.max_iters)
 
-
-@dataclass
-class ExpandTopicConfig:
-    """What ``expand-topic`` reads: a seed hashtag and the profiles
-    (given, or derived from records) to expand it with."""
-
-    seed_tag: str | None = None
-    profiles: str | None = None
-    records: str | None = None
-    write_profiles: str | None = None
-    expand_k: int = ExpansionConfig.k
-    expand_alpha: float = ExpansionConfig.alpha
-    out: str | None = None
-    force: bool = False
-
-
-@dataclass
-class SimulateConfig:
-    """What ``simulate`` reads: the planted sweep's size, (p1, p2) grids
-    (comma-separated) and runs per cell."""
-
-    n: int = 2000
-    p1_grid: str = ",".join(str(v) for v in DEFAULT_P1_GRID)
-    p2_grid: str = ",".join(str(v) for v in DEFAULT_P2_GRID)
-    runs: int = 10
-    seed: int = DEFAULT_SEED
-    k: int | None = None
-    redetect: bool = False
-    largest_component: bool = True
-    out: str | None = None
-    force: bool = False
-
-
-@dataclass
-class SentimentConfig:
-    """What ``sentiment`` reads: a ``post_id,score`` CSV."""
-
-    scores: str | None = None
-    out: str | None = None
-    force: bool = False
+    @property
+    def expansion(self):
+        """The topic-expansion parameters."""
+        return ExpansionConfig(alpha=self.expand_alpha, k=self.expand_k)
 
 
 @contextmanager
@@ -177,11 +154,7 @@ def _resolve_topic(cfg: PipelineConfig) -> Topic:
     if cfg.topic_tags:
         return Topic.make(cfg.topic_seed, cfg.topic_tags.split(","))
     if cfg.profiles:
-        return expand_topic(
-            cfg.topic_seed,
-            read_profiles(cfg.profiles),
-            ExpansionConfig(alpha=cfg.expand_alpha, k=cfg.expand_k),
-        )
+        return expand_topic(cfg.topic_seed, read_profiles(cfg.profiles), cfg.expansion)
     return Topic.make(cfg.topic_seed)
 
 
@@ -213,11 +186,11 @@ def _build_graph(cfg: PipelineConfig):
     return g, label
 
 
-def _check_outputs(cfg, options):
+def _check_outputs(cfg):
     """Refuse an existing output without --force, and two outputs that
-    name one file, among the command's ``options``."""
+    name one file. An output that is not the command's option is None."""
     seen = set()
-    for path in filter(None, (getattr(cfg, f) for f in _OUTPUTS if f in options)):
+    for path in filter(None, (getattr(cfg, f) for f in _OUTPUTS)):
         real = os.path.realpath(path)
         if real in seen:
             raise InputDataError(f"two outputs name {path}")
@@ -292,7 +265,7 @@ def run_pipeline(cfg: PipelineConfig):
 
     k, walk = cfg.k if cfg.k is not None else default_k(part), cfg.walk
     report = ControversyReport(topic=label, n_vertices=g.n_vertices, n_edges=g.n_edges,
-                               config=asdict(cfg))
+                               config={name: getattr(cfg, name) for name in _COMMANDS["score"][1]})
     needed = {"force_layout" if m == "ec" else m for m in cfg.wanted}
     if cfg.layout_out:
         needed.add("force_layout")
@@ -378,7 +351,7 @@ def _read_config_file(path):
     return values
 
 
-# each config class's field types (X or X | None), shared by parser and config-file reader
+# PipelineConfig's field types (X or X | None), shared by parser and config-file reader
 _type_hints = cache(typing.get_type_hints)
 
 
@@ -409,7 +382,7 @@ def _flag(option):
     return "--" + option.replace("_", "-")
 
 
-def _resolve(ns, config_cls, options, required):
+def _resolve(ns, options, required):
     """The command's config: dataclass defaults < config file < explicit flags,
     both of which set exactly the command's options. Every flag defaults to
     ``argparse.SUPPRESS``, so ``ns`` holds only the flags actually given."""
@@ -418,14 +391,14 @@ def _resolve(ns, config_cls, options, required):
         file_values = _read_config_file(ns.config)
         if unknown := sorted(set(file_values) - set(options)):
             raise InputDataError(f"{ns.config}: unknown config keys: {', '.join(unknown)}")
-        hints = _type_hints(config_cls)
+        hints = _type_hints(PipelineConfig)
         values.update((key, _config_value(ns.config, key, raw, hints[key]))
                       for key, raw in file_values.items())
     values.update((k, v) for k, v in vars(ns).items() if k not in ("command", "config"))
     missing = [_flag(name) for name in required if values.get(name) is None]
     if missing:
         raise InputDataError(f"missing required option: {', '.join(missing)}")
-    return config_cls(**values)
+    return PipelineConfig(**values)
 
 
 # the help line of each option that has one
@@ -460,15 +433,15 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="controversy", description=(
         "Quantify how controversial a topic is from its conversation graph."))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (command, config_cls, options, required) in _COMMANDS.items():
+    hints = _type_hints(PipelineConfig)
+    for name, (command, options, required) in _COMMANDS.items():
         p = sub.add_parser(name, help=command.__doc__, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key=value defaults file (flags override)")
-        hints = _type_hints(config_cls)
         for option in options:
             flag, kind = _flag(option), (typing.get_args(hints[option]) or (hints[option],))[0]
             if kind is not bool:
                 spec = {"type": kind}
-            elif getattr(config_cls, option):
+            elif getattr(PipelineConfig, option):
                 flag, spec = "--no-" + flag[2:], {"action": "store_false"}
             else:
                 spec = {"action": "store_true"}
@@ -500,9 +473,7 @@ def _cmd_expand_topic(cfg):
             profiles = build_profiles(graphmod.read_records(cfg.records))
         else:
             raise InputDataError("need --profiles or --records")
-        topic = expand_topic(
-            cfg.seed_tag, profiles, ExpansionConfig(alpha=cfg.expand_alpha, k=cfg.expand_k)
-        )
+        topic = expand_topic(cfg.seed_tag, profiles, cfg.expansion)
     payload = json.dumps({"seed": topic.seed, "members": list(topic.members)}, indent=2)
     writers = []
     if cfg.write_profiles:
@@ -572,21 +543,20 @@ _WALK = ("k", "damping", "tolerance", "max_iters")
 # the options that name output files
 _OUTPUTS = ("out", "csv_out", "user_scores_out", "layout_out", "write_profiles")
 
-# command -> (function, config class, its options, the options it cannot run
-# without). Its flags and config-file keys are exactly its options.
+# command -> (function, its options, the options it cannot run without).
+# Its flags and config-file keys are exactly its options.
 _COMMANDS = {
-    "build-graph": (_cmd_build_graph, PipelineConfig, (*_GRAPH, "out", "force"), ("out",)),
-    "expand-topic": (_cmd_expand_topic, ExpandTopicConfig, ("seed_tag", "profiles", "records",
-                     "write_profiles", "expand_k", "expand_alpha", "out", "force"), ("seed_tag",)),
-    "partition": (_cmd_partition, PipelineConfig, (*_GRAPH, *_SIDES, "out", "force"), ("out",)),
-    "score": (_cmd_score, PipelineConfig, (*_GRAPH, *_SIDES, "measures", *_WALK, "n_walks",
-              "n_samples", "layout_iterations", "topic_label", "out", "csv_out",
-              "user_scores_out", "layout_out", "force"), ()),
-    "user-scores": (_cmd_user_scores, PipelineConfig,
-                    (*_GRAPH, *_SIDES, *_WALK, "out", "force"), ("out",)),
-    "simulate": (_cmd_simulate, SimulateConfig, ("n", "p1_grid", "p2_grid", "runs", "seed", "k",
-                 "redetect", "largest_component", "out", "force"), ("out",)),
-    "sentiment": (_cmd_sentiment, SentimentConfig, ("scores", "out", "force"), ("scores",)),
+    "build-graph": (_cmd_build_graph, (*_GRAPH, "out", "force"), ("out",)),
+    "expand-topic": (_cmd_expand_topic, ("seed_tag", "profiles", "records", "write_profiles",
+                     "expand_k", "expand_alpha", "out", "force"), ("seed_tag",)),
+    "partition": (_cmd_partition, (*_GRAPH, *_SIDES, "out", "force"), ("out",)),
+    "score": (_cmd_score, (*_GRAPH, *_SIDES, "measures", *_WALK, "n_walks", "n_samples",
+              "layout_iterations", "topic_label", "out", "csv_out", "user_scores_out",
+              "layout_out", "force"), ()),
+    "user-scores": (_cmd_user_scores, (*_GRAPH, *_SIDES, *_WALK, "out", "force"), ("out",)),
+    "simulate": (_cmd_simulate, ("n", "p1_grid", "p2_grid", "runs", "seed", "k", "redetect",
+                 "largest_component", "out", "force"), ("out",)),
+    "sentiment": (_cmd_sentiment, ("scores", "out", "force"), ("scores",)),
 }
 
 # exit code per error class; the first class that matches wins
@@ -596,11 +566,11 @@ _EXIT_CODES = {InputDataError: 2, ConvergenceError: 3, DegenerateStructureError:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    command, config_cls, options, required = _COMMANDS[ns.command]
+    command, options, required = _COMMANDS[ns.command]
     try:
-        cfg = _resolve(ns, config_cls, options, required)
+        cfg = _resolve(ns, options, required)
         with _stage("output"):
-            _check_outputs(cfg, options)
+            _check_outputs(cfg)
         writers, text = command(cfg)
         with _stage("output"):
             _write_all(writers)

@@ -802,17 +802,28 @@ class TestOptions:
         subparsers = next(action.choices for action in cli.build_parser()._actions
                           if isinstance(action, argparse._SubParsersAction))
         assert sorted(subparsers) == sorted(cli._COMMANDS)
-        covered = {}
-        for name, (_, config_cls, options, required) in cli._COMMANDS.items():
+        fields = {f.name for f in dataclasses.fields(cli.PipelineConfig)}
+        covered = set()
+        for name, (_, options, required) in cli._COMMANDS.items():
             dests = [a.dest for a in subparsers[name]._actions if a.dest not in ("help", "config")]
             assert sorted(dests) == sorted(options)
-            assert set(options) <= {f.name for f in dataclasses.fields(config_cls)}
+            assert set(options) <= fields
             assert set(required) <= set(options)
-            covered.setdefault(config_cls, set()).update(options)
-        assert set(covered) == {cli.PipelineConfig, cli.ExpandTopicConfig, cli.SimulateConfig,
-                                cli.SentimentConfig}
-        for config_cls, options in covered.items():
-            assert {f.name for f in dataclasses.fields(config_cls)} == options
+            covered.update(options)
+        # every field is some command's option
+        assert covered == fields
+
+    def test_report_config_is_the_score_options(self, tmp_path):
+        subparsers = next(action.choices for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        options = [a.dest for a in subparsers["score"]._actions if a.dest not in ("help", "config")]
+        out = tmp_path / "r.json"
+        assert run("score", "--edgelist", KARATE_EDGES, "--partition-mode", "import",
+                   "--partition-file", KARATE_FACTIONS, "--measures", "gmck", "--seed", 4,
+                   "--out", out) == 0
+        config = json.loads(out.read_text())["config"]
+        assert sorted(config) == sorted(options) and len(config) == 30
+        assert (config["seed"], config["out"], config["damping"]) == (4, str(out), 0.85)
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_help_exits_0(self, command, capsys):
@@ -841,6 +852,8 @@ class TestOptions:
         ("user-scores", "layout_out=l.tsv\ncsv_out=row.csv\n", "csv_out, layout_out"),
         ("partition", "n_walks=5\nmeasures=bogus\nlayout_out=l2.tsv\n",
          "layout_out, measures, n_walks"),
+        # fields of the one config class that are other commands' options
+        ("score", "n=5\nscores=s.csv\nseed_tag=x\n", "n, scores, seed_tag"),
     ])
     def test_keys_of_other_commands_are_unknown(self, command, lines, unknown, tmp_path,
                                                 monkeypatch, capsys):
@@ -881,6 +894,8 @@ class TestOptions:
         ("damping", 2, "damping must be in (0, 1)"),
         ("tolerance", 0, "tolerance must be > 0 and finite"),
         ("max_iters", 0, "max_iters must be >= 1"),
+        ("expand_alpha", 2, "alpha must be in [0, 1]"),
+        ("expand_k", 0, "k must be >= 1"),
     ])
     def test_bad_restart_walk_option_exits_before_any_stage(self, option, value, message,
                                                             tmp_path, monkeypatch, capsys):
@@ -893,6 +908,22 @@ class TestOptions:
                    "--partition-file", tmp_path / "missing.tsv", "--measures", "gmck",
                    cli._flag(option), value, "--out", out) == 2
         assert capsys.readouterr().err == f"error [{message}]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["records", "profiles"])
+    def test_bad_expansion_option_exits_before_expand_topic_reads(self, source, tmp_path,
+                                                                  monkeypatch, capsys):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(graph_module, "read_records", unread)
+        monkeypatch.setattr(cli, "read_profiles", unread)
+        records, out = tmp_path / "r.jsonl", tmp_path / "topic.json"
+        write_records(records)
+        inputs = [f"--{source}", records if source == "records" else tmp_path / "missing.jsonl"]
+        assert run("expand-topic", "--seed-tag", "go", *inputs, "--expand-alpha", 2,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == "error [alpha must be in [0, 1]]\n"
         assert not out.exists()
 
     def test_unknown_measure_exits_before_any_stage(self, tmp_path, monkeypatch, capsys):
