@@ -49,6 +49,8 @@ from .topics import ExpansionConfig, build_profiles, expand_topic, read_profiles
 from .users import user_score_table, write_user_scores
 from .walks import RestartWalkConfig, default_k
 
+# the PipelineConfig option behind each ExpansionConfig field whose name differs
+_OPTION_OF = {"alpha": "expand_alpha", "k": "expand_k"}
 # the values each choice field of PipelineConfig takes
 CHOICES = {"kind": ("retweet", "follow", "content"), "content_mode": graphmod.CONTENT_MODES,
            "partition_mode": ("spectral", "import")}
@@ -116,8 +118,15 @@ class PipelineConfig:
             raise InputDataError(f"unknown measures: {', '.join(unknown)}")
         if repeated := sorted({m for m in wanted if wanted.count(m) > 1}):
             raise InputDataError(f"duplicate measures: {', '.join(repeated)}")
-        # check the restart-walk and expansion options before any input is read
-        self.walk, self.expansion
+        # check the numeric options before any input is read; a library
+        # message starts with its field's name, which becomes the flag
+        if self.k is not None and self.k < 1:
+            raise InputDataError("--k must be >= 1")
+        try:
+            self.walk, self.expansion
+        except ValueError as exc:
+            field, _, rest = str(exc).partition(" ")
+            raise InputDataError(f"{_flag(_OPTION_OF.get(field, field))} {rest}") from None
 
     @property
     def wanted(self):

@@ -30,7 +30,9 @@ from .walks import (
 
 DENSITY_FLOOR = 1e-12
 # A center more than KDE_REACH bandwidths from a point adds exactly 0.0 to
-# its Gaussian KDE; one points x centers block holds at most
+# its Gaussian KDE (exp(-z^2/2) underflows beyond |z| ~ 38.6); _kde_density
+# stops nearer, where the terms it leaves out sum to less than 2^-53 *
+# DENSITY_FLOOR. One points x centers block holds at most
 # KDE_BLOCK_ELEMENTS float64 (512 KiB).
 KDE_REACH = 39.0
 KDE_BLOCK_ELEMENTS = 1 << 16
@@ -191,11 +193,17 @@ def _scott_bandwidth(values):
 
 
 def _kde_density(points, centers, bandwidth):
-    """Gaussian KDE evaluated at ``points``: the same terms as the full
-    points x centers sum, in a different summation order.
+    """Gaussian KDE evaluated at ``points``, leaving out only the terms
+    too small to matter above DENSITY_FLOOR.
 
-    A center farther than KDE_REACH bandwidths from a point adds exactly
-    0.0 (exp(-z^2/2) underflows beyond |z| ~ 38.6), so the points and the
+    With m centers the density is sum(exp(-z^2/2)) / norm, norm = m * h *
+    sqrt(2 pi). A term below tau = 2^-53 * DENSITY_FLOOR * h * sqrt(2 pi),
+    that is |z| > sqrt(-2 ln tau), is left out: the m of them add less
+    than 2^-53 * DENSITY_FLOOR to a density. So a density at or above the
+    floor is within 2^-53 relative of the full sum (the rest is summation
+    order), and one below the floor stays below it. The reach is capped
+    at KDE_REACH, beyond which every term is exactly 0.0, and is 0 when
+    tau >= 1 (every density is then below the floor). The points and the
     centers are sorted once and each chunk of consecutive sorted points
     sums only the centers within reach of it. A chunk takes as many
     points as keep its (points, centers) block within KDE_BLOCK_ELEMENTS.
@@ -203,9 +211,12 @@ def _kde_density(points, centers, bandwidth):
     order = np.argsort(points)
     pts = points[order]
     cs = np.sort(centers)
+    # ln tau; m cancels, so the reach depends on the bandwidth alone
+    log_tau = (-53.0 * math.log(2.0) + math.log(DENSITY_FLOOR)
+               + math.log(bandwidth * math.sqrt(2.0 * math.pi)))
+    reach = min(KDE_REACH, math.sqrt(max(0.0, -2.0 * log_tau))) * bandwidth
     # rounding is monotone, so a center below round(p - reach) (above
     # round(p + reach)) lies more than reach from p exactly
-    reach = KDE_REACH * bandwidth
     left = np.searchsorted(cs, pts - reach, "left")
     right = np.searchsorted(cs, pts + reach, "right")
     norm = len(centers) * bandwidth * math.sqrt(2.0 * math.pi)

@@ -643,7 +643,7 @@ class TestGraphCommands:
             "--partition-mode", "import", "--partition-file", KARATE_FACTIONS,
             "--" + option.replace("_", "-"), value, "--out", out,
         ) == code
-        assert ("iterations" if code == 3 else option) in capsys.readouterr().err
+        assert ("iterations" if code == 3 else cli._flag(option)) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_directed_user_scores_name_unreached_account(self, tmp_path, capsys):
@@ -891,11 +891,13 @@ class TestOptions:
             cli.PipelineConfig(**{field: "bogus"})
 
     @pytest.mark.parametrize("option, value, message", [
-        ("damping", 2, "damping must be in (0, 1)"),
-        ("tolerance", 0, "tolerance must be > 0 and finite"),
-        ("max_iters", 0, "max_iters must be >= 1"),
-        ("expand_alpha", 2, "alpha must be in [0, 1]"),
-        ("expand_k", 0, "k must be >= 1"),
+        ("damping", 2, "--damping must be in (0, 1)"),
+        ("tolerance", 0, "--tolerance must be > 0 and finite"),
+        ("max_iters", 0, "--max-iters must be >= 1"),
+        ("expand_alpha", 2, "--expand-alpha must be in [0, 1]"),
+        ("expand_k", 0, "--expand-k must be >= 1"),
+        ("k", 0, "--k must be >= 1"),
+        ("k", -3, "--k must be >= 1"),
     ])
     def test_bad_restart_walk_option_exits_before_any_stage(self, option, value, message,
                                                             tmp_path, monkeypatch, capsys):
@@ -923,7 +925,17 @@ class TestOptions:
         inputs = [f"--{source}", records if source == "records" else tmp_path / "missing.jsonl"]
         assert run("expand-topic", "--seed-tag", "go", *inputs, "--expand-alpha", 2,
                    "--out", out) == 2
-        assert capsys.readouterr().err == "error [alpha must be in [0, 1]]\n"
+        assert capsys.readouterr().err == "error [--expand-alpha must be in [0, 1]]\n"
+        assert not out.exists()
+
+    def test_simulate_bad_k_exits_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(cli, "rwc_sweep", no_sweep)
+        out = tmp_path / "sweep.csv"
+        assert run("simulate", "--k", 0, "--out", out) == 2
+        assert capsys.readouterr().err == "error [--k must be >= 1]\n"
         assert not out.exists()
 
     def test_unknown_measure_exits_before_any_stage(self, tmp_path, monkeypatch, capsys):

@@ -231,20 +231,24 @@ class TestBcc:
         assert v1 == v2
         assert 0.0 <= v1 < 1.0
 
-    @pytest.mark.parametrize("graph", ["karate", "planted"])
+    # "saturated": bcc ~ 1 - 7e-9 on a 200-vertex, 814-edge graph with 17
+    # cut edges, where a third of the non-cut densities are left with no
+    # term within the floor's reach (11.0 bandwidths)
+    @pytest.mark.parametrize("graph", ["karate", "planted", "saturated"])
     def test_matches_the_dense_kde(self, graph, karate, monkeypatch):
         if graph == "karate":
             g, p = karate
         else:
-            g, p = cv.planted_two_community(cv.PlantedConfig(200, 0.08, 0.004, seed=1))
+            p2 = 0.004 if graph == "planted" else 0.002
+            g, p = cv.planted_two_community(cv.PlantedConfig(200, 0.08, p2, seed=1))
         windowed = cv.bcc(g, p, seed=3)
         monkeypatch.setattr(measures_module, "_kde_density", dense_kde_density)
         assert windowed == pytest.approx(cv.bcc(g, p, seed=3), rel=1e-13)
 
 
 class TestKdeDensity:
-    """The windowed KDE against the dense sum over every center; they
-    differ only in summation order."""
+    """The windowed KDE against the dense sum over every center: at or
+    above DENSITY_FLOOR they differ only in summation order."""
 
     @staticmethod
     def assert_matches_dense(points, centers, bandwidth):
@@ -291,6 +295,36 @@ class TestKdeDensity:
     def test_single_point_window_wider_than_a_block(self):
         centers = np.linspace(0.0, 1.0, KDE_BLOCK_ELEMENTS + 7)
         self.assert_matches_dense(np.array([0.5, 0.25, 2.0]), centers, 0.3)
+
+    def test_densities_either_side_of_the_floor(self):
+        # points beyond the edge of the centers, with dense densities from
+        # about 1e-8 down to about 1e-300; the chunks there are narrow, so
+        # densities far below the floor lose terms
+        rng = np.random.default_rng(8)
+        centers = rng.uniform(0.0, 1.0, 2000)
+        bandwidth = 0.01
+        points = 1.0 + bandwidth * np.linspace(5.5, 37.0, 20_000)
+        got = _kde_density(points, centers, bandwidth)
+        dense = dense_kde_density(points, centers, bandwidth)
+        assert 1e-9 < dense.max() < 1e-7 and 0.0 < dense.min() < 1e-290
+        assert ((got == 0.0) & (dense > 0.0)).any()
+        np.testing.assert_allclose(np.maximum(got, DENSITY_FLOOR),
+                                   np.maximum(dense, DENSITY_FLOOR), rtol=1e-13, atol=0.0)
+        assert (got <= dense * (1 + 1e-13)).all()
+
+    def test_a_cluster_at_the_edge_of_the_reach(self):
+        # 1999 centers in one spot and one more 16.2 bandwidths away: as the
+        # points move off the cluster, the window drops it (about 11
+        # bandwidths out) where the lone center still holds the density
+        # above the floor; a window one bandwidth short of that changes
+        # such a density by ~1e-12 relative
+        centers = np.append(np.full(1999, -16.2), 0.0)
+        points = np.linspace(-16.2, 0.0, 10_000)
+        got = _kde_density(points, centers, 1.0)
+        dense = dense_kde_density(points, centers, 1.0)
+        np.testing.assert_allclose(np.maximum(got, DENSITY_FLOOR),
+                                   np.maximum(dense, DENSITY_FLOOR), rtol=1e-13, atol=0.0)
+        assert (got <= dense * (1 + 1e-13)).all()
 
     def test_memory_stays_bounded(self):
         rng = np.random.default_rng(7)
