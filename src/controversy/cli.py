@@ -426,7 +426,7 @@ _HELP = {
     "partition_mode": "how the two sides are found",
     "measures": f"comma list from: {','.join(MEASURE_NAMES)}",
     "k": "authorities per side (default: 5%% of smaller side)",
-    "tolerance": "restart-walk error tolerance",
+    "tolerance": "restart-walk stop: rwc_rwr's L1 change per step, the user scores' error bound",
     "max_iters": "restart-walk iteration budget (exit 3 when exceeded)",
     "out": "output file (score, expand-topic and sentiment print to stdout without it)",
     "write_profiles": "also write the derived profiles here",

@@ -1,8 +1,8 @@
 """Random-walk machinery shared by the controversy measures.
 
 Covers per-side authority (top-degree) selection, restart-walk stationary
-distributions on the directed view, Monte Carlo walk sampling on the
-undirected view, and exact expected hitting times.
+distributions and the package's one fixed-point loop, Monte Carlo walk
+sampling on the undirected view, and exact expected hitting times.
 """
 from __future__ import annotations
 
@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import cg
 
 from .errors import ConvergenceError
 
 WALK_STEP_CAP = 10**6
+HITTING_RTOL = 1e-13  # relative residual at which the hitting-time CG stops
 
 
 @dataclass(frozen=True)
@@ -76,20 +77,29 @@ def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None
     r[restart] = 1.0 / len(restart)
     restart_row = np.diff(g.out_csr.indptr) == 0
     restart_row[[int(v) for v in dangling]] = True
-    step_t = g.transition_t
-    pi = r.copy()
     d = cfg.damping
-    for _ in range(cfg.max_iters):
-        new = d * (step_t @ np.where(restart_row, 0.0, pi))
+
+    def step(pi):
+        new = d * (g.transition_t @ np.where(restart_row, 0.0, pi))
         new += (d * float(pi[restart_row].sum()) + (1.0 - d)) * r
-        residual = float(np.abs(new - pi).sum())
-        pi = new
-        if residual < cfg.tolerance:
-            return pi
+        return new, float(np.abs(new - pi).sum())
+
+    return fixed_point(step, r, cfg.tolerance, cfg.max_iters, "restart walk", "residual")
+
+
+def fixed_point(step, x, tol, max_iters, what, measure):
+    """Iterate ``x, value = step(x)`` and return the first x whose ``value``
+    is below ``tol``. Raises ConvergenceError, naming the solver ``what``
+    and the last value of its stop ``measure``, after max_iters steps."""
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    for _ in range(max_iters):
+        x, value = step(x)
+        if value < tol:
+            return x
     raise ConvergenceError(
-        f"restart walk did not converge in {cfg.max_iters} iterations "
-        f"(last residual {residual:.3e})",
-        residual=residual,
+        f"{what} did not converge in {max_iters} iterations (last {measure} {value:.3e})",
+        residual=value,
     )
 
 
@@ -148,14 +158,16 @@ def expected_hitting_times(g, targets) -> np.ndarray:
     """Exact expected steps of the uniform undirected walk to reach any target.
 
     Solves the absorbing-chain system l_u = 1 + mean(l over neighbors)
-    with l = 0 on targets. Vertices whose component contains no target
-    get +inf.
+    with l = 0 on targets: the grounded Laplacian system (D - A) l = d on
+    the free vertices F, by Jacobi-preconditioned conjugate gradients in
+    O(m) memory. Raises ConvergenceError, with the relative residual, when
+    they miss ``HITTING_RTOL`` in 10 |F| iterations. Vertices with no
+    target in reach get +inf.
     """
     targets = sorted(set(int(v) for v in targets))
     if not targets:
         raise ValueError("targets set is empty")
-    n = g.n_vertices
-    times = np.full(n, np.inf)
+    times = np.full(g.n_vertices, np.inf)
     times[targets] = 0.0
     # vertices that can reach a target: those in a target's component
     labels = g.component_labels
@@ -164,6 +176,12 @@ def expected_hitting_times(g, targets) -> np.ndarray:
     free = np.flatnonzero(free)
     if not free.size:
         return times
-    steps = sp.diags(1.0 / g.degrees[free]) @ g.csr.matrix(weighted=False)[free][:, free]
-    times[free] = spla.spsolve(sp.identity(len(free), format="csr") - steps, np.ones(len(free)))
+    deg = g.degrees[free].astype(float)
+    grounded = sp.diags(deg) - g.csr.matrix(weighted=False)[free][:, free]
+    budget = 10 * len(free)
+    times[free], info = cg(grounded, deg, rtol=HITTING_RTOL, maxiter=budget, M=sp.diags(1.0 / deg))
+    if info:
+        residual = float(np.linalg.norm(deg - grounded @ times[free]) / np.linalg.norm(deg))
+        raise ConvergenceError(f"hitting times did not converge in {budget} iterations "
+                               f"(last relative residual {residual:.3e})", residual=residual)
     return times

@@ -19,6 +19,7 @@ import controversy.cli as cli
 import controversy.graph as graph_module
 import controversy.measures as measures_module
 import controversy.partition as partition_module
+import controversy.walks as walks_module
 from controversy import _pool
 from controversy.cli import main
 
@@ -593,6 +594,21 @@ class TestGraphCommands:
         assert run("partition", "--edgelist", KARATE_EDGES, "--out", out) == 3
         assert "did not converge" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_hitting_time_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(a, b, **kwargs):
+            return np.zeros_like(b), 1
+
+        monkeypatch.setattr(walks_module, "cg", no_convergence)
+        with pytest.raises(cv.ConvergenceError, match="^hitting times did not converge in "
+                           r"\d+ iterations \(last relative residual ") as info:
+            cv.expected_hitting_times(cv.read_edgelist(KARATE_EDGES), [0])
+        assert math.isfinite(info.value.residual) and info.value.residual > 0
+        out = tmp_path / "users.csv"
+        assert run("user-scores", "--edgelist", KARATE_EDGES, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [user-scores: ") and "did not converge" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_build_graph_rejects_tab_in_user_id(self, tmp_path, capsys):
         records = tmp_path / "r.jsonl"

@@ -66,8 +66,10 @@ class TestRwcUser:
 
     def test_iteration_budget_raises(self, karate):
         g, p = karate
-        with pytest.raises(cv.ConvergenceError, match="1 iterations"):
+        with pytest.raises(cv.ConvergenceError, match=r"^user restart walks did not converge in "
+                           r"1 iterations \(last error bound ") as info:
             cv.user_score_table(g, p, 1, cv.RestartWalkConfig(max_iters=1))
+        assert info.value.residual > 0
         with pytest.raises(ValueError, match="max_iters"):
             cv.RestartWalkConfig(max_iters=0)
         for tolerance in (0.0, -1.0, math.nan):

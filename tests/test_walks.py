@@ -8,7 +8,8 @@ import controversy as cv
 from controversy.walks import draw_below, walk_rng
 
 from conftest import barbell, complete, cycle, make_graph, path, random_connected_graph, random_partition
-from oracles import absorbing_absorption_probabilities, dense_expected_steps, dense_stationary_rwr
+from oracles import (absorbing_absorption_probabilities, dense_expected_steps,
+                     dense_stationary_rwr, loop_strict_rank_fraction)
 
 
 class TestTopDegree:
@@ -91,7 +92,8 @@ class TestStationaryRWR:
 
     def test_nonconvergence_raises_with_residual(self):
         g = cycle(30)
-        with pytest.raises(cv.ConvergenceError) as excinfo:
+        with pytest.raises(cv.ConvergenceError, match=r"^restart walk did not converge in "
+                           r"2 iterations \(last residual ") as excinfo:
             cv.stationary_rwr(g, [0], [], cv.RestartWalkConfig(max_iters=2))
         assert excinfo.value.residual > 0
 
@@ -181,13 +183,27 @@ class TestHittingTimes:
 
     def test_matches_dense_solver(self):
         rng = np.random.default_rng(8)
+        cases = []
         for _ in range(10):
             n = int(rng.integers(3, 40))
-            g = random_connected_graph(rng, n)
             targets = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
-            fast = cv.expected_hitting_times(g, targets)
-            slow = dense_expected_steps(g, targets)
-            assert np.allclose(fast, slow, atol=1e-9)
+            cases.append((random_connected_graph(rng, n), targets))
+        # high diameter (CG needs about |F| iterations there), a hub, a clique
+        cases += [(path(1000), [0]), (cycle(2000), [0, 700]),
+                  (make_graph(50, [(0, i) for i in range(1, 50)]), [7]), (complete(30), [3, 4])]
+        for g, targets in cases:
+            np.testing.assert_allclose(cv.expected_hitting_times(g, targets),
+                                       dense_expected_steps(g, targets), rtol=1e-10)
+        # planted graphs (not always connected), both sides' authorities as targets
+        for n, p1 in ((200, 0.08), (1000, 0.02)):
+            g, p = cv.planted_two_community(cv.PlantedConfig(n, p1, 0.001, seed=1))
+            slow = []
+            for authorities in cv.top_degree(g, p):
+                slow.append(dense_expected_steps(g, authorities))
+                np.testing.assert_allclose(cv.expected_hitting_times(g, authorities), slow[-1],
+                                           rtol=1e-10)
+            rho = loop_strict_rank_fraction(slow[0]) - loop_strict_rank_fraction(slow[1])
+            assert np.array_equal(cv.hitting_score_all(g, p), rho)
 
     def test_adding_targets_never_increases(self):
         rng = np.random.default_rng(13)
