@@ -254,7 +254,6 @@ class ConversationGraph:
         """Set every field from checked ids and CSR arrays (``out_csr`` is
         ``csr`` for an undirected graph); the one place a graph gets them."""
         self._ids = ids
-        self._index = {u: i for i, u in enumerate(ids)}
         self.directed = directed
         self.csr = csr
         self.out_csr = out_csr
@@ -278,6 +277,11 @@ class ConversationGraph:
             return self.edge_array
         csr = self.out_csr
         return _frozen(np.column_stack((csr.rows, csr.indices, csr.weights)))
+
+    @cached_property
+    def _index(self):
+        """Vertex index of every id, built on the first :meth:`index_of`."""
+        return {u: i for i, u in enumerate(self._ids)}
 
     def index_of(self, user_id):
         try:
@@ -335,8 +339,12 @@ class ConversationGraph:
     def transition_t(self):
         """Transpose of the uniform-step transition matrix of the directed
         view (weights ignored; rows of vertices without out-arcs are zero),
-        laid out for left-multiplication of a distribution."""
+        laid out for left-multiplication of a distribution. An undirected
+        graph's adjacency is symmetric, so the transpose has its CSR
+        layout: entry (v, u) is 1 / deg(u)."""
         csr = self.out_csr
+        if not self.directed:
+            return csr._replace(weights=1.0 / self.degrees[csr.indices]).matrix()
         probs = 1.0 / np.diff(csr.indptr)[csr.rows]
         return csr._replace(weights=probs).matrix().T.tocsr()
 

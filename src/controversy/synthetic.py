@@ -10,7 +10,7 @@ import numpy as np
 
 from . import _pool
 from .errors import InputDataError
-from .graph import ConversationGraph, largest_component
+from .graph import CSR, ConversationGraph, largest_component
 from .partition import Partition, spectral_bisection
 from .measures import rwc_rwr
 from .walks import RestartWalkConfig
@@ -64,10 +64,12 @@ def planted_two_community(cfg: PlantedConfig):
         pairs.append(np.column_stack((i, k - row_start[i] + i + 1)) + offset)
     xs, ys = np.divmod(_hits(rng, buf, half * half, cfg.p2), half)
     pairs.append(np.column_stack((xs, ys + half)))
-    pairs = np.concatenate(pairs)
-    arcs = np.column_stack((pairs, np.ones(len(pairs), dtype=np.int64)))
-    ids = [str(i) for i in range(cfg.n)]
-    graph = ConversationGraph(ids, arcs, directed=False)
+    u, v = np.concatenate(pairs).T
+    # the pairs are distinct, in range and u < v: build the CSR unchecked
+    csr = CSR.from_arcs(cfg.n, np.concatenate((u, v)), np.concatenate((v, u)),
+                        np.ones(2 * len(u), dtype=np.int64))
+    ids = tuple(map(str, range(cfg.n)))
+    graph = ConversationGraph.__new__(ConversationGraph)._assign(ids, False, csr, csr)
     sides = np.zeros(cfg.n, dtype=np.int8)
     sides[half:] = 1
     return graph, Partition(sides)

@@ -1,8 +1,11 @@
 """Random-walk machinery shared by the controversy measures.
 
 Covers per-side authority (top-degree) selection, restart-walk stationary
-distributions and the package's one fixed-point loop, Monte Carlo walk
-sampling on the undirected view, and exact expected hitting times.
+distributions (one BiCGSTAB solve each, within ``max_iters`` iterations,
+stopped where its L1 error is at most 2 * ``tolerance``), the fixed-point
+loop of the user scores and the label propagation, Monte Carlo walk
+sampling on the undirected view, and exact expected hitting times. Every
+vertex index these take must lie in [0, n).
 """
 from __future__ import annotations
 
@@ -18,12 +21,17 @@ from .errors import ConvergenceError
 
 WALK_STEP_CAP = 10**6
 HITTING_RTOL = 1e-13  # relative residual at which the hitting-time CG stops
+BREAKDOWN_RTOL = np.finfo(float).eps  # shadow product, relative, at which BiCGSTAB starts again
 
 
 @dataclass(frozen=True)
 class RestartWalkConfig:
-    """Parameters of the restart-walk iterations (the stationary power
-    iteration and the batched user-score solve)."""
+    """Parameters of the restart-walk solves. ``stationary_rwr`` (and so
+    ``rwc_rwr``) runs at most ``max_iters`` BiCGSTAB iterations and stops
+    at the relative residual ``tolerance * (1 - damping) / sqrt(n)``, where
+    the L1 error of its vector is at most 2 * ``tolerance``; the batched
+    user-score solve runs at most ``max_iters`` fixed-point steps and stops
+    when its max-norm error bound drops below ``tolerance``."""
 
     damping: float = 0.85
     tolerance: float = 1e-10
@@ -65,32 +73,109 @@ def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None
     Each step follows a uniformly random out-arc with probability
     ``damping`` and otherwise restarts uniformly inside ``restart``.
     Vertices in ``dangling`` (and any vertex without out-arcs) restart
-    with probability 1. Power iteration stops when the L1 change drops
-    below the configured tolerance.
+    with probability 1. With M the uniform step matrix with those rows
+    zeroed and r the indicator of ``restart``, the vector is x / x.sum()
+    for the solution x of (I - d M^T) x = r, found by :func:`_bicgstab`.
+    Its stop, the relative residual tolerance * (1 - d) / sqrt(n), bounds
+    the L1 error of the vector by 2 * tolerance: the residual's L1 norm is
+    at most sqrt(n) times its 2-norm, the inverse of I - d M^T has L1 norm
+    at most 1 / (1 - d), and the exact x sums to at least r.sum(). Raises
+    ConvergenceError, with the relative residual, when the solve misses
+    its stop in ``max_iters`` iterations or breaks down.
     """
     cfg = cfg or RestartWalkConfig()
     n = g.n_vertices
-    restart = sorted(set(int(v) for v in restart))
-    if not restart:
+    restart = _vertex_indices(g, restart, "restart")
+    if not restart.size:
         raise ValueError("restart set is empty")
     r = np.zeros(n)
-    r[restart] = 1.0 / len(restart)
-    restart_row = np.diff(g.out_csr.indptr) == 0
-    restart_row[[int(v) for v in dangling]] = True
-    d = cfg.damping
+    r[restart] = 1.0
+    walks_on = (np.diff(g.out_csr.indptr) > 0).astype(float)
+    walks_on[_vertex_indices(g, dangling, "dangling")] = 0.0
+    step_t, d = g.transition_t, cfg.damping
 
-    def step(pi):
-        new = d * (g.transition_t @ np.where(restart_row, 0.0, pi))
-        new += (d * float(pi[restart_row].sum()) + (1.0 - d)) * r
-        return new, float(np.abs(new - pi).sum())
+    def system(x):
+        return x - d * (step_t @ (walks_on * x))
 
-    return fixed_point(step, r, cfg.tolerance, cfg.max_iters, "restart walk", "residual")
+    r_norm = math.sqrt(_dot(r, r))
+    x, info = _bicgstab(system, r, cfg.tolerance * (1.0 - d) / math.sqrt(n) * r_norm,
+                        cfg.max_iters)
+    if info:
+        gap = r - system(x)
+        residual = math.sqrt(_dot(gap, gap)) / r_norm
+        failure = f"did not converge in {cfg.max_iters} iterations" if info > 0 else "broke down"
+        raise ConvergenceError(f"restart walk {failure} (last relative residual {residual:.3e})",
+                               residual=residual)
+    return x / x.sum()
+
+
+def _dot(a, b) -> float:
+    """a . b summed by numpy's own loop: BLAS (``np.dot``) splits long
+    vectors over its threads, so its sums change in the last bits with
+    the number of CPUs."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _bicgstab(apply, b, atol, max_iters):
+    """Solve ``apply(x) = b`` by BiCGSTAB (van der Vorst 1992) from x = 0.
+
+    Returns ``(x, info)``: info is 0 once ||b - apply(x)||_2 <= atol,
+    ``max_iters`` when that many iterations miss it, and -1 when the
+    recurrence breaks down on the first step after a (re)start. A
+    breakdown elsewhere (a shadow product or a step length of 0) starts
+    the recurrence again from the current iterate, whose residual becomes
+    the shadow residual: about 1% of solves on small random graphs need
+    that once. Every product goes through :func:`_dot`, so the result has
+    the same bits on any number of CPUs.
+    """
+    x, r = np.zeros_like(b), b.copy()
+    fresh = True
+    for _ in range(max_iters):
+        if fresh:
+            shadow = p = r
+            rho = shadow_sq = _dot(r, r)
+        v = apply(p)
+        shadow_v = _dot(shadow, v)
+        if shadow_v == 0.0:
+            if fresh:
+                return x, -1
+            fresh = True
+            continue
+        alpha = rho / shadow_v
+        s = r - alpha * v
+        t = apply(s)
+        t_sq = _dot(t, t)
+        omega = _dot(t, s) / t_sq if t_sq else 0.0
+        x += alpha * p + omega * s
+        r = s - omega * t
+        r_sq = _dot(r, r)
+        if r_sq <= atol * atol:
+            return x, 0
+        rho_next = _dot(shadow, r)
+        fresh = omega == 0.0 or abs(rho_next) <= BREAKDOWN_RTOL * math.sqrt(shadow_sq * r_sq)
+        if not fresh:
+            p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+            rho = rho_next
+    return x, max_iters
+
+
+def _vertex_indices(g, vertices, what) -> np.ndarray:
+    """``vertices`` (an array or any iterable of ints) as an int64 index
+    array; raises ValueError naming the first one outside [0, n)."""
+    if not isinstance(vertices, np.ndarray):
+        vertices = list(vertices)
+    found = np.asarray(vertices, dtype=np.int64).reshape(-1)
+    bad = found[(found < 0) | (found >= g.n_vertices)]
+    if bad.size:
+        raise ValueError(f"{what} index {bad[0]} out of range [0, {g.n_vertices})")
+    return found
 
 
 def fixed_point(step, x, tol, max_iters, what, measure):
     """Iterate ``x, value = step(x)`` and return the first x whose ``value``
-    is below ``tol``. Raises ConvergenceError, naming the solver ``what``
-    and the last value of its stop ``measure``, after max_iters steps."""
+    is below ``tol`` (the user scores and the label propagation). Raises
+    ConvergenceError, naming the solver ``what`` and the last value of its
+    stop ``measure``, after max_iters steps."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     for _ in range(max_iters):
@@ -134,8 +219,10 @@ def sample_walk(g, start, terminals, rng: random.Random) -> int:
     """
     if not terminals:
         raise ValueError("terminals set is empty")
-    terminal_set = terminals if isinstance(terminals, (set, frozenset)) else set(terminals)
     v = int(start)
+    if not 0 <= v < g.n_vertices:
+        raise ValueError(f"start index {v} out of range [0, {g.n_vertices})")
+    terminal_set = terminals if isinstance(terminals, (set, frozenset)) else set(terminals)
     if v in terminal_set:
         return v
     # memoryview items are Python ints, cheaper to index than numpy arrays
@@ -164,8 +251,8 @@ def expected_hitting_times(g, targets) -> np.ndarray:
     they miss ``HITTING_RTOL`` in 10 |F| iterations. Vertices with no
     target in reach get +inf.
     """
-    targets = sorted(set(int(v) for v in targets))
-    if not targets:
+    targets = _vertex_indices(g, targets, "target")
+    if not targets.size:
         raise ValueError("targets set is empty")
     times = np.full(g.n_vertices, np.inf)
     times[targets] = 0.0

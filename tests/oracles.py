@@ -1,8 +1,8 @@
 """Independent brute-force oracles the fast implementations are checked against.
 
 Everything here trades efficiency for obviousness: path enumeration
-instead of dependency accumulation, dense linear solves instead of power
-iteration, exhaustive enumeration instead of spectral splitting,
+instead of dependency accumulation, direct linear solves instead of
+iterative ones, exhaustive enumeration instead of spectral splitting,
 per-vertex dicts and full recomputes instead of updated gain arrays,
 normalization afresh per record instead of caches. The
 oracles read graphs in tuple form (:class:`TupleGraph`), which the
@@ -425,8 +425,34 @@ def dense_stationary_rwr(g, restart, dangling, damping):
     return np.linalg.solve(A, b)
 
 
+def sparse_stationary_rwr(g, restart, dangling, damping):
+    """:func:`dense_stationary_rwr` for graphs too large for a dense
+    matrix: one sparse LU solve of (I - d M^T) x = 1_restart, where M is
+    built here from the out-neighbour lists (uniform steps, dangling and
+    sink rows zero), normalized to sum 1."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
+    g = tuple_graph(g)
+    n = g.n_vertices
+    dang = set(int(v) for v in dangling)
+    rows, cols, probs = [], [], []
+    for v in range(n):
+        outs = g.out_neighbors(v)
+        if v not in dang and len(outs):
+            rows += [v] * len(outs)
+            cols += [int(u) for u in outs]
+            probs += [1.0 / len(outs)] * len(outs)
+    step = sp.csr_matrix((probs, (rows, cols)), shape=(n, n))
+    r = np.zeros(n)
+    r[sorted(set(int(v) for v in restart))] = 1.0
+    x = spsolve((sp.identity(n) - damping * step.T).tocsc(), r)
+    return x / x.sum()
+
+
 def power_rwc_user(g, p, x_plus, y_plus, u, cfg=None):
-    """Restart-walk user score from one stationary power iteration that
+    """Restart-walk user score from one :func:`stationary_rwr` solve (a
+    power iteration when this oracle was written, BiCGSTAB now) that
     restarts at ``u`` with the authorities ``x_plus`` and ``y_plus``
     dangling: the own side's share of the authority mass."""
     # imported here: the other oracles run on graphs without the library

@@ -610,6 +610,19 @@ class TestGraphCommands:
         assert err.startswith("error [user-scores: ") and "did not converge" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("info", [10000, -1])
+    def test_restart_walk_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch, info):
+        def failing(apply, b, atol, max_iters):
+            return np.zeros_like(b), info
+
+        monkeypatch.setattr(walks_module, "_bicgstab", failing)
+        out = tmp_path / "r.json"
+        assert run("score", "--edgelist", KARATE_EDGES, "--measures", "rwc_rwr",
+                   "--out", out, "--csv-out", tmp_path / "r.csv") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [measure: restart walk ") and "relative residual" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_build_graph_rejects_tab_in_user_id(self, tmp_path, capsys):
         records = tmp_path / "r.jsonl"
         rows = [{"author": "a\tx", "endorsed": "b", "hashtags": ["go"], "ts": t}

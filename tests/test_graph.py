@@ -9,7 +9,7 @@ import pytest
 import controversy as cv
 from controversy.graph import CSR, url_domain
 
-from conftest import make_graph
+from conftest import make_graph, path
 from oracles import (
     connected_components, lexsort_csr_arrays, loop_write_edgelist, rebuilt_induced_subgraph,
     tuple_graph,
@@ -205,6 +205,22 @@ class TestGraphStructure:
         assert len(csr.indices) < len(src)
         for got, want in zip(csr, lexsort_csr_arrays(30, src, dst, w)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["karate", "planted", "path", "star"])
+    def test_undirected_transition_is_the_transposed_build(self, name, karate):
+        g = {
+            "karate": lambda: karate[0],
+            "planted": lambda: cv.planted_two_community(cv.PlantedConfig(300, 0.05, 0.01, seed=2))[0],
+            "path": lambda: path(7),
+            "star": lambda: make_graph(6, [(0, i) for i in range(1, 6)]),
+        }[name]()
+        csr = g.out_csr
+        transposed = csr._replace(weights=1.0 / np.diff(csr.indptr)[csr.rows]).matrix().T.tocsr()
+        got = g.transition_t
+        for field in ("indptr", "indices", "data"):
+            want = getattr(transposed, field)
+            assert getattr(got, field).dtype == want.dtype
+            assert getattr(got, field).tobytes() == want.tobytes()
 
     def test_constructor_memory_per_edge(self):
         g = cv.planted_two_community(cv.PlantedConfig(4000, 0.01, 0.001, seed=1))[0]

@@ -11,7 +11,7 @@ import pytest
 import controversy as cv
 from controversy import _pool
 from controversy.cli import main
-from controversy.synthetic import DEFAULT_P1_GRID, DEFAULT_P2_GRID, _cell_seed
+from controversy.synthetic import DEFAULT_P1_GRID, DEFAULT_P2_GRID, _cell_seed, _score_run
 
 from oracles import cut_edges, dense_planted_two_community
 from test_graph import assert_sliced_like_rebuilt
@@ -100,6 +100,26 @@ class TestStreamedDraws:
         # only the sparsest cells fall apart, so slice a random half of each too
         half = np.random.default_rng(cfg.seed).choice(cfg.n, cfg.n // 2, replace=False)
         assert_sliced_like_rebuilt(g, half)
+
+    @pytest.mark.parametrize("cfg", [
+        cv.PlantedConfig(4, 0.0, 0.0, seed=0),
+        cv.PlantedConfig(4, 1.0, 1.0, seed=1),
+        cv.PlantedConfig(60, 0.2, 0.05, seed=9),
+        cv.PlantedConfig(300, 0.05, 0.0, seed=3),
+        *GRID_CELLS[:3],
+    ], ids=repr)
+    def test_same_graph_as_validated_build(self, cfg):
+        g = cv.planted_two_community(cfg)[0]
+        ref = cv.ConversationGraph([str(i) for i in range(cfg.n)], g.edge_array, False)
+        assert g == ref and g.ids == ref.ids and not g.directed and g.out_csr is g.csr
+        for got, want in zip(g.csr, ref.csr):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert g.index_of(str(cfg.n - 1)) == cfg.n - 1
+        if cfg.p1 == cfg.p2 == 0.0:
+            assert g.n_edges == 0
+            assert _score_run(cfg, k=None, cfg=None, use_largest_component=True,
+                              redetect=False) is None
 
     def test_memory_is_not_quadratic(self):
         # the whole-block draws peak at about 67 MB here

@@ -1,15 +1,20 @@
 """Random-walk engine: terminals, stationary distributions, hitting times."""
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import bicgstab as scipy_bicgstab
 
 import controversy as cv
+import controversy.walks as walks_module
 from controversy.walks import draw_below, walk_rng
 
 from conftest import barbell, complete, cycle, make_graph, path, random_connected_graph, random_partition
 from oracles import (absorbing_absorption_probabilities, dense_expected_steps,
-                     dense_stationary_rwr, loop_strict_rank_fraction)
+                     dense_stationary_rwr, loop_strict_rank_fraction, sparse_stationary_rwr)
 
 
 class TestTopDegree:
@@ -90,12 +95,80 @@ class TestStationaryRWR:
         oracle = dense_stationary_rwr(g, [0], [], 0.85)
         assert np.abs(pi - oracle).sum() < 1e-9
 
+    @pytest.mark.parametrize("case", ["planted 1000", "planted 3000", "directed with sinks"])
+    def test_matches_exact_solve_to_1e_12(self, case):
+        if case == "directed with sinks":
+            # 2000 accounts, every fifth one only ever retweeted
+            rng = np.random.default_rng(4)
+            src, dst = rng.integers(0, 2000, (2, 12000))
+            keep = src % 5 != 0
+            g = cv.ConversationGraph([str(i) for i in range(2000)],
+                                     np.column_stack((src[keep], dst[keep], np.ones(keep.sum()))),
+                                     True)
+            p = random_partition(rng, 2000)
+            assert (np.diff(g.out_csr.indptr) == 0).sum() >= 400
+        else:
+            n = int(case.split()[1])
+            cfg = cv.PlantedConfig(n, 0.02, 0.001, seed=1) if n == 1000 else \
+                cv.PlantedConfig(n, 0.008, 0.0005, seed=1)
+            g, p = cv.planted_two_community(cfg)
+        authorities = np.concatenate(cv.top_degree(g, p))
+        for side in (p.x, p.y):
+            pi = cv.stationary_rwr(g, side, authorities)
+            assert np.abs(pi - sparse_stationary_rwr(g, side, authorities, 0.85)).sum() <= 1e-12
+
     def test_nonconvergence_raises_with_residual(self):
         g = cycle(30)
         with pytest.raises(cv.ConvergenceError, match=r"^restart walk did not converge in "
-                           r"2 iterations \(last residual ") as excinfo:
+                           r"2 iterations \(last relative residual ") as excinfo:
             cv.stationary_rwr(g, [0], [], cv.RestartWalkConfig(max_iters=2))
         assert excinfo.value.residual > 0
+
+    @pytest.mark.parametrize("info, failure", [(10000, "did not converge in 10000 iterations"),
+                                               (-1, "broke down")])
+    def test_solver_failure_raises_with_residual(self, monkeypatch, info, failure):
+        def failing(apply, b, atol, max_iters):
+            return np.zeros_like(b), info
+
+        monkeypatch.setattr(walks_module, "_bicgstab", failing)
+        g, p = barbell(5)
+        with pytest.raises(cv.ConvergenceError, match=rf"^restart walk {failure} "
+                           r"\(last relative residual ") as excinfo:
+            cv.stationary_rwr(g, p.x, [4, 5])
+        assert np.isfinite(excinfo.value.residual) and excinfo.value.residual > 0
+
+    def test_breakdown_starts_again_from_last_iterate(self):
+        # after one step the residual here is orthogonal to the restart
+        # indicator, the shadow residual: scipy's BiCGSTAB stops there
+        g = make_graph(6, [(0, 3), (0, 4), (1, 5), (2, 3), (2, 5), (3, 5)])
+        walks_on = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+        system = np.eye(6) - 0.85 * g.transition_t.toarray() * walks_on
+        assert scipy_bicgstab(system, np.array([1.0, 1, 0, 0, 1, 0]))[1] < 0
+        pi = cv.stationary_rwr(g, [0, 1, 4], [0, 3])
+        assert np.abs(pi - dense_stationary_rwr(g, [0, 1, 4], [0, 3], 0.85)).sum() < 1e-12
+
+    def test_same_bits_for_any_blas_thread_count(self):
+        # BLAS splits a dot product over its threads from about 10^4 entries
+        code = ("import hashlib, numpy as np, controversy as cv\n"
+                "g, p = cv.planted_two_community(cv.PlantedConfig(24000, 3e-4, 5e-5, seed=1))\n"
+                "pi = cv.stationary_rwr(g, p.x, np.concatenate(cv.top_degree(g, p)))\n"
+                "print(hashlib.sha256(pi.tobytes()).hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                       **{var: threads for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                                   "MKL_NUM_THREADS")})
+            digests.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("restart, dangling, bad", [
+        ([-1], (), "restart index -1"), ([7], (), "restart index 7"),
+        ([0], [4], "dangling index 4"), ([0], [1, -2], "dangling index -2"),
+    ])
+    def test_out_of_range_index_rejected(self, restart, dangling, bad):
+        with pytest.raises(ValueError, match=rf"^{bad} out of range \[0, 4\)$"):
+            cv.stationary_rwr(path(4), restart, dangling)
 
     def test_empty_restart_rejected(self):
         g = path(2)
@@ -151,6 +224,11 @@ class TestSampleWalk:
         sigma = (exact_cross * (1 - exact_cross) / n) ** 0.5
         assert abs(freq - exact_cross) <= 3 * sigma
 
+    @pytest.mark.parametrize("start", [-1, 3])
+    def test_out_of_range_start_rejected(self, start):
+        with pytest.raises(ValueError, match=rf"^start index {start} out of range \[0, 3\)$"):
+            cv.sample_walk(path(3), start, {0}, walk_rng(0, 0))
+
     def test_unreachable_terminal_errors(self):
         g = make_graph(3, [(0, 1)])  # 2 is isolated
         with pytest.raises(cv.ConvergenceError, match="terminate"):
@@ -204,6 +282,11 @@ class TestHittingTimes:
                                            rtol=1e-10)
             rho = loop_strict_rank_fraction(slow[0]) - loop_strict_rank_fraction(slow[1])
             assert np.array_equal(cv.hitting_score_all(g, p), rho)
+
+    @pytest.mark.parametrize("targets, bad", [([-1], -1), ([4], 4), ([0, 9], 9)])
+    def test_out_of_range_target_rejected(self, targets, bad):
+        with pytest.raises(ValueError, match=rf"^target index {bad} out of range \[0, 4\)$"):
+            cv.expected_hitting_times(path(4), targets)
 
     def test_adding_targets_never_increases(self):
         rng = np.random.default_rng(13)
