@@ -427,10 +427,10 @@ _HELP = {
     "measures": f"comma list from: {','.join(MEASURE_NAMES)}",
     "k": "authorities per side (default: 5%% of smaller side)",
     "tolerance": "restart-walk stop: rwc_rwr's BiCGSTAB stops at relative residual "
-                 "tolerance*(1-damping)/sqrt(n) (L1 error <= 2*tolerance), the user scores "
-                 "at this error bound",
-    "max_iters": "restart-walk iteration budget: BiCGSTAB iterations per rwc_rwr solve, "
-                 "fixed-point steps of the user scores (exit 3 when exceeded)",
+                 "tolerance*(1-damping)/sqrt(n) (L1 error <= 2*tolerance), the user scores' "
+                 "at absolute residual tolerance*(1-damping) (max error <= tolerance)",
+    "max_iters": "restart-walk iteration budget: BiCGSTAB iterations per rwc_rwr or "
+                 "user-score solve (exit 3 when exceeded)",
     "out": "output file (score, expand-topic and sentiment print to stdout without it)",
     "write_profiles": "also write the derived profiles here",
     "redetect": "re-partition spectrally instead of using ground truth",

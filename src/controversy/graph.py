@@ -331,7 +331,9 @@ class ConversationGraph:
     @cached_property
     def component_labels(self):
         """Connected-component label of every vertex (undirected view)."""
-        return csgraph.connected_components(self.csr.matrix(), directed=False)[1]
+        # strong components of the symmetric CSR are its components, and
+        # directed=False would build the transpose again on every call
+        return csgraph.connected_components(self.csr.matrix(), connection="strong")[1]
 
     # -- directed view ----------------------------------------------------
 

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateStructureError
+from .errors import ConvergenceError, DegenerateStructureError
 from .partition import Partition
 from .walks import (
     RestartWalkConfig,
     draw_below,
-    fixed_point,
     highest_degree,
     sample_walk,
     stationary_rwr,
@@ -405,18 +404,22 @@ def propagate_polarity(g, plus_seeds, minus_seeds, tol=1e-6, max_iters=1000):
     the mean of its neighbors until the max change drops below tol.
     Raises ConvergenceError, with the last change, when max_iters sweeps
     do not get there."""
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     values = np.zeros(g.n_vertices)
     values[list(plus_seeds)] = 1.0
     values[list(minus_seeds)] = -1.0
     clamped = values != 0.0
     adj = g.csr.matrix(weighted=False)
     inv_deg = 1.0 / np.maximum(g.degrees, 1)  # an isolated vertex's mean is 0
-
-    def step(values):
+    for _ in range(max_iters):
         new = np.where(clamped, values, (adj @ values) * inv_deg)
-        return new, np.abs(new - values).max(initial=0.0)  # clamped entries never move
-
-    return fixed_point(step, values, tol, max_iters, "label propagation", "change")
+        change = np.abs(new - values).max(initial=0.0)  # clamped entries never move
+        values = new
+        if change < tol:
+            return values
+    raise ConvergenceError(f"label propagation did not converge in {max_iters} iterations "
+                           f"(last change {change:.3e})", residual=change)
 
 
 def dipole_of_polarities(values, n) -> float:

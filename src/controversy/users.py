@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
 from .partition import Partition
-from .walks import RestartWalkConfig, expected_hitting_times, fixed_point, top_degree
+from .walks import RestartWalkConfig, _solve, expected_hitting_times, top_degree
 
 
 def rwc_user(g, p: Partition, k=None, *, cfg: RestartWalkConfig | None = None) -> np.ndarray:
@@ -19,41 +20,38 @@ def rwc_user(g, p: Partition, k=None, *, cfg: RestartWalkConfig | None = None) -
     With Q the step matrix with those rows zeroed, the expected visits to
     X+ and Y+ per excursion from every start vertex are the rows of
     H = (I - d*Q)^-1 @ [1_X+, 1_Y+], and the score is H[u, own side] over
-    H[u, X+] + H[u, Y+]. H comes from the fixed-point iteration
-    H <- B + d*Q*H. Each step shrinks the max-norm change by a factor of
-    at least d, so the remaining error is at most change * d / (1 - d);
-    the iteration stops when that bound drops below the configured
-    tolerance.
+    H[u, X+] + H[u, Y+]. Each column of H is one :func:`walks._solve`
+    within ``max_iters`` iterations, stopped at the absolute residual
+    (2-norm) tolerance * (1 - d): the inverse of I - d*Q has max-norm at
+    most 1 / (1 - d), and a vector's max-norm is at most its 2-norm, so
+    each entry of H is within the configured tolerance.
     """
     cfg = cfg or RestartWalkConfig()
     x_plus, y_plus = top_degree(g, p, k)
-    targets = np.zeros((g.n_vertices, 2))
-    targets[x_plus, 0] = 1.0
-    targets[y_plus, 1] = 1.0
-    restart_row = targets.any(axis=1) | (np.diff(g.out_csr.indptr) == 0)
-    step_matrix = g.transition_t.T
-    d = cfg.damping
+    walks_on = np.diff(g.out_csr.indptr) > 0
+    walks_on[x_plus] = walks_on[y_plus] = False
+    step_matrix, d = g.transition_t.T, cfg.damping
 
-    def step(hits):
-        new = d * (step_matrix @ hits)
-        new[restart_row] = 0.0
-        new += targets
-        return new, float(np.abs(new - hits).max()) * d / (1.0 - d)
+    def visits(authorities):
+        target = np.zeros(g.n_vertices)
+        target[authorities] = 1.0
+        return _solve(lambda h: h - d * (walks_on * (step_matrix @ h)), target,
+                      cfg.tolerance * (1.0 - d) / math.sqrt(len(authorities)), cfg.max_iters,
+                      "user restart walks")
 
-    hits = fixed_point(step, targets, cfg.tolerance, cfg.max_iters,
-                       "user restart walks", "error bound")
-    own = np.where(p.sides == 0, hits[:, 0], hits[:, 1])
+    hits_x, hits_y = visits(x_plus), visits(y_plus)
+    own = np.where(p.sides == 0, hits_x, hits_y)
     with np.errstate(invalid="ignore"):
-        return own / (hits[:, 0] + hits[:, 1])
+        return own / (hits_x + hits_y)
 
 
 def _strict_rank_fraction(values, rel_tol=1e-9) -> np.ndarray:
     """Fraction of vertices with a strictly smaller value.
 
     Values within solver precision of each other count as ties (the
-    hitting times come out of conjugate gradients at rtol 1e-13, whose
-    noise on exact ties was measured at most 9.9e-12 relative, far inside
-    rel_tol); every finite value is strictly below inf.
+    hitting times come out of BiCGSTAB at rtol 1e-13, whose noise on
+    exact ties measured at most 6.5e-13 relative, far inside rel_tol);
+    every finite value is strictly below inf.
     """
     n = len(values)
     order = np.argsort(values, kind="stable")

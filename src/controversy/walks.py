@@ -1,11 +1,11 @@
 """Random-walk machinery shared by the controversy measures.
 
 Covers per-side authority (top-degree) selection, restart-walk stationary
-distributions (one BiCGSTAB solve each, within ``max_iters`` iterations,
-stopped where its L1 error is at most 2 * ``tolerance``), the fixed-point
-loop of the user scores and the label propagation, Monte Carlo walk
-sampling on the undirected view, and exact expected hitting times. Every
-vertex index these take must lie in [0, n).
+distributions, Monte Carlo walk sampling on the undirected view, and
+exact expected hitting times. The restart walks, the user scores and the
+hitting times are all systems "identity minus a substochastic walk
+step", solved by :func:`_solve`. Every vertex index these take must lie
+in [0, n).
 """
 from __future__ import annotations
 
@@ -14,13 +14,11 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import cg
 
 from .errors import ConvergenceError
 
 WALK_STEP_CAP = 10**6
-HITTING_RTOL = 1e-13  # relative residual at which the hitting-time CG stops
+HITTING_RTOL = 1e-13  # relative residual at which the hitting-time solve stops
 BREAKDOWN_RTOL = np.finfo(float).eps  # shadow product, relative, at which BiCGSTAB starts again
 
 
@@ -29,9 +27,9 @@ class RestartWalkConfig:
     """Parameters of the restart-walk solves. ``stationary_rwr`` (and so
     ``rwc_rwr``) runs at most ``max_iters`` BiCGSTAB iterations and stops
     at the relative residual ``tolerance * (1 - damping) / sqrt(n)``, where
-    the L1 error of its vector is at most 2 * ``tolerance``; the batched
-    user-score solve runs at most ``max_iters`` fixed-point steps and stops
-    when its max-norm error bound drops below ``tolerance``."""
+    the L1 error of its vector is at most 2 * ``tolerance``; each of the two
+    user-score solves runs at most ``max_iters`` BiCGSTAB iterations and
+    stops where its max-norm error is at most ``tolerance``."""
 
     damping: float = 0.85
     tolerance: float = 1e-10
@@ -75,7 +73,7 @@ def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None
     Vertices in ``dangling`` (and any vertex without out-arcs) restart
     with probability 1. With M the uniform step matrix with those rows
     zeroed and r the indicator of ``restart``, the vector is x / x.sum()
-    for the solution x of (I - d M^T) x = r, found by :func:`_bicgstab`.
+    for the solution x of (I - d M^T) x = r, found by :func:`_solve`.
     Its stop, the relative residual tolerance * (1 - d) / sqrt(n), bounds
     the L1 error of the vector by 2 * tolerance: the residual's L1 norm is
     at most sqrt(n) times its 2-norm, the inverse of I - d M^T has L1 norm
@@ -97,15 +95,8 @@ def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None
     def system(x):
         return x - d * (step_t @ (walks_on * x))
 
-    r_norm = math.sqrt(_dot(r, r))
-    x, info = _bicgstab(system, r, cfg.tolerance * (1.0 - d) / math.sqrt(n) * r_norm,
-                        cfg.max_iters)
-    if info:
-        gap = r - system(x)
-        residual = math.sqrt(_dot(gap, gap)) / r_norm
-        failure = f"did not converge in {cfg.max_iters} iterations" if info > 0 else "broke down"
-        raise ConvergenceError(f"restart walk {failure} (last relative residual {residual:.3e})",
-                               residual=residual)
+    x = _solve(system, r, cfg.tolerance * (1.0 - d) / math.sqrt(n), cfg.max_iters,
+               "restart walk")
     return x / x.sum()
 
 
@@ -116,20 +107,40 @@ def _dot(a, b) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def _solve(apply, b, rtol, max_iters, what):
+    """x with ``apply(x) = b`` to the relative residual ``rtol`` (2-norm,
+    as :func:`_bicgstab` checks it), within ``max_iters`` iterations. Raises
+    ConvergenceError, naming the solve ``what`` and its last relative
+    residual ``||b - apply(x)|| / ||b||``, when the budget runs out or the
+    recurrence breaks down."""
+    b_norm = math.sqrt(_dot(b, b))
+    x, info = _bicgstab(apply, b, rtol * b_norm, max_iters)
+    if info:
+        gap = b - apply(x)
+        residual = math.sqrt(_dot(gap, gap)) / b_norm
+        failure = f"did not converge in {max_iters} iterations" if info > 0 else "broke down"
+        raise ConvergenceError(f"{what} {failure} (last relative residual {residual:.3e})",
+                               residual=residual)
+    return x
+
+
 def _bicgstab(apply, b, atol, max_iters):
     """Solve ``apply(x) = b`` by BiCGSTAB (van der Vorst 1992) from x = 0.
 
-    Returns ``(x, info)``: info is 0 once ||b - apply(x)||_2 <= atol,
-    ``max_iters`` when that many iterations miss it, and -1 when the
-    recurrence breaks down on the first step after a (re)start. A
-    breakdown elsewhere (a shadow product or a step length of 0) starts
-    the recurrence again from the current iterate, whose residual becomes
-    the shadow residual: about 1% of solves on small random graphs need
-    that once. Every product goes through :func:`_dot`, so the result has
-    the same bits on any number of CPUs.
+    Returns ``(x, info)``: info is 0 at the stop, ``max_iters`` when that
+    many iterations miss it, and -1 when the recurrence breaks down on the
+    first step after a (re)start. The stop is ||r||_2 <= atol for the
+    recurrence residual r. The first time r meets it, the true residual
+    b - apply(x) must meet it too, or the recurrence starts again from x:
+    r drifts from it on high-diameter graphs, and after that one restart
+    rounding in b - apply(x) can keep it above atol. A breakdown (a shadow
+    product or a step length of 0) also starts again from x; about 1% of
+    solves on small random graphs need that once. Every product goes
+    through :func:`_dot`, so the result has the same bits on any number of
+    CPUs.
     """
     x, r = np.zeros_like(b), b.copy()
-    fresh = True
+    fresh, checked = True, False
     for _ in range(max_iters):
         if fresh:
             shadow = p = r
@@ -150,12 +161,18 @@ def _bicgstab(apply, b, atol, max_iters):
         r = s - omega * t
         r_sq = _dot(r, r)
         if r_sq <= atol * atol:
-            return x, 0
-        rho_next = _dot(shadow, r)
-        fresh = omega == 0.0 or abs(rho_next) <= BREAKDOWN_RTOL * math.sqrt(shadow_sq * r_sq)
-        if not fresh:
-            p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
-            rho = rho_next
+            if checked:
+                return x, 0
+            checked, r = True, b - apply(x)
+            if _dot(r, r) <= atol * atol:
+                return x, 0
+            fresh = True
+        else:
+            rho_next = _dot(shadow, r)
+            fresh = omega == 0.0 or abs(rho_next) <= BREAKDOWN_RTOL * math.sqrt(shadow_sq * r_sq)
+            if not fresh:
+                p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+                rho = rho_next
     return x, max_iters
 
 
@@ -169,23 +186,6 @@ def _vertex_indices(g, vertices, what) -> np.ndarray:
     if bad.size:
         raise ValueError(f"{what} index {bad[0]} out of range [0, {g.n_vertices})")
     return found
-
-
-def fixed_point(step, x, tol, max_iters, what, measure):
-    """Iterate ``x, value = step(x)`` and return the first x whose ``value``
-    is below ``tol`` (the user scores and the label propagation). Raises
-    ConvergenceError, naming the solver ``what`` and the last value of its
-    stop ``measure``, after max_iters steps."""
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    for _ in range(max_iters):
-        x, value = step(x)
-        if value < tol:
-            return x
-    raise ConvergenceError(
-        f"{what} did not converge in {max_iters} iterations (last {measure} {value:.3e})",
-        residual=value,
-    )
 
 
 def walk_rng(seed, walk_index) -> random.Random:
@@ -245,10 +245,10 @@ def expected_hitting_times(g, targets) -> np.ndarray:
     """Exact expected steps of the uniform undirected walk to reach any target.
 
     Solves the absorbing-chain system l_u = 1 + mean(l over neighbors)
-    with l = 0 on targets: the grounded Laplacian system (D - A) l = d on
-    the free vertices F, by Jacobi-preconditioned conjugate gradients in
-    O(m) memory. Raises ConvergenceError, with the relative residual, when
-    they miss ``HITTING_RTOL`` in 10 |F| iterations. Vertices with no
+    with l = 0 on targets: on the free vertices F, the degree-scaled
+    grounded system l - D_F^-1 A_FF l = 1, by :func:`_solve` in O(m)
+    memory. Raises ConvergenceError, with the relative residual, when the
+    solve misses ``HITTING_RTOL`` in 10 |F| iterations. Vertices with no
     target in reach get +inf.
     """
     targets = _vertex_indices(g, targets, "target")
@@ -263,12 +263,8 @@ def expected_hitting_times(g, targets) -> np.ndarray:
     free = np.flatnonzero(free)
     if not free.size:
         return times
-    deg = g.degrees[free].astype(float)
-    grounded = sp.diags(deg) - g.csr.matrix(weighted=False)[free][:, free]
-    budget = 10 * len(free)
-    times[free], info = cg(grounded, deg, rtol=HITTING_RTOL, maxiter=budget, M=sp.diags(1.0 / deg))
-    if info:
-        residual = float(np.linalg.norm(deg - grounded @ times[free]) / np.linalg.norm(deg))
-        raise ConvergenceError(f"hitting times did not converge in {budget} iterations "
-                               f"(last relative residual {residual:.3e})", residual=residual)
+    inv_deg = 1.0 / g.degrees[free]
+    adjacent = g.csr.matrix(weighted=False)[free][:, free]
+    times[free] = _solve(lambda t: t - inv_deg * (adjacent @ t), np.ones(len(free)),
+                         HITTING_RTOL, 10 * len(free), "hitting times")
     return times

@@ -596,10 +596,10 @@ class TestGraphCommands:
         assert not out.exists()
 
     def test_hitting_time_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
-        def no_convergence(a, b, **kwargs):
-            return np.zeros_like(b), 1
+        def no_convergence(apply, b, atol, max_iters):
+            return np.zeros_like(b), max_iters
 
-        monkeypatch.setattr(walks_module, "cg", no_convergence)
+        monkeypatch.setattr(walks_module, "_bicgstab", no_convergence)
         with pytest.raises(cv.ConvergenceError, match="^hitting times did not converge in "
                            r"\d+ iterations \(last relative residual ") as info:
             cv.expected_hitting_times(cv.read_edgelist(KARATE_EDGES), [0])

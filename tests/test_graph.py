@@ -370,6 +370,22 @@ class TestLargestComponent:
         g = cv.ConversationGraph([], [], False)
         assert cv.largest_component(g).n_vertices == 0
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_component_labels_match_networkx(self, directed):
+        import networkx as nx
+
+        rng = np.random.default_rng(5)
+        n = 400
+        arcs = [(int(a), int(b), 1) for a, b in rng.integers(0, n, (300, 2)) if a != b]
+        g = cv.ConversationGraph([str(i) for i in range(n)], arcs, directed)
+        labels = g.component_labels
+        ours = {frozenset(np.flatnonzero(labels == label).tolist()) for label in set(labels)}
+        nx_graph = nx.Graph()
+        nx_graph.add_nodes_from(range(n))
+        nx_graph.add_edges_from((a, b) for a, b, _ in arcs)
+        theirs = set(map(frozenset, nx.connected_components(nx_graph)))
+        assert len(theirs) > 50 and ours == theirs
+
     def test_result_is_connected_and_maximal(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

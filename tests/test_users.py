@@ -7,8 +7,8 @@ import pytest
 import controversy as cv
 from controversy.users import _strict_rank_fraction, write_user_scores
 
-from conftest import barbell, complete, cycle, make_graph, two_cliques
-from oracles import dense_stationary_rwr, power_rwc_user
+from conftest import barbell, complete, cycle, make_graph, random_partition, two_cliques
+from oracles import TupleGraph, dense_stationary_rwr, power_rwc_user
 
 
 class TestRwcUser:
@@ -50,6 +50,35 @@ class TestRwcUser:
             own = m_x if p.side_of(u) == "X" else m_y
             assert values[u] == pytest.approx(own / (m_x + m_y), abs=1e-8)
 
+    @pytest.mark.parametrize("case", ["planted 1000", "directed with sinks"])
+    def test_matches_dense_solve_to_1e_11(self, case):
+        if case == "directed with sinks":
+            # test_walks' graph: 2000 accounts, every fifth one only ever retweeted
+            rng = np.random.default_rng(4)
+            src, dst = rng.integers(0, 2000, (2, 12000))
+            keep = src % 5 != 0
+            g = cv.ConversationGraph([str(i) for i in range(2000)],
+                                     np.column_stack((src[keep], dst[keep], np.ones(keep.sum()))),
+                                     True)
+            p = random_partition(rng, 2000)
+            vertices = range(0, g.n_vertices, 41)  # every fifth of them a sink
+        else:
+            g, p = cv.planted_two_community(cv.PlantedConfig(1000, 0.02, 0.001, seed=1))
+            vertices = range(0, g.n_vertices, 10)
+        x_plus, y_plus = cv.top_degree(g, p)
+        authorities = np.concatenate((x_plus, y_plus))
+        tuples = TupleGraph(g)
+        values = cv.rwc_user(g, p)
+        oracle = []
+        for u in vertices:
+            pi = dense_stationary_rwr(tuples, [u], authorities, 0.85)
+            mass = pi[authorities].sum()
+            # the dense solve leaves ~1e-17 of noise where no authority is reached
+            own = pi[x_plus if p.sides[u] == 0 else y_plus].sum()
+            oracle.append(own / mass if mass > 1e-12 else math.nan)
+        np.testing.assert_allclose(values[list(vertices)], oracle, rtol=0, atol=1e-11)
+        assert case == "planted 1000" or np.isnan(oracle).sum() >= 5
+
     @pytest.mark.parametrize("graph", ["karate", "planted"])
     def test_matches_power_iteration_oracle(self, graph, karate):
         if graph == "karate":
@@ -67,7 +96,7 @@ class TestRwcUser:
     def test_iteration_budget_raises(self, karate):
         g, p = karate
         with pytest.raises(cv.ConvergenceError, match=r"^user restart walks did not converge in "
-                           r"1 iterations \(last error bound ") as info:
+                           r"1 iterations \(last relative residual ") as info:
             cv.user_score_table(g, p, 1, cv.RestartWalkConfig(max_iters=1))
         assert info.value.residual > 0
         with pytest.raises(ValueError, match="max_iters"):

@@ -151,8 +151,10 @@ class TestStationaryRWR:
         # BLAS splits a dot product over its threads from about 10^4 entries
         code = ("import hashlib, numpy as np, controversy as cv\n"
                 "g, p = cv.planted_two_community(cv.PlantedConfig(24000, 3e-4, 5e-5, seed=1))\n"
-                "pi = cv.stationary_rwr(g, p.x, np.concatenate(cv.top_degree(g, p)))\n"
-                "print(hashlib.sha256(pi.tobytes()).hexdigest())\n")
+                "x_plus, y_plus = cv.top_degree(g, p)\n"
+                "for values in (cv.stationary_rwr(g, p.x, np.concatenate((x_plus, y_plus))),\n"
+                "               cv.expected_hitting_times(g, x_plus), cv.rwc_user(g, p)):\n"
+                "    print(hashlib.sha256(values.tobytes()).hexdigest())\n")
         digests = set()
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
