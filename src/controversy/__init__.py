@@ -76,7 +76,6 @@ from .walks import (
     default_k,
     expected_hitting_times,
     sample_walk,
-    stationary_rwr,
     top_degree,
     walk_rng,
 )

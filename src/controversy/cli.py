@@ -426,11 +426,10 @@ _HELP = {
     "partition_mode": "how the two sides are found",
     "measures": f"comma list from: {','.join(MEASURE_NAMES)}",
     "k": "authorities per side (default: 5%% of smaller side)",
-    "tolerance": "restart-walk stop: rwc_rwr's BiCGSTAB stops at relative residual "
-                 "tolerance*(1-damping)/sqrt(n) (L1 error <= 2*tolerance), the user scores' "
-                 "at absolute residual tolerance*(1-damping) (max error <= tolerance)",
-    "max_iters": "restart-walk iteration budget: BiCGSTAB iterations per rwc_rwr or "
-                 "user-score solve (exit 3 when exceeded)",
+    "tolerance": "restart-walk stop: each BiCGSTAB solve behind rwc_rwr and the user "
+                 "scores stops where every expected visit count is within tolerance",
+    "max_iters": "restart-walk iteration budget: BiCGSTAB iterations per solve "
+                 "(exit 3 when exceeded)",
     "out": "output file (score, expand-topic and sentiment print to stdout without it)",
     "write_profiles": "also write the derived profiles here",
     "redetect": "re-partition spectrally instead of using ground truth",

@@ -338,17 +338,12 @@ class ConversationGraph:
     # -- directed view ----------------------------------------------------
 
     @cached_property
-    def transition_t(self):
-        """Transpose of the uniform-step transition matrix of the directed
-        view (weights ignored; rows of vertices without out-arcs are zero),
-        laid out for left-multiplication of a distribution. An undirected
-        graph's adjacency is symmetric, so the transpose has its CSR
-        layout: entry (v, u) is 1 / deg(u)."""
+    def transition(self):
+        """Uniform-step transition matrix of the directed view (weights
+        ignored): entry (u, v) is 1 / out-degree(u) for each arc u -> v, and
+        the rows of vertices without out-arcs are zero."""
         csr = self.out_csr
-        if not self.directed:
-            return csr._replace(weights=1.0 / self.degrees[csr.indices]).matrix()
-        probs = 1.0 / np.diff(csr.indptr)[csr.rows]
-        return csr._replace(weights=probs).matrix().T.tocsr()
+        return csr._replace(weights=1.0 / np.diff(csr.indptr)[csr.rows]).matrix()
 
 
 def _frozen(a):
@@ -484,14 +479,27 @@ def induced_subgraph(g, vertices):
 
     Slices the parent's CSR rows and relabels the neighbours kept through
     the monotone index map, so every row stays sorted and nothing is
-    re-sorted or re-checked."""
-    keep = np.unique(np.fromiter(vertices, dtype=np.int64))
+    re-sorted or re-checked. Raises ValueError naming the first index
+    outside [0, n)."""
+    keep = np.unique(_vertex_indices(g, vertices, "vertex"))
     new_index = np.full(g.n_vertices, -1, dtype=np.int64)
     new_index[keep] = np.arange(len(keep))
     csr = _induced_csr(g.csr, new_index, len(keep))
     out_csr = _induced_csr(g.out_csr, new_index, len(keep)) if g.directed else csr
     ids = tuple(g.ids[v] for v in keep.tolist())
     return ConversationGraph.__new__(ConversationGraph)._assign(ids, g.directed, csr, out_csr)
+
+
+def _vertex_indices(g, vertices, what) -> np.ndarray:
+    """``vertices`` (an array or any iterable of ints) as an int64 index
+    array; raises ValueError naming the first one outside [0, n)."""
+    if not isinstance(vertices, np.ndarray):
+        vertices = list(vertices)
+    found = np.asarray(vertices, dtype=np.int64).reshape(-1)
+    bad = found[(found < 0) | (found >= g.n_vertices)]
+    if bad.size:
+        raise ValueError(f"{what} index {bad[0]} out of range [0, {g.n_vertices})")
+    return found
 
 
 def _induced_csr(csr, new_index, n):

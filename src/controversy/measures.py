@@ -20,10 +20,10 @@ from .errors import ConvergenceError, DegenerateStructureError
 from .partition import Partition
 from .walks import (
     RestartWalkConfig,
+    _restart_visits,
     draw_below,
     highest_degree,
     sample_walk,
-    stationary_rwr,
     top_degree,
     walk_rng,
 )
@@ -110,25 +110,42 @@ def rwr_conditionals(g, p: Partition, k=None, cfg: RestartWalkConfig | None = No
     Returns a 2 x 2 array ``c`` indexed [start side][end side] (X = 0,
     Y = 1), where e.g. ``c[0, 1]`` is Pr[start = X | end = Y+]. Each
     column sums to 1 by construction.
+
+    The walk restarting on side S has the stationary law x / sum(x), where
+    (I - d*M^T) x = 1_S and M is the step matrix with the rows of the
+    excursion ends D (the authorities and every vertex without out-arcs)
+    zeroed. Its mass on A is 1_A . x = 1_S . h_A, with h_A the expected
+    visits to A that :func:`walks._restart_visits` solves for, and summing
+    the system gives sum(x) = (|S| - d * 1_S . h_D) / (1 - d). Where D is
+    just the authorities, h_D = h_X+ + h_Y+; otherwise h_D is one more
+    solve. The bound on each entry is in :class:`RestartWalkConfig`.
     """
     cfg = cfg or RestartWalkConfig()
     x_plus, y_plus = top_degree(g, p, k)
-    dangling = np.concatenate((x_plus, y_plus))
+    ends, visits = _restart_visits(g, x_plus, y_plus, cfg, "restart walk")
+    hits_x, hits_y = visits(x_plus), visits(y_plus)
+    if ends.sum() == len(x_plus) + len(y_plus):
+        hits_end = hits_x + hits_y
+    else:
+        hits_end = visits(np.flatnonzero(ends))
+    d = cfg.damping
     table = np.empty((2, 2))
     for start, side in enumerate((p.x, p.y)):
-        pi = stationary_rwr(g, side, dangling, cfg)
+        mass = (len(side) - d * hits_end[side].sum()) / (1.0 - d)
         w = len(side) / g.n_vertices
-        table[start] = w * pi[x_plus].sum(), w * pi[y_plus].sum()
+        table[start] = w * hits_x[side].sum() / mass, w * hits_y[side].sum() / mass
     return _conditionals(table, "no stationary mass on a high-degree set; cannot condition")
 
 
 def rwc_rwr(g, p: Partition, k=None, cfg: RestartWalkConfig | None = None) -> float:
     """Restart-walk variant of the random-walk controversy score.
 
-    Computes the stationary distributions restarting on X and on Y with
-    the top-degree vertices made dangling, then combines the four
-    conditional probabilities into P_xx*P_yy - P_xy*P_yx. Well-defined on
-    disconnected graphs (two cross-free sides score exactly 1).
+    Takes the steady states of the walks restarting on X and on Y (the
+    top-degree vertices restart too), conditions them on the side whose
+    top-degree vertices they sit at (:func:`rwr_conditionals`), then
+    combines the four conditionals into P_xx*P_yy - P_xy*P_yx.
+    Well-defined on disconnected graphs (two cross-free sides score
+    exactly 1).
     """
     return _rwc(rwr_conditionals(g, p, k, cfg))
 

@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 import csv
-import math
 
 import numpy as np
 
 from .partition import Partition
-from .walks import RestartWalkConfig, _solve, expected_hitting_times, top_degree
+from .walks import RestartWalkConfig, _restart_visits, expected_hitting_times, top_degree
 
 
 def rwc_user(g, p: Partition, k=None, *, cfg: RestartWalkConfig | None = None) -> np.ndarray:
@@ -20,25 +19,13 @@ def rwc_user(g, p: Partition, k=None, *, cfg: RestartWalkConfig | None = None) -
     With Q the step matrix with those rows zeroed, the expected visits to
     X+ and Y+ per excursion from every start vertex are the rows of
     H = (I - d*Q)^-1 @ [1_X+, 1_Y+], and the score is H[u, own side] over
-    H[u, X+] + H[u, Y+]. Each column of H is one :func:`walks._solve`
-    within ``max_iters`` iterations, stopped at the absolute residual
-    (2-norm) tolerance * (1 - d): the inverse of I - d*Q has max-norm at
-    most 1 / (1 - d), and a vector's max-norm is at most its 2-norm, so
-    each entry of H is within the configured tolerance.
+    H[u, X+] + H[u, Y+]. Each column of H is one solve of
+    :func:`walks._restart_visits`, so each entry is within the configured
+    tolerance.
     """
-    cfg = cfg or RestartWalkConfig()
     x_plus, y_plus = top_degree(g, p, k)
-    walks_on = np.diff(g.out_csr.indptr) > 0
-    walks_on[x_plus] = walks_on[y_plus] = False
-    step_matrix, d = g.transition_t.T, cfg.damping
-
-    def visits(authorities):
-        target = np.zeros(g.n_vertices)
-        target[authorities] = 1.0
-        return _solve(lambda h: h - d * (walks_on * (step_matrix @ h)), target,
-                      cfg.tolerance * (1.0 - d) / math.sqrt(len(authorities)), cfg.max_iters,
-                      "user restart walks")
-
+    _, visits = _restart_visits(g, x_plus, y_plus, cfg or RestartWalkConfig(),
+                                "user restart walks")
     hits_x, hits_y = visits(x_plus), visits(y_plus)
     own = np.where(p.sides == 0, hits_x, hits_y)
     with np.errstate(invalid="ignore"):

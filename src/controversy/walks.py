@@ -1,11 +1,11 @@
 """Random-walk machinery shared by the controversy measures.
 
-Covers per-side authority (top-degree) selection, restart-walk stationary
-distributions, Monte Carlo walk sampling on the undirected view, and
-exact expected hitting times. The restart walks, the user scores and the
-hitting times are all systems "identity minus a substochastic walk
-step", solved by :func:`_solve`. Every vertex index these take must lie
-in [0, n).
+Covers per-side authority (top-degree) selection, the restart walk's
+expected visits per excursion (behind both ``rwc_rwr`` and the user
+scores), Monte Carlo walk sampling on the undirected view, and exact
+expected hitting times. The restart walk and the hitting times are both
+systems "identity minus a substochastic walk step", solved by
+:func:`_solve`. Every vertex index these take must lie in [0, n).
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+from .graph import _vertex_indices
 
 WALK_STEP_CAP = 10**6
 HITTING_RTOL = 1e-13  # relative residual at which the hitting-time solve stops
@@ -24,12 +25,13 @@ BREAKDOWN_RTOL = np.finfo(float).eps  # shadow product, relative, at which BiCGS
 
 @dataclass(frozen=True)
 class RestartWalkConfig:
-    """Parameters of the restart-walk solves. ``stationary_rwr`` (and so
-    ``rwc_rwr``) runs at most ``max_iters`` BiCGSTAB iterations and stops
-    at the relative residual ``tolerance * (1 - damping) / sqrt(n)``, where
-    the L1 error of its vector is at most 2 * ``tolerance``; each of the two
-    user-score solves runs at most ``max_iters`` BiCGSTAB iterations and
-    stops where its max-norm error is at most ``tolerance``."""
+    """Parameters of the restart-walk solves (``rwc_rwr``, the user
+    scores). Each solve runs at most ``max_iters`` BiCGSTAB iterations and
+    stops where every expected visit count it returns is within
+    ``tolerance``. Each of ``rwc_rwr``'s conditionals is then within
+    2 * tolerance * (1 + damping) / (1 - damping) / m, to first order,
+    where m is the share of the walks' stationary mass on its end side's
+    authorities (the column sum of :func:`rwr_conditionals`' table)."""
 
     damping: float = 0.85
     tolerance: float = 1e-10
@@ -65,39 +67,34 @@ def top_degree(g, p, k=None):
     return highest_degree(g, p.x, k), highest_degree(g, p.y, k)
 
 
-def stationary_rwr(g, restart, dangling=(), cfg: RestartWalkConfig | None = None) -> np.ndarray:
-    """Stationary probability vector of the restart walk on the directed view.
+def _restart_visits(g, x_plus, y_plus, cfg: RestartWalkConfig, what):
+    """The restart walk whose excursions end at the authorities ``x_plus``
+    and ``y_plus`` and at every vertex without out-arcs.
 
-    Each step follows a uniformly random out-arc with probability
-    ``damping`` and otherwise restarts uniformly inside ``restart``.
-    Vertices in ``dangling`` (and any vertex without out-arcs) restart
-    with probability 1. With M the uniform step matrix with those rows
-    zeroed and r the indicator of ``restart``, the vector is x / x.sum()
-    for the solution x of (I - d M^T) x = r, found by :func:`_solve`.
-    Its stop, the relative residual tolerance * (1 - d) / sqrt(n), bounds
-    the L1 error of the vector by 2 * tolerance: the residual's L1 norm is
-    at most sqrt(n) times its 2-norm, the inverse of I - d M^T has L1 norm
-    at most 1 / (1 - d), and the exact x sums to at least r.sum(). Raises
-    ConvergenceError, with the relative residual, when the solve misses
-    its stop in ``max_iters`` iterations or breaks down.
+    Returns ``(ends, visits)``: the boolean mask of those end vertices, and
+    the function that maps an index array B to h = (I - d*Q)^-1 @ 1_B, the
+    expected visits to B per excursion from every start vertex, where Q is
+    ``g.transition`` with the rows of the end vertices zeroed. Each call is
+    one :func:`_solve` within ``max_iters`` iterations, stopped at the
+    absolute residual (2-norm) tolerance * (1 - d): the inverse of I - d*Q
+    has max-norm at most 1 / (1 - d), and a vector's max-norm is at most
+    its 2-norm, so each entry of h is within the configured tolerance. A
+    solve that misses its stop raises ConvergenceError naming ``what``.
     """
-    cfg = cfg or RestartWalkConfig()
-    n = g.n_vertices
-    restart = _vertex_indices(g, restart, "restart")
-    if not restart.size:
-        raise ValueError("restart set is empty")
-    r = np.zeros(n)
-    r[restart] = 1.0
-    walks_on = (np.diff(g.out_csr.indptr) > 0).astype(float)
-    walks_on[_vertex_indices(g, dangling, "dangling")] = 0.0
-    step_t, d = g.transition_t, cfg.damping
+    ends = np.diff(g.out_csr.indptr) == 0
+    ends[x_plus] = ends[y_plus] = True
+    walks_on, step, d = ~ends, g.transition, cfg.damping
 
-    def system(x):
-        return x - d * (step_t @ (walks_on * x))
+    def system(h):
+        return h - d * (walks_on * (step @ h))
 
-    x = _solve(system, r, cfg.tolerance * (1.0 - d) / math.sqrt(n), cfg.max_iters,
-               "restart walk")
-    return x / x.sum()
+    def visits(targets):
+        b = np.zeros(g.n_vertices)
+        b[targets] = 1.0
+        return _solve(system, b, cfg.tolerance * (1.0 - d) / math.sqrt(len(targets)),
+                      cfg.max_iters, what)
+
+    return ends, visits
 
 
 def _dot(a, b) -> float:
@@ -174,18 +171,6 @@ def _bicgstab(apply, b, atol, max_iters):
                 p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
                 rho = rho_next
     return x, max_iters
-
-
-def _vertex_indices(g, vertices, what) -> np.ndarray:
-    """``vertices`` (an array or any iterable of ints) as an int64 index
-    array; raises ValueError naming the first one outside [0, n)."""
-    if not isinstance(vertices, np.ndarray):
-        vertices = list(vertices)
-    found = np.asarray(vertices, dtype=np.int64).reshape(-1)
-    bad = found[(found < 0) | (found >= g.n_vertices)]
-    if bad.size:
-        raise ValueError(f"{what} index {bad[0]} out of range [0, {g.n_vertices})")
-    return found
 
 
 def walk_rng(seed, walk_index) -> random.Random:

@@ -446,43 +446,47 @@ def sparse_stationary_rwr(g, restart, dangling, damping):
     step = sp.csr_matrix((probs, (rows, cols)), shape=(n, n))
     r = np.zeros(n)
     r[sorted(set(int(v) for v in restart))] = 1.0
-    x = spsolve((sp.identity(n) - damping * step.T).tocsc(), r)
+    # an ordering for a structurally symmetric matrix, as undirected
+    # graphs give: a third of COLAMD's time on planted n = 3000
+    x = spsolve((sp.identity(n) - damping * step.T).tocsc(), r, permc_spec="MMD_AT_PLUS_A")
     return x / x.sum()
 
 
-def power_rwc_user(g, p, x_plus, y_plus, u, cfg=None):
-    """Restart-walk user score from one :func:`stationary_rwr` solve (a
-    power iteration when this oracle was written, BiCGSTAB now) that
-    restarts at ``u`` with the authorities ``x_plus`` and ``y_plus``
-    dangling: the own side's share of the authority mass."""
-    # imported here: the other oracles run on graphs without the library
-    from controversy.walks import stationary_rwr
-
-    pi = stationary_rwr(g, [int(u)], list(x_plus) + list(y_plus), cfg)
+def power_rwc_user(g, p, x_plus, y_plus, u):
+    """Restart-walk user score from one :func:`sparse_stationary_rwr`
+    solve (a power iteration when this oracle was written) that restarts
+    at ``u`` with the authorities ``x_plus`` and ``y_plus`` dangling: the
+    own side's share of the authority mass."""
+    pi = sparse_stationary_rwr(g, [int(u)], list(x_plus) + list(y_plus), 0.85)
     m_x = pi[list(x_plus)].sum()
     m_y = pi[list(y_plus)].sum()
     own = m_x if p.side_of(u) == "X" else m_y
     return float(own / (m_x + m_y))
 
 
-def dense_rwc_rwr(g, p, x_plus, y_plus, damping):
-    """Restart-walk controversy from two dense stationary solves.
+def dense_rwr_conditionals(g, p, x_plus, y_plus, damping):
+    """Restart-walk conditionals from two dense stationary solves.
 
     Restarts on each side with ``x_plus`` and ``y_plus`` dangling, weighs
     the two restart sides by their share of the vertices, and applies
     Bayes' rule: Pr[start = A | end on B+] is proportional to
-    Pr[A] * mass of the A-restart walk on B+.
+    Pr[A] * mass of the A-restart walk on B+. Returns the 2 x 2 array
+    [start side][end side] and its column sums, the weighted stationary
+    mass on X+ and on Y+.
     """
     dangling = list(x_plus) + list(y_plus)
-    pi_x = dense_stationary_rwr(g, p.x, dangling, damping)
-    pi_y = dense_stationary_rwr(g, p.y, dangling, damping)
-    w_x = len(p.x) / g.n_vertices
-    w_y = len(p.y) / g.n_vertices
-    end_x = np.array([w_x * pi_x[list(x_plus)].sum(), w_y * pi_y[list(x_plus)].sum()])
-    end_y = np.array([w_x * pi_x[list(y_plus)].sum(), w_y * pi_y[list(y_plus)].sum()])
-    p_xx, p_yx = end_x / end_x.sum()
-    p_xy, p_yy = end_y / end_y.sum()
-    return float(p_xx * p_yy - p_xy * p_yx)
+    table = np.empty((2, 2))
+    for start, side in enumerate((p.x, p.y)):
+        pi = dense_stationary_rwr(g, side, dangling, damping)
+        table[start] = [len(side) / g.n_vertices * pi[list(end)].sum() for end in (x_plus, y_plus)]
+    mass = table.sum(axis=0)
+    return table / mass, mass
+
+
+def dense_rwc_rwr(g, p, x_plus, y_plus, damping):
+    """Restart-walk controversy from :func:`dense_rwr_conditionals`."""
+    c, _ = dense_rwr_conditionals(g, p, x_plus, y_plus, damping)
+    return float(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
 
 
 def dense_harmonic_polarity(g, plus_seeds, minus_seeds):

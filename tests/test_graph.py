@@ -206,21 +206,23 @@ class TestGraphStructure:
         for got, want in zip(csr, lexsort_csr_arrays(30, src, dst, w)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("name", ["karate", "planted", "path", "star"])
-    def test_undirected_transition_is_the_transposed_build(self, name, karate):
+    @pytest.mark.parametrize("name", ["karate", "planted", "path", "star", "directed"])
+    def test_transition_is_the_uniform_step_matrix(self, name, karate):
         g = {
             "karate": lambda: karate[0],
             "planted": lambda: cv.planted_two_community(cv.PlantedConfig(300, 0.05, 0.01, seed=2))[0],
             "path": lambda: path(7),
             "star": lambda: make_graph(6, [(0, i) for i in range(1, 6)]),
+            "directed": lambda: make_graph(5, [(0, 1), (0, 2), (1, 0), (3, 1), (3, 2), (3, 0)],
+                                           directed=True),
         }[name]()
-        csr = g.out_csr
-        transposed = csr._replace(weights=1.0 / np.diff(csr.indptr)[csr.rows]).matrix().T.tocsr()
-        got = g.transition_t
-        for field in ("indptr", "indices", "data"):
-            want = getattr(transposed, field)
-            assert getattr(got, field).dtype == want.dtype
-            assert getattr(got, field).tobytes() == want.tobytes()
+        want = np.zeros((g.n_vertices, g.n_vertices))
+        for u in range(g.n_vertices):
+            heads = g.out_csr.indices[g.out_csr.indptr[u]:g.out_csr.indptr[u + 1]]
+            want[u, heads] = 1.0 / len(heads) if len(heads) else 0.0
+        got = g.transition
+        assert got.format == "csr" and np.array_equal(got.toarray(), want)
+        assert np.array_equal(got.indptr, g.out_csr.indptr)
 
     def test_constructor_memory_per_edge(self):
         g = cv.planted_two_community(cv.PlantedConfig(4000, 0.01, 0.001, seed=1))[0]
@@ -517,6 +519,12 @@ class TestInducedSubgraph:
             g = cv.ConversationGraph([f"v{i}" for i in range(n)], arcs, directed)
             for size in (0, 1, n // 2, n):
                 assert_sliced_like_rebuilt(g, rng.choice(n, size, replace=False))
+
+    @pytest.mark.parametrize("vertices, bad", [([-1, -2], -1), ([0, 34], 34),
+                                               (np.array([3, 40, -5]), 40)])
+    def test_index_outside_the_graph_rejected(self, karate, vertices, bad):
+        with pytest.raises(ValueError, match=rf"^vertex index {bad} out of range \[0, 34\)$"):
+            cv.induced_subgraph(karate[0], vertices)
 
     def test_largest_component_is_the_slice(self):
         edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]

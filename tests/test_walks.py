@@ -1,4 +1,4 @@
-"""Random-walk engine: terminals, stationary distributions, hitting times."""
+"""Random-walk engine: terminals, restart walks, hitting times."""
 import os
 import random
 import subprocess
@@ -14,7 +14,8 @@ from controversy.walks import draw_below, walk_rng
 
 from conftest import barbell, complete, cycle, make_graph, path, random_connected_graph, random_partition
 from oracles import (absorbing_absorption_probabilities, dense_expected_steps,
-                     dense_stationary_rwr, loop_strict_rank_fraction, sparse_stationary_rwr)
+                     dense_rwr_conditionals, dense_stationary_rwr, loop_strict_rank_fraction,
+                     sparse_stationary_rwr)
 
 
 class TestTopDegree:
@@ -55,26 +56,45 @@ class TestTopDegree:
         assert cv.default_k(p2) == 1
 
 
-class TestStationaryRWR:
-    def test_single_vertex(self):
-        g = cv.ConversationGraph(["a"], [], False)
-        pi = cv.stationary_rwr(g, [0])
-        assert pi == pytest.approx([1.0])
+def rwr_bound(c_mass, cfg):
+    """The bound :class:`RestartWalkConfig` states on each conditional of
+    an end side with stationary mass ``c_mass``."""
+    d = cfg.damping
+    return 2 * cfg.tolerance * (1 + d) / (1 - d) / c_mass
 
-    def test_two_state_chain_by_hand(self):
-        g = cv.ConversationGraph(["a", "b"], [(0, 1, 1)], True)
-        pi = cv.stationary_rwr(g, [0], [1], cv.RestartWalkConfig(damping=0.85))
-        assert pi[0] == pytest.approx(1 / 1.85, abs=1e-9)
-        assert pi[1] == pytest.approx(0.85 / 1.85, abs=1e-9)
 
-    def test_sums_to_one(self):
+class TestRestartWalk:
+    def test_isolated_sides_score_one(self):
+        # both vertices are authorities without out-arcs: each walk stays put
+        g = cv.ConversationGraph(["a", "b"], [], False)
+        p = cv.Partition(np.array([0, 1], dtype=np.int8))
+        assert cv.rwr_conditionals(g, p).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert cv.rwc_rwr(g, p) == 1.0
+
+    def test_directed_chain_by_hand(self):
+        # X = {0, 1, 3, 5}, Y = {2, 4}; the authorities 0 and 2 and the
+        # vertex 4 have no out-arc. Restarting on X: x1 = x3 = x5 = 1,
+        # x0 = 1 + 7d/3, x2 = x4 = d/3, so 1_X+ . x = 1 + 7d/3 of a total
+        # 4 + 3d and 1_Y+ . x = d/3; restarting on Y, half the mass sits
+        # on Y+ and none on X+. Bayes with weights 4/6, 2/6 gives
+        # Pr[X | Y+] = 4d / (12 + 13d).
+        g = make_graph(6, [(1, 0), (1, 2), (1, 4), (3, 0), (5, 0)], directed=True)
+        p = cv.Partition(np.array([0, 0, 1, 0, 1, 0], dtype=np.int8))
+        assert [a.tolist() for a in cv.top_degree(g, p)] == [[0], [2]]
+        d = 0.85
+        c = cv.rwr_conditionals(g, p, cfg=cv.RestartWalkConfig(damping=d))
+        c_xy = 4 * d / (12 + 13 * d)
+        np.testing.assert_allclose(c, [[1.0, c_xy], [0.0, 1.0 - c_xy]], rtol=0, atol=1e-14)
+        assert cv.rwc_rwr(g, p) == pytest.approx(1.0 - c_xy, abs=1e-14)
+
+    def test_conditionals_are_probabilities(self):
         rng = np.random.default_rng(0)
         for trial in range(10):
             g = random_connected_graph(rng, int(rng.integers(3, 30)))
             p = random_partition(rng, g.n_vertices)
-            pi = cv.stationary_rwr(g, p.x, np.concatenate(cv.top_degree(g, p, 1)))
-            assert float(pi.sum()) == pytest.approx(1.0, abs=1e-9)
-            assert (pi >= -1e-15).all()
+            c = cv.rwr_conditionals(g, p, 1)
+            assert np.allclose(c.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+            assert ((c >= 0.0) & (c <= 1.0)).all()
 
     def test_matches_dense_solver_on_small_graphs(self):
         rng = np.random.default_rng(42)
@@ -82,18 +102,46 @@ class TestStationaryRWR:
             n = int(rng.integers(3, 51))
             g = random_connected_graph(rng, n, extra_edge_prob=0.1)
             p = random_partition(rng, n)
-            authorities = np.concatenate(cv.top_degree(g, p, int(rng.integers(1, 3))))
+            k = int(rng.integers(1, 3))
             cfg = cv.RestartWalkConfig(damping=float(rng.uniform(0.3, 0.95)))
-            pi = cv.stationary_rwr(g, p.x, authorities, cfg)
-            oracle = dense_stationary_rwr(g, p.x, authorities, cfg.damping)
-            assert np.abs(pi - oracle).sum() < 1e-8
+            c = cv.rwr_conditionals(g, p, k, cfg)
+            oracle, _ = dense_rwr_conditionals(g, p, *cv.top_degree(g, p, k), cfg.damping)
+            assert np.abs(c - oracle).max() < 1e-8
 
     def test_directed_sink_restarts(self):
-        # b has no out-arc: all its mass must re-enter through the restart
-        g = cv.ConversationGraph(["a", "b"], [(0, 1, 1)], True)
-        pi = cv.stationary_rwr(g, [0])
-        oracle = dense_stationary_rwr(g, [0], [], 0.85)
-        assert np.abs(pi - oracle).sum() < 1e-9
+        # vertex 0, X's authority, is only ever retweeted, and so is every
+        # seventh other account: 0 ends excursions as an authority and as
+        # a sink, and must be counted once in the walks' total mass
+        rng = np.random.default_rng(11)
+        src, dst = rng.integers(1, 300, (2, 1500))
+        keep = src % 7 != 0
+        src = np.concatenate((src[keep], rng.integers(1, 300, 60)))
+        dst = np.concatenate((dst[keep], np.zeros(60, dtype=np.int64)))
+        g = cv.ConversationGraph([str(i) for i in range(300)],
+                                 np.column_stack((src, dst, np.ones(len(src)))), True)
+        sides = (rng.random(300) < 0.5).astype(np.int8)
+        sides[0] = 0
+        p = cv.Partition(sides)
+        x_plus, y_plus = cv.top_degree(g, p)
+        sinks = np.flatnonzero(np.diff(g.out_csr.indptr) == 0)
+        assert 0 in x_plus and len(np.setdiff1d(sinks, [*x_plus, *y_plus])) >= 30
+        cfg = cv.RestartWalkConfig()
+        c = cv.rwr_conditionals(g, p, cfg=cfg)
+        oracle, mass = dense_rwr_conditionals(g, p, x_plus, y_plus, cfg.damping)
+        assert (np.abs(c - oracle) <= rwr_bound(mass, cfg)).all()
+        assert np.abs(c - oracle).max() < 1e-12
+        assert cv.rwr_conditionals(g, p.swapped(), cfg=cfg).tolist() == c[::-1, ::-1].tolist()
+        # each user score a / (a + b) is within tolerance / (a + b) of the
+        # exact one, and a + b is at least the authorities' mass
+        values = cv.rwc_user(g, p, cfg=cfg)
+        for u in range(0, 300, 3):
+            pi = dense_stationary_rwr(g, [u], [*x_plus, *y_plus], cfg.damping)
+            m_x, m_y = pi[x_plus].sum(), pi[y_plus].sum()
+            if m_x + m_y < 1e-12:
+                assert np.isnan(values[u])
+                continue
+            own = m_x if p.sides[u] == 0 else m_y
+            assert abs(values[u] - own / (m_x + m_y)) <= cfg.tolerance / (m_x + m_y)
 
     @pytest.mark.parametrize("case", ["planted 1000", "planted 3000", "directed with sinks"])
     def test_matches_exact_solve_to_1e_12(self, case):
@@ -112,16 +160,44 @@ class TestStationaryRWR:
             cfg = cv.PlantedConfig(n, 0.02, 0.001, seed=1) if n == 1000 else \
                 cv.PlantedConfig(n, 0.008, 0.0005, seed=1)
             g, p = cv.planted_two_community(cfg)
-        authorities = np.concatenate(cv.top_degree(g, p))
-        for side in (p.x, p.y):
-            pi = cv.stationary_rwr(g, side, authorities)
-            assert np.abs(pi - sparse_stationary_rwr(g, side, authorities, 0.85)).sum() <= 1e-12
+        x_plus, y_plus = cv.top_degree(g, p)
+        authorities = np.concatenate((x_plus, y_plus))
+        table = np.empty((2, 2))
+        for start, side in enumerate((p.x, p.y)):
+            pi = sparse_stationary_rwr(g, side, authorities, 0.85)
+            table[start] = len(side) * pi[x_plus].sum(), len(side) * pi[y_plus].sum()
+        assert np.abs(cv.rwr_conditionals(g, p) - table / table.sum(axis=0)).max() <= 1e-12
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_stated_bounds_hold_at_a_loose_tolerance(self, directed):
+        rng = np.random.default_rng(6)
+        src, dst = rng.integers(0, 400, (2, 2400))
+        keep = (src % 5 != 0) | (not directed)
+        g = cv.ConversationGraph([str(i) for i in range(400)],
+                                 np.column_stack((src[keep], dst[keep], np.ones(keep.sum()))),
+                                 directed)
+        p = random_partition(rng, 400)
+        x_plus, y_plus = cv.top_degree(g, p)
+        cfg = cv.RestartWalkConfig(tolerance=1e-3)
+        oracle, mass = dense_rwr_conditionals(g, p, x_plus, y_plus, cfg.damping)
+        error = np.abs(cv.rwr_conditionals(g, p, cfg=cfg) - oracle)
+        assert 1e-12 < error.max() and (error <= rwr_bound(mass, cfg)).all()
+        # every visit count within tolerance: a / (a + b) within
+        # tolerance / (a + b), and a + b is at least the authorities' mass
+        values = cv.rwc_user(g, p, cfg=cfg)
+        for u in range(0, 400, 7):
+            pi = dense_stationary_rwr(g, [u], [*x_plus, *y_plus], cfg.damping)
+            m_x, m_y = pi[x_plus].sum(), pi[y_plus].sum()
+            if m_x + m_y > 1e-12:
+                own = m_x if p.sides[u] == 0 else m_y
+                assert abs(values[u] - own / (m_x + m_y)) <= cfg.tolerance / (m_x + m_y)
 
     def test_nonconvergence_raises_with_residual(self):
         g = cycle(30)
+        p = cv.Partition(np.repeat(np.array([0, 1], dtype=np.int8), 15))
         with pytest.raises(cv.ConvergenceError, match=r"^restart walk did not converge in "
                            r"2 iterations \(last relative residual ") as excinfo:
-            cv.stationary_rwr(g, [0], [], cv.RestartWalkConfig(max_iters=2))
+            cv.rwc_rwr(g, p, 1, cv.RestartWalkConfig(max_iters=2))
         assert excinfo.value.residual > 0
 
     @pytest.mark.parametrize("info, failure", [(10000, "did not converge in 10000 iterations"),
@@ -134,26 +210,32 @@ class TestStationaryRWR:
         g, p = barbell(5)
         with pytest.raises(cv.ConvergenceError, match=rf"^restart walk {failure} "
                            r"\(last relative residual ") as excinfo:
-            cv.stationary_rwr(g, p.x, [4, 5])
+            cv.rwr_conditionals(g, p, 1)
         assert np.isfinite(excinfo.value.residual) and excinfo.value.residual > 0
 
     def test_breakdown_starts_again_from_last_iterate(self):
-        # after one step the residual here is orthogonal to the restart
-        # indicator, the shadow residual: scipy's BiCGSTAB stops there
-        g = make_graph(6, [(0, 3), (0, 4), (1, 5), (2, 3), (2, 5), (3, 5)])
-        walks_on = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
-        system = np.eye(6) - 0.85 * g.transition_t.toarray() * walks_on
-        assert scipy_bicgstab(system, np.array([1.0, 1, 0, 0, 1, 0]))[1] < 0
-        pi = cv.stationary_rwr(g, [0, 1, 4], [0, 3])
-        assert np.abs(pi - dense_stationary_rwr(g, [0, 1, 4], [0, 3], 0.85)).sum() < 1e-12
+        # after one step the residual of either authority's visit solve is
+        # orthogonal to its right-hand side, the shadow residual (both
+        # authorities end excursions): scipy's BiCGSTAB stops there
+        g = make_graph(7, [(0, 2), (0, 3), (0, 6), (1, 3), (1, 5), (3, 5), (3, 6), (4, 5), (5, 6)])
+        p = cv.Partition(np.array([1, 0, 0, 0, 0, 0, 0], dtype=np.int8))
+        x_plus, y_plus = cv.top_degree(g, p)
+        assert x_plus.tolist() == [3] and y_plus.tolist() == [0]
+        walks_on = np.ones(7)
+        walks_on[[0, 3]] = 0.0
+        system = np.eye(7) - 0.85 * walks_on[:, None] * g.transition.toarray()
+        for authority in (0, 3):
+            assert scipy_bicgstab(system, np.eye(7)[authority])[1] < 0
+        oracle, _ = dense_rwr_conditionals(g, p, x_plus, y_plus, 0.85)
+        assert np.abs(cv.rwr_conditionals(g, p) - oracle).max() < 1e-12
 
     def test_same_bits_for_any_blas_thread_count(self):
         # BLAS splits a dot product over its threads from about 10^4 entries
         code = ("import hashlib, numpy as np, controversy as cv\n"
                 "g, p = cv.planted_two_community(cv.PlantedConfig(24000, 3e-4, 5e-5, seed=1))\n"
                 "x_plus, y_plus = cv.top_degree(g, p)\n"
-                "for values in (cv.stationary_rwr(g, p.x, np.concatenate((x_plus, y_plus))),\n"
-                "               cv.expected_hitting_times(g, x_plus), cv.rwc_user(g, p)):\n"
+                "for values in (cv.rwr_conditionals(g, p), cv.expected_hitting_times(g, x_plus),\n"
+                "               cv.rwc_user(g, p)):\n"
                 "    print(hashlib.sha256(values.tobytes()).hexdigest())\n")
         digests = set()
         for threads in ("1", "2"):
@@ -163,19 +245,6 @@ class TestStationaryRWR:
             digests.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                        capture_output=True, text=True).stdout)
         assert len(digests) == 1
-
-    @pytest.mark.parametrize("restart, dangling, bad", [
-        ([-1], (), "restart index -1"), ([7], (), "restart index 7"),
-        ([0], [4], "dangling index 4"), ([0], [1, -2], "dangling index -2"),
-    ])
-    def test_out_of_range_index_rejected(self, restart, dangling, bad):
-        with pytest.raises(ValueError, match=rf"^{bad} out of range \[0, 4\)$"):
-            cv.stationary_rwr(path(4), restart, dangling)
-
-    def test_empty_restart_rejected(self):
-        g = path(2)
-        with pytest.raises(ValueError):
-            cv.stationary_rwr(g, [])
 
     def test_damping_validation(self):
         with pytest.raises(ValueError):
