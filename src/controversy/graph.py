@@ -76,43 +76,77 @@ def _tag_set(tags: tuple) -> frozenset:
     return frozenset(filter(None, map(normalize_tag, tags)))
 
 
+def _url_set(urls: tuple) -> frozenset:
+    """The stripped, non-empty URLs of one post (one shared empty set)."""
+    return frozenset(filter(None, map(str.strip, urls))) or _NO_URLS
+
+
 class _Memo(dict):
-    """Normalized values of one file or one pair list keyed by raw value,
-    so that repeats of a value share one object and are normalized once:
+    """Normalized values of one file, pair list or record list keyed by
+    raw value, so that repeats share one object and are normalized once:
     an id is hashed and compared as one string, and shared tag sets are
     fewer objects for the garbage collector to walk. A miss costs more
-    than normalizing afresh, so :func:`read_records` drops a memo that
-    holds more than ``PROBE / 2`` values after ``PROBE`` records."""
+    than normalizing afresh, so :func:`read_records` stops using a memo
+    (``keep`` false: normalize afresh, store nothing) that holds more than
+    ``PROBE / 2`` values after ``PROBE`` records."""
 
     PROBE = 2048
 
-    def __init__(self, normalize):
+    def __init__(self, normalize, keep=True):
         super().__init__()
-        self.normalize = normalize
+        self.normalize, self.keep = normalize, keep
 
     def __missing__(self, raw):
         found = self[raw] = self.normalize(raw)
         return found
 
+    def listed(self, values, field):
+        """The normalized list of strings ``values``, memoised by its tuple:
+        only all-str lists fill the memo and no other JSON value equals a
+        str, so only a miss needs :func:`_strings`' check."""
+        if not self.keep:
+            return self.normalize(_strings(values, field))
+        try:
+            found = self.get(tuple(values) if type(values) is list else values)
+        except TypeError:
+            found = None
+        return self[_strings(values, field)] if found is None else found
+
 
 def _id(raw, ids):
     """``_user_id`` through the memo ``ids``, for str ids only: 1, True and
     1.0 are equal keys but the ids "1", "true" and "1.0"."""
-    return ids[raw] if ids is not None and type(raw) is str else _user_id(raw)
+    return ids[raw] if type(raw) is str and ids.keep else _user_id(raw)
 
 
 def _timestamp(ts) -> int:
     """An integer timestamp (not a bool); None counts as 0."""
-    if ts is None:
-        return 0
-    if isinstance(ts, bool) or not isinstance(ts, int):
+    if ts is not None and (isinstance(ts, bool) or not isinstance(ts, int)):
         raise InputDataError(f"ts must be an integer, got {ts!r}")
-    return ts
+    return ts or 0
 
 
-@dataclass(frozen=True, slots=True)
-class InteractionRecord:
-    """One post event: who wrote it, whom it endorsed, and its metadata."""
+def _record(author, endorsed, hashtags, urls, ts, ids, tag_sets, url_sets):
+    """:meth:`InteractionRecord.make` through the memos of :func:`_memos`."""
+    author = _id(author, ids)
+    if not author:
+        raise InputDataError("record with empty author")
+    if endorsed is not None:
+        endorsed = _id(endorsed, ids)
+        if not endorsed or endorsed == author:
+            endorsed = None
+    return InteractionRecord(author, endorsed, tag_sets.listed(hashtags, "hashtags"),
+                             url_sets.listed(urls, "urls"), _timestamp(ts))
+
+
+def _memos(keep=True):
+    """The id, tag-set and URL-set memos of one file (``keep`` true)."""
+    return _Memo(_user_id, keep), _Memo(_tag_set, keep), _Memo(_url_set, keep)
+
+
+class InteractionRecord(NamedTuple):
+    """One post event: who wrote it, whom it endorsed, and its metadata.
+    A tuple, so it compares equal to the plain 5-tuple of its fields."""
 
     author: str
     endorsed: str | None
@@ -121,32 +155,15 @@ class InteractionRecord:
     timestamp: int
 
     @classmethod
-    def make(cls, author, endorsed=None, hashtags=(), urls=(), timestamp=0, *,
-             ids=None, tag_sets=None):
+    def make(cls, author, endorsed=None, hashtags=(), urls=(), timestamp=0):
         """Build a normalized record.
 
         User ids are lowercased, hashtags lose their leading '#', and a
         self-endorsement is dropped (treated as no endorsement at all).
         ``hashtags`` and ``urls`` are lists of strings and ``timestamp``
-        an integer; None stands for an absent field. ``ids`` and
-        ``tag_sets``, if given, are the memos shared by one file's records.
+        an integer; None stands for an absent field.
         """
-        author = _id(author, ids)
-        if not author:
-            raise InputDataError("record with empty author")
-        if endorsed is not None:
-            endorsed = _id(endorsed, ids)
-            if not endorsed or endorsed == author:
-                endorsed = None
-        tags = _strings(hashtags, "hashtags")
-        urls = frozenset(filter(None, map(str.strip, _strings(urls, "urls"))))
-        return cls(
-            author,
-            endorsed,
-            _tag_set(tags) if tag_sets is None else tag_sets[tags],
-            urls or _NO_URLS,
-            _timestamp(timestamp),
-        )
+        return _record(author, endorsed, hashtags, urls, timestamp, *_memos(keep=False))
 
 
 @dataclass(frozen=True)
@@ -382,19 +399,13 @@ def build_retweet_graph(records, topic, tau=2):
     if tau < 1:
         raise ValueError("tau must be >= 1")
     members = set(topic.members)
-    per_tag: Counter = Counter()  # (tag, unordered pair) -> events
-    directed_counts: Counter = Counter()
-    for rec in records:
-        src, dst = rec.author, rec.endorsed
-        if dst is None:
-            continue
-        tags = rec.hashtags & members
-        if not tags:
-            continue
-        pair = (src, dst) if src < dst else (dst, src)
-        for tag in tags:
-            per_tag[tag, pair] += 1
-        directed_counts[src, dst] += 1
+    # once per distinct tag set (read_records shares repeated ones)
+    on_topic = _Memo(lambda tags: tuple(tags & members))
+    events = [(src, dst, topical) for src, dst, tags, _, _ in records
+              if dst is not None and (topical := on_topic[tags])]
+    directed_counts = Counter((src, dst) for src, dst, _ in events)
+    per_tag = Counter((tag, (src, dst) if src < dst else (dst, src))
+                      for src, dst, topical in events for tag in topical)
     qualifying = {pair for (_, pair), c in per_tag.items() if c >= tau}
     pairs = [
         (src, dst, w)
@@ -539,8 +550,7 @@ def read_records(path):
     "urls": [str], "ts": int}``. Exact duplicate records are dropped.
     """
     decode = json.JSONDecoder().raw_decode
-    make = InteractionRecord.make
-    ids, tag_sets = _Memo(_user_id), _Memo(_tag_set)
+    memos = _memos()
     records = {}  # insertion-ordered set
     for lineno, line in read_lines(path):
         line = line.strip()
@@ -551,14 +561,14 @@ def read_records(path):
             if type(obj) is not dict:
                 raise InputDataError(f"not a JSON object: {line[:40]!r}")
             get = obj.get
-            rec = make(obj["author"], get("endorsed"), get("hashtags"), get("urls"),
-                       get("ts"), ids=ids, tag_sets=tag_sets)
+            rec = _record(obj["author"], get("endorsed"), get("hashtags"), get("urls"), get("ts"),
+                          *memos)
         except (ValueError, KeyError, RecursionError, InputDataError) as exc:
             raise InputDataError(f"{path}:{lineno}: bad record ({exc})") from exc
         records[rec] = None
-        if len(records) == _Memo.PROBE:  # drop a memo that mostly misses
-            ids, tag_sets = (None if m is None or len(m) > _Memo.PROBE // 2 else m
-                             for m in (ids, tag_sets))
+        if len(records) == _Memo.PROBE:  # stop using a memo that mostly misses
+            for memo in memos:
+                memo.keep = len(memo) <= _Memo.PROBE // 2
     return list(records)
 
 

@@ -430,8 +430,17 @@ def sparse_stationary_rwr(g, restart, dangling, damping):
     matrix: one sparse LU solve of (I - d M^T) x = 1_restart, where M is
     built here from the out-neighbour lists (uniform steps, dangling and
     sink rows zero), normalized to sum 1."""
+    r = np.zeros(g.n_vertices)
+    r[sorted(set(int(v) for v in restart))] = 1.0
+    x = sparse_rwr_solver(g, dangling, damping)(r)
+    return x / x.sum()
+
+
+def sparse_rwr_solver(g, dangling, damping):
+    """The solve x = (I - d M^T)^-1 r of :func:`sparse_stationary_rwr` for
+    any right-hand side r, from one sparse LU factorization."""
     import scipy.sparse as sp
-    from scipy.sparse.linalg import spsolve
+    from scipy.sparse.linalg import splu
 
     g = tuple_graph(g)
     n = g.n_vertices
@@ -444,24 +453,28 @@ def sparse_stationary_rwr(g, restart, dangling, damping):
             cols += [int(u) for u in outs]
             probs += [1.0 / len(outs)] * len(outs)
     step = sp.csr_matrix((probs, (rows, cols)), shape=(n, n))
-    r = np.zeros(n)
-    r[sorted(set(int(v) for v in restart))] = 1.0
     # an ordering for a structurally symmetric matrix, as undirected
     # graphs give: a third of COLAMD's time on planted n = 3000
-    x = spsolve((sp.identity(n) - damping * step.T).tocsc(), r, permc_spec="MMD_AT_PLUS_A")
-    return x / x.sum()
+    return splu((sp.identity(n) - damping * step.T).tocsc(), permc_spec="MMD_AT_PLUS_A").solve
 
 
-def power_rwc_user(g, p, x_plus, y_plus, u):
-    """Restart-walk user score from one :func:`sparse_stationary_rwr`
-    solve (a power iteration when this oracle was written) that restarts
-    at ``u`` with the authorities ``x_plus`` and ``y_plus`` dangling: the
-    own side's share of the authority mass."""
-    pi = sparse_stationary_rwr(g, [int(u)], list(x_plus) + list(y_plus), 0.85)
-    m_x = pi[list(x_plus)].sum()
-    m_y = pi[list(y_plus)].sum()
-    own = m_x if p.side_of(u) == "X" else m_y
-    return float(own / (m_x + m_y))
+def power_rwc_user(g, p, x_plus, y_plus, vertices):
+    """Restart-walk user scores of ``vertices``, each from one
+    :func:`sparse_rwr_solver` solve (a power iteration when this oracle was
+    written) that restarts at the user with the authorities ``x_plus``
+    and ``y_plus`` dangling: the own side's share of the authority mass.
+    The matrix is factored once; only the restart vertex changes."""
+    solve = sparse_rwr_solver(g, list(x_plus) + list(y_plus), 0.85)
+    scores = []
+    for u in vertices:
+        r = np.zeros(g.n_vertices)
+        r[int(u)] = 1.0
+        pi = solve(r)
+        m_x = pi[list(x_plus)].sum()
+        m_y = pi[list(y_plus)].sum()
+        own = m_x if p.side_of(u) == "X" else m_y
+        scores.append(float(own / (m_x + m_y)))
+    return np.array(scores)
 
 
 def dense_rwr_conditionals(g, p, x_plus, y_plus, damping):

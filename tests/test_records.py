@@ -97,13 +97,35 @@ class TestDifferential:
         monkeypatch.setattr(graph._Memo, "PROBE", 32)
         path = tmp_path / "r.jsonl"
         write_rows(path, [{"author": f"U{i}" if varied and i < 32 else "A", "endorsed": "Hub",
-                           "hashtags": [f"#T{i}" if varied and i < 32 else "#Go"], "ts": i}
+                           "hashtags": [f"#T{i}" if varied and i < 32 else "#Go"],
+                           "urls": [f"x.org/{i}" if varied and i < 32 else "x.org"], "ts": i}
                           for i in range(100)])
         records = cv.read_records(path)
         assert records == loop_read_records(path)
-        for field in ("author", "endorsed", "hashtags"):
+        for field in ("author", "endorsed", "hashtags", "urls"):
             objects = {id(getattr(r, field)) for r in records[32:]}
             assert len(objects) == (68 if varied else 1), field
+
+    @pytest.mark.parametrize("field", ["hashtags", "urls"])
+    @pytest.mark.parametrize("value, alike", [
+        ([["x"]], ["x"]),
+        ([{"a": 1}], ["a"]),
+        ([1], ["1"]),
+        ("abc", ["a", "b", "c"]),
+        ({}, []),
+    ], ids=repr)
+    @pytest.mark.parametrize("memoised", [False, True])
+    def test_memo_miss_is_checked(self, field, value, alike, memoised, tmp_path):
+        """A list with a non-str item, or a value that is not a list, raises
+        naming its line, also after an all-str list that compares equal to
+        it in part (its items, its tuple or its str form) was memoised."""
+        path = tmp_path / "r.jsonl"
+        first = {"author": "a", field: alike if memoised else None}
+        write_rows(path, [first, {"author": "b", field: ["go", "x"]}, {"author": "c", field: value}])
+        message = f"r.jsonl:3: bad record ({field} must be a list of strings, got {value!r})"
+        with pytest.raises(cv.InputDataError, match=re.escape(message)) as exc:
+            cv.read_records(path)
+        assert bad_line_number(path, exc) == 3
 
     def test_empty_url_sets_are_shared(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -115,6 +137,8 @@ class TestDifferential:
     def test_records_have_no_instance_dict(self):
         rec = cv.InteractionRecord.make("a", "b", ["go"])
         assert not hasattr(rec, "__dict__")
+        fields = ("a", "b", frozenset({"go"}), frozenset(), 0)
+        assert rec == fields and hash(rec) == hash(fields)
         with pytest.raises(AttributeError):
             rec.author = "c"
 

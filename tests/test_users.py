@@ -88,7 +88,7 @@ class TestRwcUser:
         x_plus, y_plus = cv.top_degree(g, p)
         cfg = cv.RestartWalkConfig()
         table, _ = cv.user_score_table(g, p, cfg=cfg)
-        worst = max(abs(table[u] - power_rwc_user(g, p, x_plus, y_plus, u)) for u in vertices)
+        worst = np.abs(table[list(vertices)] - power_rwc_user(g, p, x_plus, y_plus, vertices)).max()
         assert worst < 1e-9
 
     def test_iteration_budget_raises(self, karate):
