@@ -120,8 +120,11 @@ class PipelineConfig:
             raise InputDataError(f"duplicate measures: {', '.join(repeated)}")
         # check the numeric options before any input is read; a library
         # message starts with its field's name, which becomes the flag
-        if self.k is not None and self.k < 1:
-            raise InputDataError("--k must be >= 1")
+        for option, least in (("k", 1), ("n_walks", 1), ("n_samples", 1),
+                              ("layout_iterations", 0), ("tau", 1)):
+            value = getattr(self, option)
+            if value is not None and value < least:
+                raise InputDataError(f"{_flag(option)} must be >= {least}")
         try:
             self.walk, self.expansion
         except ValueError as exc:

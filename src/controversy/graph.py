@@ -450,12 +450,14 @@ def build_content_graph(records, topic, mode):
     """Connect users who posted at least one identical content item.
 
     ``mode`` selects the item kind: a hashtag outside the topic, an exact
-    URL, or a URL domain. Edge weight counts distinct shared items.
+    URL, or a URL domain. Edge weight counts distinct shared items: the
+    strict upper triangle of B B^T for the users x items 0/1 incidence
+    matrix B. Users who share no item are omitted.
     """
     if mode not in CONTENT_MODES:
         raise ValueError(f"mode must be one of {CONTENT_MODES}")
     members = set(topic.members)
-    posted: dict[str, set[str]] = {}
+    posted = set()  # distinct (author, item) pairs
     skipped = 0
     for rec in records:
         if mode == "shared-hashtag":
@@ -463,26 +465,21 @@ def build_content_graph(records, topic, mode):
         elif mode == "shared-url":
             items = rec.urls
         else:
-            items = set()
-            for u in rec.urls:
-                dom = url_domain(u)
-                if dom is None:
-                    skipped += 1
-                else:
-                    items.add(dom)
-        for item in items:
-            posted.setdefault(item, set()).add(rec.author)
+            items = list(map(url_domain, rec.urls))
+            skipped += items.count(None)
+        posted.update((rec.author, item) for item in items if item is not None)
     if skipped:
         warnings.warn(f"skipped {skipped} unparseable urls", stacklevel=2)
-    counts: Counter = Counter()
-    for users in posted.values():
-        ordered = sorted(users)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                counts[(a, b)] += 1
-    return graph_from_weighted_pairs(
-        [(a, b, w) for (a, b), w in counts.items()], directed=False
-    )
+    users = sorted({author for author, _ in posted})
+    user_row, item_col = {u: i for i, u in enumerate(users)}, {}
+    rows = [user_row[author] for author, _ in posted]
+    cols = [item_col.setdefault(item, len(item_col)) for _, item in posted]
+    b = sp.csr_matrix((np.ones(len(posted), dtype=np.int64), (rows, cols)),
+                      shape=(len(users), len(item_col)))
+    shared = sp.triu(b @ b.T, k=1).tocoo()
+    arcs = np.column_stack((shared.row, shared.col, shared.data))
+    g = ConversationGraph(users, arcs, directed=False)
+    return induced_subgraph(g, np.flatnonzero(g.degrees))
 
 
 def induced_subgraph(g, vertices):

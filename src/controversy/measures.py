@@ -306,10 +306,9 @@ def force_layout(g, iterations=500, seed=0):
     (n, n, 2) form. The repulsion is summed over (n, b) column blocks,
     b = min(n, LAYOUT_BLOCK_ELEMENTS // n), in buffers allocated once:
     entry [j, i] of a block is vertex j's push on vertex i, and each
-    column sums its n terms in index order. One ``np.bincount`` per
-    coordinate then adds the edge pulls in the order ``np.subtract.at``
-    and ``np.add.at`` would: each vertex's repulsion, minus the pull of
-    every edge at its first end, plus it at its second end.
+    column sums its n terms in index order. ``np.subtract.at`` and
+    ``np.add.at`` then take every edge's pull off its first end and add
+    it to its second, in edge order.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
@@ -320,13 +319,10 @@ def force_layout(g, iterations=500, seed=0):
         return pos
     k = math.sqrt(1.0 / n)
     e0, e1 = g.edge_array[:, 0], g.edge_array[:, 1]
-    m = len(e0)
     block = max(1, min(n, LAYOUT_BLOCK_ELEMENTS // n))
     dx, dy, w, dy2 = (np.empty((n, block)) for _ in range(4))
     diag = np.arange(block)
-    # bincount slots and weights: [repulsion on 0..n-1, -pull at e0, +pull at e1]
-    slots = np.concatenate([np.arange(n), e0, e1])
-    push_x, push_y = np.empty(n + 2 * m), np.empty(n + 2 * m)
+    disp_x, disp_y = np.empty(n), np.empty(n)
     xs, ys = pos[:, 0].copy(), pos[:, 1].copy()
     t0 = 0.1
     for it in range(iterations):
@@ -345,16 +341,16 @@ def force_layout(g, iterations=500, seed=0):
             np.divide(k * k, bw, out=bw)
             bx *= bw
             by *= bw
-            np.sum(bx, axis=0, out=push_x[lo:hi])
-            np.sum(by, axis=0, out=push_y[lo:hi])
+            np.sum(bx, axis=0, out=disp_x[lo:hi])
+            np.sum(by, axis=0, out=disp_y[lo:hi])
         ex, ey = xs[e0] - xs[e1], ys[e0] - ys[e1]
         pull = np.maximum(np.sqrt(ex * ex + ey * ey), 1e-9) / k
-        np.multiply(pull, ex, out=push_x[n + m :])
-        np.multiply(pull, ey, out=push_y[n + m :])
-        np.negative(push_x[n + m :], out=push_x[n : n + m])
-        np.negative(push_y[n + m :], out=push_y[n : n + m])
-        disp_x = np.bincount(slots, weights=push_x, minlength=n)
-        disp_y = np.bincount(slots, weights=push_y, minlength=n)
+        ex *= pull
+        ey *= pull
+        np.subtract.at(disp_x, e0, ex)
+        np.add.at(disp_x, e1, ex)
+        np.subtract.at(disp_y, e0, ey)
+        np.add.at(disp_y, e1, ey)
         length = np.maximum(np.sqrt(disp_x * disp_x + disp_y * disp_y), 1e-12)
         step = np.minimum(length, temp)
         xs = xs + disp_x / length * step

@@ -19,7 +19,7 @@ from .errors import ConvergenceError
 from .graph import _vertex_indices
 
 WALK_STEP_CAP = 10**6
-HITTING_RTOL = 1e-13  # relative residual at which the hitting-time solve stops
+HITTING_RTOL = 1e-13  # relative recurrence residual at which the hitting-time solve stops
 BREAKDOWN_RTOL = np.finfo(float).eps  # shadow product, relative, at which BiCGSTAB starts again
 
 
@@ -232,8 +232,11 @@ def expected_hitting_times(g, targets) -> np.ndarray:
     Solves the absorbing-chain system l_u = 1 + mean(l over neighbors)
     with l = 0 on targets: on the free vertices F, the degree-scaled
     grounded system l - D_F^-1 A_FF l = 1, by :func:`_solve` in O(m)
-    memory. Raises ConvergenceError, with the relative residual, when the
-    solve misses ``HITTING_RTOL`` in 10 |F| iterations. Vertices with no
+    memory. It stops at the recurrence residual ``HITTING_RTOL``; the true
+    one can stay larger (4.1e-10 on a 2000-cycle, 7.5e-10 on a 1000-path:
+    rounding in b - Ax grows with the times), the times within 1e-12 of a
+    dense solve. Raises ConvergenceError, with the relative residual, when
+    the solve misses the stop in 10 |F| iterations. Vertices with no
     target in reach get +inf.
     """
     targets = _vertex_indices(g, targets, "target")

@@ -10,6 +10,7 @@ library itself no longer keeps.
 """
 import json
 import math
+import warnings
 from collections import Counter, deque
 from itertools import combinations
 
@@ -151,12 +152,21 @@ def dense_planted_two_community(cfg):
 
 def loop_make_record(author, endorsed=None, hashtags=(), urls=(), timestamp=0):
     """``InteractionRecord.make`` without its caches: every id, tag and URL
-    normalized afresh on every call."""
+    normalized afresh on every call. ``hashtags`` and ``urls`` must be None
+    or a list (or tuple) of strings, ``timestamp`` None or an int that is
+    not a bool."""
     # imported here: the benchmark loads this module for its other
     # oracles, in a process that need not import the package
     from controversy.errors import InputDataError
     from controversy.graph import InteractionRecord, _user_id, normalize_tag
 
+    for field, values in (("hashtags", hashtags), ("urls", urls)):
+        if values is not None and not (
+            isinstance(values, (list, tuple)) and all(isinstance(v, str) for v in values)
+        ):
+            raise InputDataError(f"{field} must be a list of strings, got {values!r}")
+    if timestamp is not None and (isinstance(timestamp, bool) or not isinstance(timestamp, int)):
+        raise InputDataError(f"ts must be an integer, got {timestamp!r}")
     author = _user_id(author)
     if not author:
         raise InputDataError("record with empty author")
@@ -167,9 +177,9 @@ def loop_make_record(author, endorsed=None, hashtags=(), urls=(), timestamp=0):
     return InteractionRecord(
         author=author,
         endorsed=endorsed,
-        hashtags=frozenset(filter(None, map(normalize_tag, hashtags))),
-        urls=frozenset(str(u).strip() for u in urls if str(u).strip()),
-        timestamp=int(timestamp),
+        hashtags=frozenset(filter(None, map(normalize_tag, hashtags or ()))),
+        urls=frozenset(u.strip() for u in urls or () if u.strip()),
+        timestamp=timestamp or 0,
     )
 
 
@@ -190,9 +200,9 @@ def loop_read_records(path):
                 rec = loop_make_record(
                     author=obj["author"],
                     endorsed=obj.get("endorsed"),
-                    hashtags=obj.get("hashtags") or (),
-                    urls=obj.get("urls") or (),
-                    timestamp=obj.get("ts") or 0,
+                    hashtags=obj.get("hashtags"),
+                    urls=obj.get("urls"),
+                    timestamp=obj.get("ts"),
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError, InputDataError) as exc:
                 raise InputDataError(f"{path}:{lineno}: bad record ({exc})") from exc
@@ -231,6 +241,44 @@ def loop_build_retweet_graph(records, topic, tau=2):
         if (min(src, dst), max(src, dst)) in qualifying
     ]
     return graph_from_weighted_pairs(pairs, directed=True)
+
+
+def loop_build_content_graph(records, topic, mode):
+    """The reference for ``graph.build_content_graph``: the set of authors
+    per item, and one count per pair of them under every item."""
+    from controversy.graph import CONTENT_MODES, graph_from_weighted_pairs, url_domain
+
+    if mode not in CONTENT_MODES:
+        raise ValueError(f"mode must be one of {CONTENT_MODES}")
+    members = set(topic.members)
+    posted: dict[str, set[str]] = {}
+    skipped = 0
+    for rec in records:
+        if mode == "shared-hashtag":
+            items = rec.hashtags - members
+        elif mode == "shared-url":
+            items = rec.urls
+        else:
+            items = set()
+            for u in rec.urls:
+                dom = url_domain(u)
+                if dom is None:
+                    skipped += 1
+                else:
+                    items.add(dom)
+        for item in items:
+            posted.setdefault(item, set()).add(rec.author)
+    if skipped:
+        warnings.warn(f"skipped {skipped} unparseable urls", stacklevel=2)
+    counts: Counter = Counter()
+    for users in posted.values():
+        ordered = sorted(users)
+        for i, a in enumerate(ordered):
+            for b in ordered[i + 1 :]:
+                counts[(a, b)] += 1
+    return graph_from_weighted_pairs(
+        [(a, b, w) for (a, b), w in counts.items()], directed=False
+    )
 
 
 def _bfs_predecessors(g, source):

@@ -166,6 +166,7 @@ class TestScore:
         [("bcc", ("--n-samples", 0)), ("ec", ("--layout-iterations", -5))],
     )
     def test_invalid_measure_parameter_writes_no_report(self, tmp_path, capsys, measure, option):
+        least = {"--n-samples": 1, "--layout-iterations": 0}[option[0]]
         out = tmp_path / "r.json"
         code = run(
             "score", "--edgelist", KARATE_EDGES,
@@ -173,7 +174,8 @@ class TestScore:
             "--measures", measure, *option, "--out", out,
         )
         assert code == 2
-        assert "measure" in capsys.readouterr().err
+        # checked before any input is read, not in the measure stage
+        assert capsys.readouterr().err == f"error [{option[0]} must be >= {least}]\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_report_parameters_rerun_each_measure(self, tmp_path):
@@ -398,20 +400,26 @@ class TestScoreProcesses:
         pooled = outputs_with_workers(monkeypatch, 2, argv, [tmp_path / "users.csv"])
         assert serial[0] == 0 and pooled == serial
 
-    @pytest.mark.parametrize("measures, first", [("rwc_mc,ec", "n_walks"),
-                                                 ("ec,rwc_mc", "iterations")])
+    @pytest.mark.parametrize("measures, first", [("rwc_mc,ec", "rwc_mc"),
+                                                 ("ec,rwc_mc", "force_layout")])
     def test_first_failure_in_measures_order(self, measures, first, tmp_path, monkeypatch,
                                              capsys):
+        def failing(name):
+            def fail(*args, **kwargs):
+                raise ValueError(f"{name} failed")
+            return fail
+
+        # forked workers inherit the patched names
+        for name in ("rwc_mc", "force_layout"):
+            monkeypatch.setattr(cli, name, failing(name))
         results = []
         for count in (1, 2):
             use_workers(monkeypatch, count)
             code = run("score", "--edgelist", KARATE_EDGES, "--measures", measures,
-                       "--n-walks", 0, "--layout-iterations", -5, "--out", tmp_path / "r.json")
+                       "--out", tmp_path / "r.json")
             results.append((code, capsys.readouterr().err))
             assert multiprocessing.active_children() == []
-        assert results[0] == results[1]
-        assert results[0][0] == 2
-        assert results[0][1].startswith(f"error [measure: {first} must be")
+        assert results[0] == results[1] == (2, f"error [measure: {first} failed]\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_same_convergence_error(self, monkeypatch):
@@ -457,7 +465,7 @@ class TestScoreProcesses:
             for name in cli._POOLED:
                 cli._measure_task(name, g, part, cfg, cv.default_k(part), cfg.walk)
 
-    def test_layout_only_for_output_fails_in_output_stage(self, tmp_path, monkeypatch, capsys):
+    def test_layout_only_for_output_fails_before_any_stage(self, tmp_path, monkeypatch, capsys):
         results = []
         for count in (1, 2):
             use_workers(monkeypatch, count)
@@ -466,7 +474,7 @@ class TestScoreProcesses:
                        "--out", tmp_path / "r.json")
             results.append((code, capsys.readouterr().err))
         assert results[0] == results[1]
-        assert results[0] == (2, "error [output: iterations must be >= 0]\n")
+        assert results[0] == (2, "error [--layout-iterations must be >= 0]\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_worker_warning_reaches_the_caller(self, monkeypatch):
@@ -566,6 +574,28 @@ class TestGraphCommands:
             "--content-mode", "shared-hashtag", "--topic-seed", "go", "--out", out,
         ) == 0
         assert cv.read_edgelist(out).n_edges == 1
+
+    def test_topic_tags_name_the_topic_members(self, tmp_path):
+        rng = np.random.default_rng(5)
+        users = [f"u{i}" for i in range(12)]
+        rows = [{"author": str(rng.choice(users)), "endorsed": str(rng.choice(users)),
+                 "hashtags": rng.choice(["go", "a", "#B", "c"], size=2).tolist(), "ts": t}
+                for t in range(300)]
+        records = tmp_path / "r.jsonl"
+        records.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        flags, config, conf = tmp_path / "flags.tsv", tmp_path / "config.tsv", tmp_path / "g.conf"
+        assert run("build-graph", "--records", records, "--topic-seed", "go",
+                   "--topic-tags", "a,b", "--out", flags) == 0
+        conf.write_text(f"records={records}\ntopic_seed=go\ntopic_tags=a,b\nout={config}\n")
+        assert run("build-graph", "--config", conf) == 0
+        expected, seed_only = tmp_path / "expected.tsv", tmp_path / "seed_only.tsv"
+        parsed = cv.read_records(records)
+        for topic, path in ((cv.Topic.make("go", ["a", "b"]), expected),
+                            (cv.Topic.make("go"), seed_only)):
+            cv.write_edgelist(cv.largest_component(cv.build_retweet_graph(parsed, topic)), path)
+        assert flags.read_bytes() == config.read_bytes() == expected.read_bytes()
+        # the members changed the graph
+        assert expected.read_bytes() != seed_only.read_bytes()
 
     def test_partition_spectral(self, tmp_path):
         out = tmp_path / "p.tsv"
@@ -927,6 +957,10 @@ class TestOptions:
         ("expand_k", 0, "--expand-k must be >= 1"),
         ("k", 0, "--k must be >= 1"),
         ("k", -3, "--k must be >= 1"),
+        ("n_walks", 0, "--n-walks must be >= 1"),
+        ("n_samples", -2, "--n-samples must be >= 1"),
+        ("layout_iterations", -1, "--layout-iterations must be >= 0"),
+        ("tau", 0, "--tau must be >= 1"),
     ])
     def test_bad_restart_walk_option_exits_before_any_stage(self, option, value, message,
                                                             tmp_path, monkeypatch, capsys):

@@ -2,17 +2,18 @@
 import json
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import controversy as cv
-from controversy.graph import CSR, url_domain
+from controversy.graph import CONTENT_MODES, CSR, url_domain
 
 from conftest import make_graph, path
 from oracles import (
-    connected_components, lexsort_csr_arrays, loop_write_edgelist, rebuilt_induced_subgraph,
-    tuple_graph,
+    connected_components, lexsort_csr_arrays, loop_build_content_graph, loop_write_edgelist,
+    rebuilt_induced_subgraph, tuple_graph,
 )
 
 
@@ -164,6 +165,39 @@ class TestContentGraph:
         with pytest.warns(UserWarning, match="unparseable"):
             g = cv.build_content_graph(records, TOPIC_A, "shared-domain")
         assert g.n_vertices == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("mode", CONTENT_MODES)
+    def test_random_corpus_matches_the_loop(self, mode, seed):
+        """Repeated posts, items only one user posted, and unparseable URLs
+        (the same warning, with the same count)."""
+        rng = random.Random(seed)
+        urls = ["http://x.org/1", "x.org/2", "https://www.y.net/a", "z.com", "::::", "not a url",
+                "http://x.org/1"]
+        tags = ["a", "b", "c", "d", "e", "f"]
+        records = [rec(f"u{rng.randrange(30)}", hashtags=rng.sample(tags, rng.randrange(4)),
+                       urls=rng.sample(urls, rng.randrange(3)))
+                   for _ in range(80)]
+        records += records[:10]
+        records.append(rec("loner", hashtags=["only-mine"], urls=["http://loner.io/x"]))
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            g = cv.build_content_graph(records, TOPIC_A, mode)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            expected = loop_build_content_graph(records, TOPIC_A, mode)
+        assert g == expected and g.n_edges > 0
+        assert "loner" not in g.ids
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        assert bool(got) == (mode == "shared-domain")
+
+    def test_no_shared_item_gives_an_empty_graph(self):
+        records = [rec("u", hashtags=["x"], urls=["http://x.org/1"]),
+                   rec("v", hashtags=["y"], urls=["http://y.org/1"])]
+        for mode in CONTENT_MODES:
+            g = cv.build_content_graph(records, TOPIC_A, mode)
+            assert g.n_vertices == 0 and g == loop_build_content_graph(records, TOPIC_A, mode)
+        assert cv.build_content_graph([], TOPIC_A, "shared-url").n_vertices == 0
 
     def test_domain_helper(self):
         assert url_domain("http://www.cnn.com/p1") == "cnn.com"

@@ -13,7 +13,7 @@ import controversy as cv
 from controversy import graph
 from controversy.cli import main
 
-from oracles import loop_build_retweet_graph, loop_read_records
+from oracles import loop_build_content_graph, loop_build_retweet_graph, loop_read_records
 from test_graph import assert_sliced_like_rebuilt
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -173,6 +173,14 @@ def test_ingest_users_records_match_the_loop_reader(ingest_users_seed1):
         assert g.n_edges > 0
 
 
+def test_ingest_users_content_graph_matches_the_loop(ingest_users_seed1):
+    path, topic = ingest_users_seed1
+    records = cv.read_records(path)
+    g = cv.build_content_graph(records, topic, "shared-hashtag")
+    assert (g.n_vertices, g.n_edges) == (423, 89253)
+    assert g == loop_build_content_graph(records, topic, "shared-hashtag")
+
+
 def test_ingest_users_component_slices_like_rebuilt(ingest_users_seed1):
     path, topic = ingest_users_seed1
     # at tau = 4 the graph falls apart: its largest component holds 193 of 385 users
@@ -207,6 +215,28 @@ class TestIllTypedFields:
         with pytest.raises(cv.InputDataError, match=rf"r\.jsonl:2: bad record \({field}") as exc:
             cv.read_records(path)
         assert bad_line_number(path, exc) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("hashtags", ""),
+        ("hashtags", {}),
+        ("hashtags", "go"),
+        ("hashtags", [1]),
+        ("urls", [1]),
+        ("urls", ""),
+        ("urls", [None]),
+        ("ts", False),
+        ("ts", 1.0),
+        ("ts", "1"),
+    ], ids=repr)
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_loop_reader_rejects_the_same_line(self, field, value, line, tmp_path):
+        rows = [{"author": f"a{i}", "endorsed": "b", "hashtags": ["go"]} for i in range(4)]
+        rows[line - 1][field] = value
+        path = tmp_path / "r.jsonl"
+        write_rows(path, rows)
+        for reader in (cv.read_records, loop_read_records):
+            with pytest.raises(cv.InputDataError, match=rf"r\.jsonl:{line}: bad record \({field}"):
+                reader(path)
 
     def test_null_fields_count_as_absent(self, tmp_path):
         path = tmp_path / "r.jsonl"
