@@ -30,7 +30,7 @@ from .errors import (
     DegenerateStructureError,
     InputDataError,
 )
-from .graph import Topic, read_lines
+from .graph import Topic, read_rows
 from .measures import (
     MEASURE_NAMES,
     ControversyReport,
@@ -354,13 +354,13 @@ def _write_all(writers):
 
 def _read_config_file(path):
     """The ``key=value`` lines of a config file, values as written."""
-    values = {}
-    for lineno, line in read_lines(path, comments=True):
+    def parse(line):
         if "=" not in line:
-            raise InputDataError(f"{path}:{lineno}: expected key=value")
+            raise InputDataError("expected key=value")
         key, _, raw = line.partition("=")
-        values[key.strip().replace("-", "_")] = raw.strip()
-    return values
+        return key.strip().replace("-", "_"), raw.strip()
+
+    return dict(read_rows(path, parse, comments=True))
 
 
 # PipelineConfig's field types (X or X | None), shared by parser and config-file reader
@@ -379,7 +379,7 @@ def _config_value(path, key, raw, kind):
         (kind,) = (t for t in options if t is not type(None))
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # not JSON, too deep, or too many digits: bare text
         value = raw
     if kind is str:
         return value if isinstance(value, str) else raw

@@ -7,6 +7,7 @@ view so that both walk flavours can be computed from the same object.
 """
 from __future__ import annotations
 
+import csv
 import json
 import warnings
 from collections import Counter
@@ -31,21 +32,23 @@ def normalize_tag(tag: str) -> str:
 def _user_id(raw) -> str:
     """Strip and lowercase a user id; reject one that no edge list or
     partition file could carry: a leading '#' (that line is a comment
-    there), a tab or a line break."""
+    there), a tab, a line break or a lone surrogate (no UTF-8 text)."""
     uid = str(raw).strip().lower()
     if uid.startswith("#") or "\t" in uid or "\r" in uid or "\n" in uid:
         raise InputDataError(f"user id {uid!r} starts with '#' or holds a tab or line break")
+    if not uid.isascii() and uid.encode("utf-8", "ignore").decode() != uid:
+        raise InputDataError(f"user id {uid!r} is not valid Unicode text")
     return uid
 
 
 def read_lines(path, comments=False):
     """Yield ``(lineno, line)`` for every non-blank line of the UTF-8 file
-    ``path``, without its line break (universal newlines: LF, CRLF or CR).
+    ``path``, without its line break (LF, CRLF or CR) or a leading BOM.
     With ``comments``, lines whose first non-blank character is '#' are
     skipped too. A byte that is not UTF-8 raises ``InputDataError("path:lineno: ...")``."""
     # decoding never fails here: a bad byte becomes a lone surrogate,
     # which no valid line holds, so only non-ASCII lines need a check
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:
@@ -56,6 +59,38 @@ def read_lines(path, comments=False):
             if not line or line.isspace() or comments and line.lstrip().startswith("#"):
                 continue
             yield lineno, line
+
+
+def read_rows(path, parse, comments=False, what=None):
+    """Yield ``parse(line)`` for every line :func:`read_lines` yields. The
+    one place a bad line becomes ``InputDataError("path:lineno: ...")``,
+    its text wrapped as ``what (...)`` when ``what`` is given."""
+    for lineno, line in read_lines(path, comments):
+        try:
+            row = parse(line)
+        except (InputDataError, ValueError, KeyError, TypeError, RecursionError, csv.Error) as exc:
+            text = f"{what} ({exc})" if what else exc
+            raise InputDataError(f"{path}:{lineno}: {text}") from exc
+        yield row
+
+
+def _json_object(line, decode=json.JSONDecoder().raw_decode) -> dict:
+    """The one JSON object that fills the stripped ``line``."""
+    line = line.strip()
+    obj, end = decode(line)
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    if type(obj) is not dict:
+        raise InputDataError(f"not a JSON object: {line[:40]!r}")
+    return obj
+
+
+def _number(text, kind, what):
+    """``kind(text)`` (int or float); a ValueError names ``what`` and ``text``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputDataError(f"bad {what} {text!r}") from None
 
 
 _NO_URLS = frozenset()
@@ -421,12 +456,8 @@ def build_follow_graph(follow_edges, active_users):
     Edge weight is the number of directed follow relations between the
     pair (1 or 2 after deduplication)."""
     active = set(map(_user_id, active_users))
-    relations = set()
-    for follower, followee in follow_edges:
-        a, b = _user_id(follower), _user_id(followee)
-        if a == b or a not in active or b not in active:
-            continue
-        relations.add((a, b))
+    relations = {(a, b) for a, b in (map(_user_id, edge) for edge in follow_edges)
+                 if a != b and a in active and b in active}
     return graph_from_weighted_pairs([(a, b, 1) for a, b in relations], directed=False)
 
 
@@ -546,22 +577,15 @@ def read_records(path):
     ``{"author": str, "endorsed": str|null, "hashtags": [str],
     "urls": [str], "ts": int}``. Exact duplicate records are dropped.
     """
-    decode = json.JSONDecoder().raw_decode
     memos = _memos()
+
+    def parse(line):
+        obj = _json_object(line)
+        return _record(obj["author"], obj.get("endorsed"), obj.get("hashtags"), obj.get("urls"),
+                       obj.get("ts"), *memos)
+
     records = {}  # insertion-ordered set
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        try:
-            obj, end = decode(line)
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
-            if type(obj) is not dict:
-                raise InputDataError(f"not a JSON object: {line[:40]!r}")
-            get = obj.get
-            rec = _record(obj["author"], get("endorsed"), get("hashtags"), get("urls"), get("ts"),
-                          *memos)
-        except (ValueError, KeyError, RecursionError, InputDataError) as exc:
-            raise InputDataError(f"{path}:{lineno}: bad record ({exc})") from exc
+    for rec in read_rows(path, parse, what="bad record"):
         records[rec] = None
         if len(records) == _Memo.PROBE:  # stop using a memo that mostly misses
             for memo in memos:
@@ -572,24 +596,21 @@ def read_records(path):
 def read_edgelist(path, directed=False):
     """Read a TSV edge list: ``src<TAB>dst<TAB>weight`` (weight optional,
     default 1, at least 1). Lines starting with '#' are ignored."""
-    pairs, ids = [], _Memo(_user_id)
-    for lineno, line in read_lines(path, comments=True):
+    ids = _Memo(_user_id)
+
+    def parse(line):
         parts = line.split("\t")
-        try:
-            if len(parts) not in (2, 3):
-                raise InputDataError("expected 2 or 3 columns")
-            src, dst = ids[parts[0]], ids[parts[1]]
-            if not src or not dst:
-                raise InputDataError("empty vertex id")
-            w = int(parts[2]) if len(parts) == 3 else 1
-            if w < 1:
-                raise InputDataError(f"non-positive weight {w}")
-        except InputDataError as exc:
-            raise InputDataError(f"{path}:{lineno}: {exc}") from None
-        except ValueError:
-            raise InputDataError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
-        pairs.append((src, dst, w))
-    return graph_from_weighted_pairs(pairs, directed=directed)
+        if len(parts) not in (2, 3):
+            raise InputDataError("expected 2 or 3 columns")
+        src, dst = ids[parts[0]], ids[parts[1]]
+        if not src or not dst:
+            raise InputDataError("empty vertex id")
+        w = _number(parts[2], int, "weight") if len(parts) == 3 else 1
+        if w < 1:
+            raise InputDataError(f"non-positive weight {w}")
+        return src, dst, w
+
+    return graph_from_weighted_pairs(list(read_rows(path, parse, comments=True)), directed)
 
 
 def write_edgelist(g, path):
@@ -615,14 +636,10 @@ def write_edgelist(g, path):
 
 def read_follow_edges(path):
     """Read follower<TAB>followee pairs; '#' comment lines ignored."""
-    edges = []
-    for lineno, line in read_lines(path, comments=True):
-        parts = line.split("\t")
-        try:
-            edge = tuple(map(_user_id, parts))
-            if len(edge) != 2 or not all(edge):
-                raise InputDataError("expected follower<TAB>followee")
-        except InputDataError as exc:
-            raise InputDataError(f"{path}:{lineno}: {exc}") from None
-        edges.append(edge)
-    return edges
+    def parse(line):
+        edge = tuple(map(_user_id, line.split("\t")))
+        if len(edge) != 2 or not all(edge):
+            raise InputDataError("expected follower<TAB>followee")
+        return edge
+
+    return list(read_rows(path, parse, comments=True))

@@ -12,7 +12,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -508,15 +508,7 @@ class ControversyReport:
             "topic": self.topic,
             "graph": {"vertices": self.n_vertices, "edges": self.n_edges},
             "config": self.config,
-            "measures": [
-                {
-                    "name": e.name,
-                    "value": e.value,
-                    "parameters": e.parameters,
-                    "seed": e.seed,
-                }
-                for e in self.entries
-            ],
+            "measures": [asdict(e) for e in self.entries],
             "timestamp": self.timestamp,
         }
 

@@ -158,11 +158,8 @@ def import_partition(g, path) -> Partition:
     known = set(g.ids)
     unknown = sorted(set(labels) - known)
     missing = sorted(known - set(labels))
-    problems = bad_rows
-    if unknown:
-        problems = problems + [f"unknown vertices: {', '.join(unknown[:10])}"]
-    if missing:
-        problems = problems + [f"unlabeled vertices: {', '.join(missing[:10])}"]
+    problems = bad_rows + [f"{what} vertices: {', '.join(ids[:10])}"
+                           for what, ids in (("unknown", unknown), ("unlabeled", missing)) if ids]
     if problems:
         raise InputDataError(f"{path}: " + "; ".join(problems))
     sides = np.array([labels[uid][0] for uid in g.ids], dtype=np.int8)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDataError
-from .graph import read_lines
+from .graph import _number, read_rows
 
 SCORE_MIN, SCORE_MAX = -4.0, 4.0
 CONTROVERSIAL_MIN_VARIANCE = 2.0
@@ -48,18 +48,15 @@ def classify_by_variance(variance) -> str:
 
 def read_sentiment(path):
     """Read a ``post_id,score`` CSV, one record a line (optional header: first non-blank line)."""
-    records = []
-    for i, (lineno, line) in enumerate(read_lines(path)):
+    header = iter(["post_id,score"])  # what the first line may be, and no later one
+
+    def parse(line):
         line = line.strip()
-        if i == 0 and line.lower().replace(" ", "") == "post_id,score":
-            continue
-        try:
-            parts = next(csv.reader([line]))  # csv.Error: a NUL byte, before Python 3.11
-            if len(parts) != 2:
-                raise InputDataError("expected post_id,score")
-            records.append(SentimentRecord(post_id=parts[0].strip(), score=float(parts[1])))
-        except (InputDataError, csv.Error) as exc:
-            raise InputDataError(f"{path}:{lineno}: {exc}") from None
-        except ValueError:
-            raise InputDataError(f"{path}:{lineno}: bad score {parts[1]!r}") from None
-    return records
+        if line.lower().replace(" ", "") == next(header, None):
+            return None
+        parts = next(csv.reader([line]))  # csv.Error: a NUL byte, before Python 3.11
+        if len(parts) != 2:
+            raise InputDataError("expected post_id,score")
+        return SentimentRecord(post_id=parts[0].strip(), score=_number(parts[1], float, "score"))
+
+    return [r for r in read_rows(path, parse) if r is not None]

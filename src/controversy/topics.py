@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InputDataError
-from .graph import Topic, normalize_tag, read_lines
+from .graph import Topic, _json_object, normalize_tag, read_rows
 
 
 @dataclass(frozen=True)
@@ -145,15 +145,11 @@ def build_profiles(records):
 def read_profiles(path):
     """Read profiles from JSON lines:
     ``{"tag": str, "df": int, "words": {str: int}, "tags": {str: int}}``."""
-    profiles = []
-    for lineno, line in read_lines(path):
-        try:
-            obj = json.loads(line.strip())
-            profiles.append(HashtagProfile.make(obj["tag"], obj["df"], obj.get("words"),
-                                                obj.get("tags")))
-        except (KeyError, TypeError, ValueError, InputDataError) as exc:
-            raise InputDataError(f"{path}:{lineno}: bad profile ({exc})") from exc
-    return profiles
+    def parse(line):
+        obj = _json_object(line)
+        return HashtagProfile.make(obj["tag"], obj["df"], obj.get("words"), obj.get("tags"))
+
+    return list(read_rows(path, parse, what="bad profile"))
 
 
 def write_profiles(profiles, path):

@@ -1,13 +1,15 @@
 """Every input format is read through one line reader and every user id
-through one normaliser: undecodable bytes, '#' ids, line breaks and the
-per-format line checks."""
+through one normaliser: undecodable bytes, byte-order marks, '#' ids,
+lone surrogates, line breaks, over-deep JSON and the per-format line
+checks."""
+import codecs
 import json
 
 import pytest
 
 import controversy as cv
 from controversy import graph
-from controversy.cli import _read_config_file, main
+from controversy.cli import _config_value, _read_config_file, main
 
 from conftest import make_graph
 
@@ -35,8 +37,56 @@ SECOND_LINE = {
 }
 
 
+DEEP = "[" * 100000  # nested too deep for the JSON decoder: RecursionError
+
+
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+@pytest.mark.parametrize("name", ["records", "profiles"])
+def test_over_deep_json_line_names_the_line(tmp_path, name):
+    file_name, first, read = READERS[name]
+    path = tmp_path / file_name
+    path.write_text(f"{first}\n{DEEP}\n")
+    with pytest.raises(cv.InputDataError, match="maximum recursion depth") as exc:
+        read(path)
+    assert str(exc.value).startswith(f"{path}:2: bad {name[:-1]} (")
+
+
+@pytest.mark.parametrize("value", [DEEP, "1" * 5000], ids=["deep", "5000-digits"])
+def test_config_value_json_cannot_read_is_text(tmp_path, value):
+    path = tmp_path / "c.cfg"
+    with pytest.raises(cv.InputDataError) as exc:
+        _config_value(path, "n", value, int)
+    assert str(exc.value) == f"{path}: config key n must be int, got {value}"
+    assert _config_value(path, "label", value, str) == value
+
+
+@pytest.mark.parametrize("name", ["profiles", "config"])
+def test_over_deep_json_exits_2_naming_the_file(tmp_path, capsys, name):
+    path = tmp_path / READERS[name][0]
+    if name == "profiles":
+        path.write_text(f"{READERS[name][1]}\n{DEEP}\n")
+        argv, where = ["--seed-tag", "go", "--profiles", path], f"{path}:2: bad profile ("
+    else:
+        path.write_text(f"seed_tag=go\nexpand_k={DEEP}\n")
+        argv, where = ["--config", path], f"{path}: config key expand_k must be int"
+    assert run("expand-topic", *argv) == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_byte_order_mark_is_ignored(tmp_path, name):
+    file_name, first, read = READERS[name]
+    text = f"{first}\n{SECOND_LINE[name]}\n".encode()
+    results = []
+    for prefix in (b"", codecs.BOM_UTF8):
+        path = tmp_path / str(len(prefix)) / file_name
+        path.parent.mkdir()
+        path.write_bytes(prefix + text)
+        results.append(read(path))
+    assert results[1] == results[0]
 
 
 @pytest.mark.parametrize("name", READERS)
@@ -108,6 +158,25 @@ class TestHashIds:
         edges.write_text("# a comment\na\t#b\n")
         assert run("partition", "--edgelist", edges, "--out", tmp_path / "p.tsv") == 2
         assert f"{edges}:2: user id '#b' starts with '#'" in capsys.readouterr().err
+
+    def test_user_id_rejects_a_lone_surrogate(self):
+        with pytest.raises(cv.InputDataError, match="is not valid Unicode text"):
+            graph._user_id("a\ud800")
+        with pytest.raises(cv.InputDataError, match="is not valid Unicode text"):
+            cv.ConversationGraph(["a\udfff", "b"], [(0, 1, 1)], False)
+        assert graph._user_id("Zoë") == "zoë"
+
+    def test_build_graph_rejects_a_surrogate_author(self, tmp_path, capsys):
+        records = tmp_path / "r.jsonl"
+        records.write_text('{"author": "a\\ud800", "endorsed": "b", "hashtags": ["go"]}\n')
+        message = r"r\.jsonl:1: bad record \(user id 'a\\ud800' is not valid Unicode text\)"
+        with pytest.raises(cv.InputDataError, match=message):
+            cv.read_records(records)
+        out = tmp_path / "g.tsv"
+        assert run("build-graph", "--records", records, "--topic-seed", "go", "--tau", 1,
+                   "--out", out) == 2
+        assert f"{records}:1:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_graph_builders_reject_a_hash_id(self):
         with pytest.raises(cv.InputDataError, match="starts with '#'"):
