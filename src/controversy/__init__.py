@@ -77,7 +77,6 @@ from .walks import (
     expected_hitting_times,
     sample_walk,
     top_degree,
-    walk_rng,
 )
 
 __version__ = "0.1.0"

@@ -121,7 +121,7 @@ class PipelineConfig:
         # check the numeric options before any input is read; a library
         # message starts with its field's name, which becomes the flag
         for option, least in (("k", 1), ("n_walks", 1), ("n_samples", 1),
-                              ("layout_iterations", 0), ("tau", 1)):
+                              ("layout_iterations", 0), ("tau", 1), ("seed", 0)):
             value = getattr(self, option)
             if value is not None and value < least:
                 raise InputDataError(f"{_flag(option)} must be >= {least}")
@@ -386,7 +386,8 @@ def _config_value(path, key, raw, kind):
     if kind is float and type(value) is int:
         return float(value)
     if type(value) is not kind:
-        raise InputDataError(f"{path}: config key {key} must be {kind.__name__}, got {raw}")
+        shown = raw if len(raw) <= 40 else raw[:40] + "..."
+        raise InputDataError(f"{path}: config key {key} must be {kind.__name__}, got {shown}")
     return value
 
 

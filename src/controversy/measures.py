@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import random
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -25,7 +26,6 @@ from .walks import (
     highest_degree,
     sample_walk,
     top_degree,
-    walk_rng,
 )
 
 DENSITY_FLOOR = 1e-12
@@ -55,10 +55,15 @@ def rwc_mc(g, p: Partition, k=None, n_walks=10000, seed=0) -> float:
     Each walk picks a side with probability 0.5, starts uniformly inside
     it, and stops at the first top-degree vertex of either side. With
     P[A|B] = Pr[started in A | ended on B's terminals], the score is
-    P[X|X]*P[Y|Y] - P[Y|X]*P[X|Y].
+    P[X|X]*P[Y|Y] - P[Y|X]*P[X|Y]. Every walk's side, start and steps
+    are drawn in walk order from one ``random.Random(seed)``; ``seed``
+    must be a non-negative int (``Random(-s)`` draws ``Random(s)``'s
+    stream).
     """
     if n_walks < 1:
         raise ValueError("n_walks must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     x_plus, y_plus = top_degree(g, p, k)
     authorities = np.concatenate((x_plus, y_plus))
     labels = g.component_labels
@@ -74,8 +79,8 @@ def rwc_mc(g, p: Partition, k=None, n_walks=10000, seed=0) -> float:
     sides = p.sides.tolist()
     pools = [p.x.tolist(), p.y.tolist()]
     counts = [[0, 0], [0, 0]]  # [start side][end side]
-    for i in range(n_walks):
-        rng = walk_rng(seed, i)
+    rng = random.Random(seed)
+    for _ in range(n_walks):
         start = sides[0] if rng.random() < 0.5 else 1 - sides[0]
         pool = pools[start]
         end = sample_walk(g, pool[draw_below(rng, len(pool))], terminals, rng)

@@ -173,16 +173,6 @@ def _bicgstab(apply, b, atol, max_iters):
     return x, max_iters
 
 
-def walk_rng(seed, walk_index) -> random.Random:
-    """Independent per-walk RNG stream derived from (seed, walk index).
-
-    String seeding hashes through SHA-512 inside ``random.Random``, so
-    the streams are identical regardless of how walks are scheduled
-    across workers.
-    """
-    return random.Random(f"{seed}:{walk_index}")
-
-
 def draw_below(rng: random.Random, n: int) -> int:
     """Uniform int in [0, n), drawn exactly as ``rng.randrange(n)`` draws
     it: ``n.bit_length()`` random bits, redrawn while they reach n. The

@@ -10,6 +10,7 @@ library itself no longer keeps.
 """
 import json
 import math
+import random
 import warnings
 from collections import Counter, deque
 from itertools import combinations
@@ -426,20 +427,21 @@ def dense_kde_density(points, centers, bandwidth):
 
 
 def randrange_walk_outcomes(g, p, k, n_walks, seed):
-    """(start, end) of every ``rwc_mc`` walk, drawn with
-    ``random.Random.randrange`` on the tuple-form neighbor lists: pick a
-    side by one ``random()`` (keyed to the side holding vertex 0), a start
-    by ``randrange(len(side))``, then one ``randrange(degree)`` per step
-    until a top-degree vertex of either side is hit."""
-    from controversy.walks import top_degree, walk_rng
+    """(start, end) of every ``rwc_mc`` walk, drawn in walk order from one
+    ``random.Random(seed)`` with ``randrange`` on the tuple-form neighbor
+    lists: pick a side by one ``random()`` (keyed to the side holding
+    vertex 0), a start by ``randrange(len(side))``, then one
+    ``randrange(degree)`` per step until a top-degree vertex of either
+    side is hit."""
+    from controversy.walks import top_degree
 
     t = tuple_graph(g)
     x_plus, y_plus = top_degree(g, p, k)
     terminals = set(x_plus.tolist()) | set(y_plus.tolist())
     side0, side1 = (p.x, p.y) if p.side_of(0) == "X" else (p.y, p.x)
     outcomes = []
-    for i in range(n_walks):
-        rng = walk_rng(seed, i)
+    rng = random.Random(seed)
+    for _ in range(n_walks):
         pool = side0 if rng.random() < 0.5 else side1
         start = v = int(pool[rng.randrange(len(pool))])
         while v not in terminals:
@@ -447,6 +449,33 @@ def randrange_walk_outcomes(g, p, k, n_walks, seed):
             v = int(nbrs[rng.randrange(len(nbrs))])
         outcomes.append((start, v))
     return outcomes
+
+
+def rwc_mc_band(g, p, k=None, n_walks=10000):
+    """``(mean, sigma)``: the exact expectation of ``rwc_mc`` and the
+    standard error of one estimate from ``n_walks`` walks. A walk picks a
+    side with probability 1/2, starts uniformly inside it and is absorbed
+    at the first authority, so the four (start side, end side) cell
+    probabilities follow from :func:`absorbing_absorption_probabilities`.
+    The score is p_xx + p_yy - 1 of the column-conditioned cells, and its
+    error is the delta method on the multinomial cell counts (the score
+    is homogeneous of degree 0 in the cells, so the gradient's mean
+    term vanishes)."""
+    from controversy.walks import top_degree
+
+    x_plus, y_plus = top_degree(g, p, k)
+    term, absorb = absorbing_absorption_probabilities(g, np.concatenate((x_plus, y_plus)))
+    to_x = absorb[:, np.isin(term, x_plus)].sum(axis=1)
+    from_x, from_y = to_x[p.x].mean(), to_x[p.y].mean()
+    # cell probabilities, named start side then end side
+    xx, xy, yx, yy = 0.5 * from_x, 0.5 * (1.0 - from_x), 0.5 * from_y, 0.5 * (1.0 - from_y)
+    ends_x, ends_y = xx + yx, yy + xy
+    mean = xx / ends_x + yy / ends_y - 1.0
+    # (partial derivative of the score in a cell, that cell's probability)
+    terms = ((yx / ends_x**2, xx), (-xx / ends_x**2, yx),
+             (xy / ends_y**2, yy), (-yy / ends_y**2, xy))
+    sigma = math.sqrt(sum(d * d * q for d, q in terms) / n_walks)
+    return mean, sigma
 
 
 def dense_stationary_rwr(g, restart, dangling, damping):

@@ -961,6 +961,7 @@ class TestOptions:
         ("n_samples", -2, "--n-samples must be >= 1"),
         ("layout_iterations", -1, "--layout-iterations must be >= 0"),
         ("tau", 0, "--tau must be >= 1"),
+        ("seed", -1, "--seed must be >= 0"),
     ])
     def test_bad_restart_walk_option_exits_before_any_stage(self, option, value, message,
                                                             tmp_path, monkeypatch, capsys):
@@ -991,14 +992,19 @@ class TestOptions:
         assert capsys.readouterr().err == "error [--expand-alpha must be in [0, 1]]\n"
         assert not out.exists()
 
-    def test_simulate_bad_k_exits_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("option, value, message", [
+        ("--k", 0, "--k must be >= 1"),
+        ("--seed", -1, "--seed must be >= 0"),
+    ])
+    def test_simulate_bad_option_exits_before_the_sweep(self, option, value, message,
+                                                        tmp_path, monkeypatch, capsys):
         def no_sweep(*args, **kwargs):
             raise AssertionError("a sweep started")
 
         monkeypatch.setattr(cli, "rwc_sweep", no_sweep)
         out = tmp_path / "sweep.csv"
-        assert run("simulate", "--k", 0, "--out", out) == 2
-        assert capsys.readouterr().err == "error [--k must be >= 1]\n"
+        assert run("simulate", option, value, "--out", out) == 2
+        assert capsys.readouterr().err == f"error [{message}]\n"
         assert not out.exists()
 
     def test_unknown_measure_exits_before_any_stage(self, tmp_path, monkeypatch, capsys):

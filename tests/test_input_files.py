@@ -56,11 +56,20 @@ def test_over_deep_json_line_names_the_line(tmp_path, name):
 
 @pytest.mark.parametrize("value", [DEEP, "1" * 5000], ids=["deep", "5000-digits"])
 def test_config_value_json_cannot_read_is_text(tmp_path, value):
+    # the message shows the value's first 40 characters, as records cut a bad line
+    path = tmp_path / "c.cfg"
+    with pytest.raises(cv.InputDataError) as exc:
+        _config_value(path, "n", value, int)
+    assert str(exc.value) == f"{path}: config key n must be int, got {value[:40]}..."
+    assert _config_value(path, "label", value, str) == value
+
+
+@pytest.mark.parametrize("value", ["[1]", '"' + "x" * 38 + '"'], ids=["short", "40-chars"])
+def test_config_value_up_to_40_characters_is_shown_whole(tmp_path, value):
     path = tmp_path / "c.cfg"
     with pytest.raises(cv.InputDataError) as exc:
         _config_value(path, "n", value, int)
     assert str(exc.value) == f"{path}: config key n must be int, got {value}"
-    assert _config_value(path, "label", value, str) == value
 
 
 @pytest.mark.parametrize("name", ["profiles", "config"])

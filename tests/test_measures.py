@@ -82,10 +82,16 @@ class TestRwcMc:
         b = cv.rwc_mc(g, p, k=1, n_walks=500, seed=11)
         assert a == b
 
+    def test_negative_seed_rejected(self):
+        # Random(-5) would draw Random(5)'s stream
+        g, p = barbell(4)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            cv.rwc_mc(g, p, k=1, n_walks=10, seed=-5)
+
     def test_estimate_is_order_independent(self):
         # accumulating integer counts makes the estimate independent of
-        # how walks are scheduled; spot-check by comparing against a
-        # manual shuffled accumulation of the same per-walk streams
+        # the order of the walks; spot-check by comparing against a
+        # manual shuffled accumulation of the same walks
         g, p = barbell(4)
         x_plus = set(cv.top_degree(g, p, 1)[0].tolist())
         outcomes = [(start in p.x, end in x_plus)
@@ -104,7 +110,7 @@ class TestRwcMc:
     @pytest.mark.parametrize("swap", [False, True])
     def test_walks_follow_the_randrange_stream(self, karate, monkeypatch, swap):
         # every walk's (start, end) is the one randrange draws from the
-        # same per-walk stream, under either side labelling
+        # same single stream, under either side labelling
         g, p = karate
         if swap:
             p = cv.Partition(1 - p.sides)

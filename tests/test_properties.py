@@ -6,12 +6,14 @@ import pytest
 import controversy as cv
 
 from conftest import keyed_betweenness, random_connected_graph
+from controversy.synthetic import ground_truth_partition_for
 from controversy.users import _strict_rank_fraction
 from oracles import (
     dense_stationary_rwr,
     loop_gmck,
     loop_strict_rank_fraction,
     networkx_edge_betweenness,
+    rwc_mc_band,
 )
 
 N_GRAPHS = 100
@@ -225,6 +227,24 @@ class TestRanges:
                 assert -0.5 <= values["gmck"] <= 0.5
 
 
+def planted_pair():
+    """The largest component of a 200-vertex planted graph, on its planted sides."""
+    g, _ = cv.planted_two_community(cv.PlantedConfig(n=200, p1=0.05, p2=0.005, seed=1))
+    sub = cv.largest_component(g)
+    return sub, ground_truth_partition_for(sub, 200)
+
+
+class TestMonteCarloBand:
+    @pytest.mark.parametrize("graph", ["karate", "planted"])
+    def test_rwc_mc_within_5_standard_errors_of_exact(self, graph, request):
+        # every seed's 10,000 walks, all drawn from one stream, land within
+        # 5 standard errors of the absorbing chain's expectation
+        g, p = request.getfixturevalue("karate") if graph == "karate" else planted_pair()
+        mean, sigma = rwc_mc_band(g, p)
+        for seed in range(5):
+            assert abs(cv.rwc_mc(g, p, seed=seed) - mean) <= 5 * sigma, seed
+
+
 class TestComplementIdentities:
     def test_conditionals_complement_to_one(self):
         for g, p in CORPUS[:50]:
@@ -239,27 +259,6 @@ class TestDeterminism:
             a = each_measure(g, p, seed=i)
             b = each_measure(g, p, seed=i)
             assert a == b
-
-    def test_mc_walks_independent_of_scheduling(self):
-        # per-walk streams are a pure function of (seed, walk index), so
-        # an interleaved/chunked execution reproduces the same counts
-        g, p = CORPUS[0]
-        x_plus, y_plus = cv.top_degree(g, p)
-        terms = set(x_plus.tolist() + y_plus.tolist())
-        x_plus = set(x_plus.tolist())
-
-        def outcome(i):
-            rng = cv.walk_rng(77, i)
-            side0 = rng.random() < 0.5
-            pool = p.x if side0 else p.y
-            start = int(pool[rng.randrange(len(pool))])
-            return side0, cv.sample_walk(g, start, terms, rng) in x_plus
-
-        serial = [outcome(i) for i in range(150)]
-        chunked = []
-        for chunk_start in (100, 50, 0):
-            chunked.extend(outcome(i) for i in range(chunk_start, chunk_start + 50))
-        assert sorted(serial) == sorted(chunked)
 
     def test_restart_conditionals_deterministic(self):
         g, p = CORPUS[1]

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import bicgstab as scipy_bicgstab
 
 import controversy as cv
 import controversy.walks as walks_module
-from controversy.walks import draw_below, walk_rng
+from controversy.walks import draw_below
 
 from conftest import barbell, complete, cycle, make_graph, path, random_connected_graph, random_partition
 from oracles import (absorbing_absorption_probabilities, dense_expected_steps,
@@ -264,18 +264,18 @@ class TestDrawBelow:
 class TestSampleWalk:
     def test_start_on_terminal_returns_immediately(self):
         g = path(3)
-        rng = walk_rng(0, 0)
-        assert cv.sample_walk(g, 1, {1, 2}, rng) == 1
+        assert cv.sample_walk(g, 1, {1, 2}, random.Random(0)) == 1
 
     def test_forced_move(self):
         g = path(2)
-        assert cv.sample_walk(g, 0, {1}, walk_rng(0, 0)) == 1
+        assert cv.sample_walk(g, 0, {1}, random.Random(0)) == 1
 
     def test_reproducible_for_fixed_stream(self):
         g, p = barbell(5)
         terms = set(np.concatenate(cv.top_degree(g, p, 1)).tolist())
-        first = [cv.sample_walk(g, 0, terms, walk_rng(9, i)) for i in range(50)]
-        second = [cv.sample_walk(g, 0, terms, walk_rng(9, i)) for i in range(50)]
+        a, b = random.Random(9), random.Random(9)
+        first = [cv.sample_walk(g, 0, terms, a) for _ in range(50)]
+        second = [cv.sample_walk(g, 0, terms, b) for _ in range(50)]
         assert first == second
 
     def test_crossing_frequency_matches_absorbing_chain(self):
@@ -286,11 +286,8 @@ class TestSampleWalk:
         start = 2
         exact_cross = probs[start, term.index(9)]
         assert 0.0 < exact_cross < 1.0
-        n = 10000
-        crossed = sum(
-            cv.sample_walk(g, start, set(terminals), walk_rng(123, i)) == 9
-            for i in range(n)
-        )
+        n, rng = 10000, random.Random(123)
+        crossed = sum(cv.sample_walk(g, start, set(terminals), rng) == 9 for _ in range(n))
         freq = crossed / n
         sigma = (exact_cross * (1 - exact_cross) / n) ** 0.5
         assert abs(freq - exact_cross) <= 3 * sigma
@@ -298,12 +295,12 @@ class TestSampleWalk:
     @pytest.mark.parametrize("start", [-1, 3])
     def test_out_of_range_start_rejected(self, start):
         with pytest.raises(ValueError, match=rf"^start index {start} out of range \[0, 3\)$"):
-            cv.sample_walk(path(3), start, {0}, walk_rng(0, 0))
+            cv.sample_walk(path(3), start, {0}, random.Random(0))
 
     def test_unreachable_terminal_errors(self):
         g = make_graph(3, [(0, 1)])  # 2 is isolated
         with pytest.raises(cv.ConvergenceError, match="terminate"):
-            cv.sample_walk(g, 2, {0}, walk_rng(0, 0))
+            cv.sample_walk(g, 2, {0}, random.Random(0))
 
 
 class TestHittingTimes:
