@@ -387,16 +387,6 @@ class ConversationGraph:
         # directed=False would build the transpose again on every call
         return csgraph.connected_components(self.csr.matrix(), connection="strong")[1]
 
-    # -- directed view ----------------------------------------------------
-
-    @cached_property
-    def transition(self):
-        """Uniform-step transition matrix of the directed view (weights
-        ignored): entry (u, v) is 1 / out-degree(u) for each arc u -> v, and
-        the rows of vertices without out-arcs are zero."""
-        csr = self.out_csr
-        return csr._replace(weights=1.0 / np.diff(csr.indptr)[csr.rows]).matrix()
-
 
 def _frozen(a):
     a.setflags(write=False)

@@ -18,10 +18,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateStructureError
+from .graph import _vertex_indices
 from .partition import Partition
 from .walks import (
     RestartWalkConfig,
     _restart_visits,
+    _walk_step,
     draw_below,
     highest_degree,
     sample_walk,
@@ -419,20 +421,21 @@ def gmck(g, p: Partition) -> float:
 
 def propagate_polarity(g, plus_seeds, minus_seeds, tol=1e-6, max_iters=1000):
     """Clamp +1/-1 on the seed vertices and sweep every other vertex to
-    the mean of its neighbors until the max change drops below tol.
-    Raises ConvergenceError, with the last change, when max_iters sweeps
-    do not get there."""
+    the mean of its neighbors until the max change drops below tol (the
+    Jacobi sweep of the undirected :func:`walks._walk_step` stopped at the
+    seeds). Raises ValueError naming the first seed outside [0, n), and
+    ConvergenceError, with the last change, when max_iters sweeps do not
+    get there."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    values = np.zeros(g.n_vertices)
-    values[list(plus_seeds)] = 1.0
-    values[list(minus_seeds)] = -1.0
-    clamped = values != 0.0
-    adj = g.csr.matrix(weighted=False)
-    inv_deg = 1.0 / np.maximum(g.degrees, 1)  # an isolated vertex's mean is 0
+    seeded = np.zeros(g.n_vertices)
+    seeded[_vertex_indices(g, plus_seeds, "seed")] = 1.0
+    seeded[_vertex_indices(g, minus_seeds, "seed")] = -1.0
+    adjacency, w = _walk_step(g.csr, seeded != 0.0)
+    values = seeded
     for _ in range(max_iters):
-        new = np.where(clamped, values, (adj @ values) * inv_deg)
-        change = np.abs(new - values).max(initial=0.0)  # clamped entries never move
+        new = seeded + w * (adjacency @ values)
+        change = np.abs(new - values).max(initial=0.0)  # seeds never move
         values = new
         if change < tol:
             return values

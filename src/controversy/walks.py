@@ -3,9 +3,10 @@
 Covers per-side authority (top-degree) selection, the restart walk's
 expected visits per excursion (behind both ``rwc_rwr`` and the user
 scores), Monte Carlo walk sampling on the undirected view, and exact
-expected hitting times. The restart walk and the hitting times are both
-systems "identity minus a substochastic walk step", solved by
-:func:`_solve`. Every vertex index these take must lie in [0, n).
+expected hitting times. One builder, :func:`_walk_step`, writes every walk
+system x = b + w * (A @ x): :func:`_solve` solves the restart visits and
+the hitting times, and ``mblb``'s polarity sweep iterates it. Every vertex
+index these take must lie in [0, n).
 """
 from __future__ import annotations
 
@@ -19,7 +20,9 @@ from .errors import ConvergenceError
 from .graph import _vertex_indices
 
 WALK_STEP_CAP = 10**6
-HITTING_RTOL = 1e-13  # relative recurrence residual at which the hitting-time solve stops
+# hitting-time stop: the relative recurrence residual, then the backward error
+# ||b - Ax||_inf <= rtol (||A||_inf ||x||_inf + ||b||_inf), ||A||_inf = 1 + d <= 2
+HITTING_RTOL = 1e-13
 BREAKDOWN_RTOL = np.finfo(float).eps  # shadow product, relative, at which BiCGSTAB starts again
 
 
@@ -28,10 +31,13 @@ class RestartWalkConfig:
     """Parameters of the restart-walk solves (``rwc_rwr``, the user
     scores). Each solve runs at most ``max_iters`` BiCGSTAB iterations and
     stops where every expected visit count it returns is within
-    ``tolerance``. Each of ``rwc_rwr``'s conditionals is then within
-    2 * tolerance * (1 + damping) / (1 - damping) / m, to first order,
+    ``tolerance``. A side S's sum of them, which :func:`rwr_conditionals`
+    takes, is then within |S| * tolerance (the errors share a sign), but it
+    is divided by the walk's mass sum(x) >= |S| (x >= 1_S solves
+    (I - d*M^T) x = 1_S), so for any n each conditional is within
+    tolerance / m + damping * tolerance / (1 - damping), to first order,
     where m is the share of the walks' stationary mass on its end side's
-    authorities (the column sum of :func:`rwr_conditionals`' table)."""
+    authorities (the column sum of the conditionals' table)."""
 
     damping: float = 0.85
     tolerance: float = 1e-10
@@ -67,34 +73,41 @@ def top_degree(g, p, k=None):
     return highest_degree(g, p.x, k), highest_degree(g, p.y, k)
 
 
+def _walk_step(csr, stops, damping=1.0):
+    """``(A, w)`` of every walk system x = b + w * (A @ x): A is the
+    unweighted adjacency of the CSR view ``csr``, w is damping / out-degree
+    on the moving vertices and 0 on the ``stops`` (indices or a mask) and
+    on the vertices without neighbours."""
+    degrees = np.diff(csr.indptr)
+    w = np.divide(damping, degrees, out=np.zeros(len(degrees)), where=degrees > 0)
+    w[stops] = 0.0
+    return csr.matrix(weighted=False), w
+
+
 def _restart_visits(g, x_plus, y_plus, cfg: RestartWalkConfig, what):
     """The restart walk whose excursions end at the authorities ``x_plus``
     and ``y_plus`` and at every vertex without out-arcs.
 
     Returns ``(ends, visits)``: the boolean mask of those end vertices, and
-    the function that maps an index array B to h = (I - d*Q)^-1 @ 1_B, the
-    expected visits to B per excursion from every start vertex, where Q is
-    ``g.transition`` with the rows of the end vertices zeroed. Each call is
-    one :func:`_solve` within ``max_iters`` iterations, stopped at the
-    absolute residual (2-norm) tolerance * (1 - d): the inverse of I - d*Q
-    has max-norm at most 1 / (1 - d), and a vector's max-norm is at most
-    its 2-norm, so each entry of h is within the configured tolerance. A
-    solve that misses its stop raises ConvergenceError naming ``what``.
+    the function that maps an index array B to h = (I - diag(w) A)^-1 1_B,
+    the expected visits to B per excursion from every start vertex, for the
+    directed view's :func:`_walk_step` at damping d. Each call is one
+    :func:`_solve` within ``max_iters`` iterations, stopped at the absolute
+    residual (2-norm) tolerance * (1 - d): the inverse has max-norm at most
+    1 / (1 - d), and a vector's max-norm is at most its 2-norm, so each
+    entry of h is within the configured tolerance. A solve that misses its
+    stop raises ConvergenceError naming ``what``.
     """
-    ends = np.diff(g.out_csr.indptr) == 0
-    ends[x_plus] = ends[y_plus] = True
-    walks_on, step, d = ~ends, g.transition, cfg.damping
-
-    def system(h):
-        return h - d * (walks_on * (step @ h))
+    adjacency, w = _walk_step(g.out_csr, np.concatenate((x_plus, y_plus)), cfg.damping)
 
     def visits(targets):
         b = np.zeros(g.n_vertices)
         b[targets] = 1.0
-        return _solve(system, b, cfg.tolerance * (1.0 - d) / math.sqrt(len(targets)),
+        return _solve(adjacency, w, b,
+                      cfg.tolerance * (1.0 - cfg.damping) / math.sqrt(len(targets)),
                       cfg.max_iters, what)
 
-    return ends, visits
+    return w == 0.0, visits
 
 
 def _dot(a, b) -> float:
@@ -104,13 +117,18 @@ def _dot(a, b) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _solve(apply, b, rtol, max_iters, what):
-    """x with ``apply(x) = b`` to the relative residual ``rtol`` (2-norm,
-    as :func:`_bicgstab` checks it), within ``max_iters`` iterations. Raises
-    ConvergenceError, naming the solve ``what`` and its last relative
-    residual ``||b - apply(x)|| / ||b||``, when the budget runs out or the
-    recurrence breaks down."""
+def _solve(adjacency, w, b, rtol, max_iters, what):
+    """x = b + w * (adjacency @ x), the walk system of a :func:`_walk_step`,
+    to the relative residual ``rtol`` (2-norm, as :func:`_bicgstab` checks
+    it), within ``max_iters`` iterations. Raises ConvergenceError, naming
+    the solve ``what`` and its last relative residual, when the budget runs
+    out or the recurrence breaks down. b = 0 gives x = 0."""
+    def apply(x):
+        return x - w * (adjacency @ x)
+
     b_norm = math.sqrt(_dot(b, b))
+    if not b_norm:
+        return np.zeros_like(b)
     x, info = _bicgstab(apply, b, rtol * b_norm, max_iters)
     if info:
         gap = b - apply(x)
@@ -220,29 +238,27 @@ def expected_hitting_times(g, targets) -> np.ndarray:
     """Exact expected steps of the uniform undirected walk to reach any target.
 
     Solves the absorbing-chain system l_u = 1 + mean(l over neighbors)
-    with l = 0 on targets: on the free vertices F, the degree-scaled
-    grounded system l - D_F^-1 A_FF l = 1, by :func:`_solve` in O(m)
-    memory. It stops at the recurrence residual ``HITTING_RTOL``; the true
-    one can stay larger (4.1e-10 on a 2000-cycle, 7.5e-10 on a 1000-path:
-    rounding in b - Ax grows with the times), the times within 1e-12 of a
-    dense solve. Raises ConvergenceError, with the relative residual, when
-    the solve misses the stop in 10 |F| iterations. Vertices with no
-    target in reach get +inf.
+    with l = 0 on targets, the :func:`_walk_step` system of the undirected
+    view stopped at the targets and at the components holding none, by
+    :func:`_solve` in O(m) memory. Raises ConvergenceError, with the
+    relative residual, when the solve misses ``HITTING_RTOL`` in 10 |F|
+    iterations (F the moving vertices), and with the backward error when
+    the times then miss it (2.7e-15 on a 2000-cycle and 1.4e-15 on a
+    1000-path, whose relative residuals stay at 4.1e-10 and 6.1e-10 as
+    rounding in b - Ax grows with the times). Vertices with no target in
+    reach get +inf.
     """
     targets = _vertex_indices(g, targets, "target")
     if not targets.size:
         raise ValueError("targets set is empty")
-    times = np.full(g.n_vertices, np.inf)
-    times[targets] = 0.0
-    # vertices that can reach a target: those in a target's component
-    labels = g.component_labels
-    free = np.isin(labels, labels[targets])
-    free[targets] = False
-    free = np.flatnonzero(free)
-    if not free.size:
-        return times
-    inv_deg = 1.0 / g.degrees[free]
-    adjacent = g.csr.matrix(weighted=False)[free][:, free]
-    times[free] = _solve(lambda t: t - inv_deg * (adjacent @ t), np.ones(len(free)),
-                         HITTING_RTOL, 10 * len(free), "hitting times")
+    unreachable = ~np.isin(g.component_labels, g.component_labels[targets])
+    adjacency, w = _walk_step(g.csr, np.concatenate((np.flatnonzero(unreachable), targets)))
+    moving = (w > 0.0).astype(float)
+    times = _solve(adjacency, w, moving, HITTING_RTOL, 10 * int(moving.sum()), "hitting times")
+    gap = np.abs(moving - times + w * (adjacency @ times)).max(initial=0.0)
+    error = gap / (2.0 * times.max(initial=0.0) + 1.0)
+    if error > HITTING_RTOL:
+        raise ConvergenceError(f"hitting times missed the backward error {HITTING_RTOL:.0e} "
+                               f"(reached {error:.3e})", residual=error)
+    times[unreachable] = np.inf
     return times

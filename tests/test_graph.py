@@ -240,24 +240,6 @@ class TestGraphStructure:
         for got, want in zip(csr, lexsort_csr_arrays(30, src, dst, w)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("name", ["karate", "planted", "path", "star", "directed"])
-    def test_transition_is_the_uniform_step_matrix(self, name, karate):
-        g = {
-            "karate": lambda: karate[0],
-            "planted": lambda: cv.planted_two_community(cv.PlantedConfig(300, 0.05, 0.01, seed=2))[0],
-            "path": lambda: path(7),
-            "star": lambda: make_graph(6, [(0, i) for i in range(1, 6)]),
-            "directed": lambda: make_graph(5, [(0, 1), (0, 2), (1, 0), (3, 1), (3, 2), (3, 0)],
-                                           directed=True),
-        }[name]()
-        want = np.zeros((g.n_vertices, g.n_vertices))
-        for u in range(g.n_vertices):
-            heads = g.out_csr.indices[g.out_csr.indptr[u]:g.out_csr.indptr[u + 1]]
-            want[u, heads] = 1.0 / len(heads) if len(heads) else 0.0
-        got = g.transition
-        assert got.format == "csr" and np.array_equal(got.toarray(), want)
-        assert np.array_equal(got.indptr, g.out_csr.indptr)
-
     def test_constructor_memory_per_edge(self):
         g = cv.planted_two_community(cv.PlantedConfig(4000, 0.01, 0.001, seed=1))[0]
         arcs = np.array(g.edge_array)

@@ -475,6 +475,11 @@ class TestMblb:
         with pytest.raises(ValueError, match="max_iters"):
             propagate_polarity(g, [0], [399], max_iters=0)
 
+    @pytest.mark.parametrize("plus, minus, bad", [([-1], [0], -1), ([0], [4], 4)])
+    def test_out_of_range_seed_rejected(self, plus, minus, bad):
+        with pytest.raises(ValueError, match=rf"^seed index {bad} out of range \[0, 4\)$"):
+            propagate_polarity(path(4), plus, minus)
+
     def test_one_sided_values_warn_and_zero(self):
         values = np.array([1.0, 0.5, 0.0, 0.2])
         with pytest.warns(UserWarning, match="one-sided"):

@@ -15,7 +15,7 @@ from controversy.walks import draw_below
 from conftest import barbell, complete, cycle, make_graph, path, random_connected_graph, random_partition
 from oracles import (absorbing_absorption_probabilities, dense_expected_steps,
                      dense_rwr_conditionals, dense_stationary_rwr, loop_strict_rank_fraction,
-                     sparse_stationary_rwr)
+                     sparse_rwr_solver, sparse_stationary_rwr)
 
 
 class TestTopDegree:
@@ -56,11 +56,43 @@ class TestTopDegree:
         assert cv.default_k(p2) == 1
 
 
+class TestWalkStep:
+    @pytest.mark.parametrize("name", ["karate", "planted", "path", "star", "directed"])
+    def test_walk_step_is_the_damped_uniform_step(self, name, karate):
+        g = {
+            "karate": lambda: karate[0],
+            "planted": lambda: cv.planted_two_community(cv.PlantedConfig(300, 0.05, 0.01, seed=2))[0],
+            "path": lambda: path(7),
+            "star": lambda: make_graph(6, [(0, i) for i in range(1, 6)]),
+            "directed": lambda: make_graph(5, [(0, 1), (0, 2), (1, 0), (3, 1), (3, 2), (3, 0)],
+                                           directed=True),
+        }[name]()
+        n, d = g.n_vertices, 0.85
+        uniform = np.zeros((n, n))
+        for u in range(n):
+            heads = g.out_csr.indices[g.out_csr.indptr[u]:g.out_csr.indptr[u + 1]]
+            uniform[u, heads] = 1.0 / len(heads) if len(heads) else 0.0
+        stops = [0, n // 2]
+        adjacency, w = walks_module._walk_step(g.out_csr, stops, d)
+        assert adjacency.format == "csr" and (adjacency.data == 1.0).all()
+        assert np.array_equal(adjacency.indptr, g.out_csr.indptr)
+        step = w[:, None] * adjacency.toarray()
+        no_out_arcs = uniform.sum(axis=1) == 0.0
+        moving = np.ones(n, dtype=bool)
+        moving[stops] = False
+        moving &= ~no_out_arcs
+        assert (step[stops] == 0.0).all() and (step[no_out_arcs] == 0.0).all()
+        np.testing.assert_allclose(step[moving], d * uniform[moving], rtol=1e-15)
+        np.testing.assert_allclose(step[moving].sum(axis=1), d, rtol=1e-15)
+        # only the directed case has vertices without out-arcs: 2 and 4
+        assert no_out_arcs.sum() == (2 if name == "directed" else 0)
+
+
 def rwr_bound(c_mass, cfg):
     """The bound :class:`RestartWalkConfig` states on each conditional of
     an end side with stationary mass ``c_mass``."""
     d = cfg.damping
-    return 2 * cfg.tolerance * (1 + d) / (1 - d) / c_mass
+    return cfg.tolerance / c_mass + d * cfg.tolerance / (1 - d)
 
 
 class TestRestartWalk:
@@ -168,6 +200,29 @@ class TestRestartWalk:
             table[start] = len(side) * pi[x_plus].sum(), len(side) * pi[y_plus].sum()
         assert np.abs(cv.rwr_conditionals(g, p) - table / table.sum(axis=0)).max() <= 1e-12
 
+    @pytest.mark.parametrize("tolerance", [1e-10, 1e-6])
+    def test_side_sums_carry_the_side_size(self, tolerance):
+        # the visit counts summed over a side are off by up to |S| *
+        # tolerance, and the walk's total mass is at least |S|
+        g, p = cv.planted_two_community(cv.PlantedConfig(1000, 0.02, 0.001, seed=1))
+        x_plus, y_plus = cv.top_degree(g, p)
+        cfg = cv.RestartWalkConfig(tolerance=tolerance)
+        _, visits = walks_module._restart_visits(g, x_plus, y_plus, cfg, "restart walk")
+        hits = visits(x_plus), visits(y_plus)
+        solve = sparse_rwr_solver(g, [*x_plus, *y_plus], cfg.damping)
+        table = np.empty((2, 2))
+        for start, side in enumerate((p.x, p.y)):
+            restart = np.zeros(g.n_vertices)
+            restart[side] = 1.0
+            x = solve(restart)  # by duality 1_side . h_B = 1_B . x
+            assert x.sum() >= len(side)
+            for end, (authorities, h) in enumerate(zip((x_plus, y_plus), hits)):
+                assert abs(h[side].sum() - x[authorities].sum()) <= len(side) * tolerance
+                table[start, end] = len(side) / g.n_vertices * x[authorities].sum() / x.sum()
+        mass = table.sum(axis=0)
+        error = np.abs(cv.rwr_conditionals(g, p, cfg=cfg) - table / mass)
+        assert (error <= rwr_bound(mass, cfg)).all()
+
     @pytest.mark.parametrize("directed", [False, True])
     def test_stated_bounds_hold_at_a_loose_tolerance(self, directed):
         rng = np.random.default_rng(6)
@@ -221,9 +276,8 @@ class TestRestartWalk:
         p = cv.Partition(np.array([1, 0, 0, 0, 0, 0, 0], dtype=np.int8))
         x_plus, y_plus = cv.top_degree(g, p)
         assert x_plus.tolist() == [3] and y_plus.tolist() == [0]
-        walks_on = np.ones(7)
-        walks_on[[0, 3]] = 0.0
-        system = np.eye(7) - 0.85 * walks_on[:, None] * g.transition.toarray()
+        adjacency, w = walks_module._walk_step(g.out_csr, [0, 3], 0.85)
+        system = np.eye(7) - w[:, None] * adjacency.toarray()
         for authority in (0, 3):
             assert scipy_bicgstab(system, np.eye(7)[authority])[1] < 0
         oracle, _ = dense_rwr_conditionals(g, p, x_plus, y_plus, 0.85)
@@ -350,6 +404,28 @@ class TestHittingTimes:
                                            rtol=1e-10)
             rho = loop_strict_rank_fraction(slow[0]) - loop_strict_rank_fraction(slow[1])
             assert np.array_equal(cv.hitting_score_all(g, p), rho)
+
+    @pytest.mark.parametrize("g, targets", [(cycle(2000), [0, 700]), (path(1000), [0])])
+    def test_backward_error_within_the_stop(self, g, targets):
+        # the relative residual stays far above the stop on high-diameter
+        # graphs, as rounding in b - Ax grows with the times
+        times = cv.expected_hitting_times(g, targets)
+        moving = np.ones(g.n_vertices)
+        moving[targets] = 0.0
+        mean = (g.csr.matrix(weighted=False) @ times) / g.degrees
+        gap = np.where(moving == 1.0, 1.0 - times + mean, -times)
+        backward = np.abs(gap).max() / (2.0 * np.abs(times).max() + 1.0)
+        assert backward <= walks_module.HITTING_RTOL
+        assert np.linalg.norm(gap) / np.linalg.norm(moving) > walks_module.HITTING_RTOL
+
+    def test_missed_backward_error_raises_with_its_value(self, monkeypatch):
+        # a "solve" that returns x = b: on path(4) with target 0, vertex 3's
+        # row is off by its neighbour's 1, against 2 * ||x|| + ||b|| = 3
+        monkeypatch.setattr(walks_module, "_bicgstab", lambda apply, b, atol, n: (b.copy(), 0))
+        with pytest.raises(cv.ConvergenceError, match=r"^hitting times missed the backward "
+                           r"error 1e-13 \(reached 3\.333e-01\)$") as excinfo:
+            cv.expected_hitting_times(path(4), [0])
+        assert excinfo.value.residual == pytest.approx(1 / 3)
 
     @pytest.mark.parametrize("targets, bad", [([-1], -1), ([4], 4), ([0, 9], 9)])
     def test_out_of_range_target_rejected(self, targets, bad):
