@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict, replace
 from datetime import datetime, timezone
 from functools import cache, partial
 
-from . import _pool, graph as graphmod
+from . import _pool, graph as graphmod, measures, users
 from .errors import (
     ControversyError,
     ConvergenceError,
@@ -40,14 +40,13 @@ from .measures import (
     gmck,
     mblb,
     rwc_mc,
-    rwc_rwr,
 )
 from .partition import import_partition, spectral_bisection, write_partition
 from .sentiment import classify_by_variance, read_sentiment, sentiment_variance
 from .synthetic import DEFAULT_P1_GRID, DEFAULT_P2_GRID, rwc_sweep, write_sweep_csv
 from .topics import ExpansionConfig, build_profiles, expand_topic, read_profiles, write_profiles
-from .users import user_score_table, write_user_scores
-from .walks import RestartWalkConfig, default_k
+from .users import write_user_scores
+from .walks import RestartWalkConfig, _restart_visits, default_k, top_degree
 
 # the PipelineConfig option behind each ExpansionConfig field whose name differs
 _OPTION_OF = {"alpha": "expand_alpha", "k": "expand_k"}
@@ -231,19 +230,16 @@ def _partition(cfg: PipelineConfig, g):
         return spectral_bisection(g, seed=cfg.seed)
 
 
-# the tasks of the measure stage that go to worker processes, longest first:
-# ``force_layout`` gives the coordinates that both ``ec`` and --layout-out
-# read, ``user_score_table`` the score arrays of --user-scores-out. The other
-# tasks, ``rwc_rwr``, ``gmck`` and ``mblb``, take under 12 ms even at n = 3000,
-# no more than the 11-20 ms a pool costs to start, feed and join, so they run
-# in the calling process, which otherwise waits idle for the workers.
-_POOLED = ("force_layout", "rwc_mc", "bcc", "user_score_table")
+# the measure-stage tasks that go to worker processes, longest first. At n = 3000
+# the others and the user scores each take at most about 20 ms, no more than a
+# pool costs to start, feed and join, so they run here while the workers run.
+_POOLED = ("force_layout", "rwc_mc", "bcc")
 
 
-def _measure_task(name, g, part, cfg, k, walk):
+def _measure_task(name, g, part, cfg, k, visits=None):
     """(parameters, value) of one task of the measure stage. A module-level
     function, so that a worker process can run it; it calls each stage
-    through this module's names."""
+    through this module's names; ``rwc_rwr`` reads its walk from ``visits()``."""
     if name == "force_layout":
         params = {"layout_iterations": cfg.layout_iterations}
         return params, force_layout(g, iterations=cfg.layout_iterations, seed=cfg.seed)
@@ -253,10 +249,9 @@ def _measure_task(name, g, part, cfg, k, walk):
     if name == "bcc":
         params = {"n_samples": cfg.n_samples}
         return params, bcc(g, part, **params, seed=cfg.seed)
-    if name == "user_score_table":
-        return {}, user_score_table(g, part, k, walk)
     if name == "rwc_rwr":
-        return {"k": k, **asdict(walk)}, rwc_rwr(g, part, k=k, cfg=walk)
+        conditionals = measures._visit_conditionals(part, cfg.damping, *visits())
+        return {"k": k, **asdict(cfg.walk)}, measures._rwc(conditionals)
     if name == "gmck":
         return {}, gmck(g, part)
     params = {"seed_fraction": 0.05, "tol": 1e-6, "max_iters": 1000}
@@ -275,27 +270,29 @@ def run_pipeline(cfg: PipelineConfig):
     g, label = _load_graph(cfg)
     part = _partition(cfg, g)
 
-    k, walk = cfg.k if cfg.k is not None else default_k(part), cfg.walk
+    k = cfg.k if cfg.k is not None else default_k(part)
+    # the restart walk that rwc_rwr and the user scores read, solved on first use
+    what = "restart walk" if "rwc_rwr" in cfg.wanted else "user restart walks"
+    visits = cache(lambda: _restart_visits(g, *top_degree(g, part, k), cfg.walk, what))
     report = ControversyReport(topic=label, n_vertices=g.n_vertices, n_edges=g.n_edges,
                                config={name: getattr(cfg, name) for name in _COMMANDS["score"][1]})
     needed = {"force_layout" if m == "ec" else m for m in cfg.wanted}
     if cfg.layout_out:
         needed.add("force_layout")
-    if cfg.user_scores_out:
-        needed.add("user_score_table")
-    tasks = {name: (name, g, part, cfg, k, walk) for name in _POOLED if name in needed}
+    tasks = {name: (name, g, part, cfg, k) for name in _POOLED if name in needed}
     with _pool.results(_measure_task, tasks) as result:
         with _stage("measure"):
             for name in cfg.wanted:
                 task = "force_layout" if name == "ec" else name
                 params, value = (result(task) if task in tasks
-                                 else _measure_task(task, g, part, cfg, k, walk))
+                                 else _measure_task(task, g, part, cfg, k, visits))
                 if name == "ec":
                     value = ec(value, part)
                 report.add(name, value, params, seed=cfg.seed)
         if cfg.user_scores_out:
             with _stage("user-scores"):
-                scores = result("user_score_table")[1]
+                rho = users.hitting_score_all(g, part, k)
+                scores = users._own_share(part, *visits()[:2]), rho
             unreached = [u for u, v in zip(g.ids, scores[0].tolist()) if math.isnan(v)]
             if unreached:
                 print(f"warning: the restart walks of {len(unreached)} of {g.n_vertices} "

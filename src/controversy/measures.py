@@ -128,18 +128,17 @@ def rwr_conditionals(g, p: Partition, k=None, cfg: RestartWalkConfig | None = No
     solve. The bound on each entry is in :class:`RestartWalkConfig`.
     """
     cfg = cfg or RestartWalkConfig()
-    x_plus, y_plus = top_degree(g, p, k)
-    ends, visits = _restart_visits(g, x_plus, y_plus, cfg, "restart walk")
-    hits_x, hits_y = visits(x_plus), visits(y_plus)
-    if ends.sum() == len(x_plus) + len(y_plus):
-        hits_end = hits_x + hits_y
-    else:
-        hits_end = visits(np.flatnonzero(ends))
-    d = cfg.damping
+    visits = _restart_visits(g, *top_degree(g, p, k), cfg, "restart walk")
+    return _visit_conditionals(p, cfg.damping, *visits)
+
+
+def _visit_conditionals(p: Partition, d, hits_x, hits_y, end_visits):
+    """:func:`rwr_conditionals` from :func:`walks._restart_visits` at damping ``d``."""
+    hits_end = end_visits()
     table = np.empty((2, 2))
     for start, side in enumerate((p.x, p.y)):
         mass = (len(side) - d * hits_end[side].sum()) / (1.0 - d)
-        w = len(side) / g.n_vertices
+        w = len(side) / len(hits_x)
         table[start] = w * hits_x[side].sum() / mass, w * hits_y[side].sum() / mass
     return _conditionals(table, "no stationary mass on a high-degree set; cannot condition")
 
@@ -423,14 +422,18 @@ def propagate_polarity(g, plus_seeds, minus_seeds, tol=1e-6, max_iters=1000):
     """Clamp +1/-1 on the seed vertices and sweep every other vertex to
     the mean of its neighbors until the max change drops below tol (the
     Jacobi sweep of the undirected :func:`walks._walk_step` stopped at the
-    seeds). Raises ValueError naming the first seed outside [0, n), and
-    ConvergenceError, with the last change, when max_iters sweeps do not
-    get there."""
+    seeds). Raises ValueError naming the first seed outside [0, n) or the
+    first minus seed that is also a plus seed, and ConvergenceError, with
+    the last change, when max_iters sweeps do not get there."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    plus = _vertex_indices(g, plus_seeds, "seed")
+    minus = _vertex_indices(g, minus_seeds, "seed")
+    if (both := minus[np.isin(minus, plus)]).size:
+        raise ValueError(f"seed index {both[0]} is both a plus and a minus seed")
     seeded = np.zeros(g.n_vertices)
-    seeded[_vertex_indices(g, plus_seeds, "seed")] = 1.0
-    seeded[_vertex_indices(g, minus_seeds, "seed")] = -1.0
+    seeded[plus] = 1.0
+    seeded[minus] = -1.0
     adjacency, w = _walk_step(g.csr, seeded != 0.0)
     values = seeded
     for _ in range(max_iters):

@@ -19,14 +19,16 @@ def rwc_user(g, p: Partition, k=None, *, cfg: RestartWalkConfig | None = None) -
     With Q the step matrix with those rows zeroed, the expected visits to
     X+ and Y+ per excursion from every start vertex are the rows of
     H = (I - d*Q)^-1 @ [1_X+, 1_Y+], and the score is H[u, own side] over
-    H[u, X+] + H[u, Y+]. Each column of H is one solve of
+    H[u, X+] + H[u, Y+]. The columns of H are the two solves of
     :func:`walks._restart_visits`, so each entry is within the configured
     tolerance.
     """
-    x_plus, y_plus = top_degree(g, p, k)
-    _, visits = _restart_visits(g, x_plus, y_plus, cfg or RestartWalkConfig(),
-                                "user restart walks")
-    hits_x, hits_y = visits(x_plus), visits(y_plus)
+    cfg = cfg or RestartWalkConfig()
+    return _own_share(p, *_restart_visits(g, *top_degree(g, p, k), cfg, "user restart walks")[:2])
+
+
+def _own_share(p: Partition, hits_x, hits_y) -> np.ndarray:
+    """:func:`rwc_user` from the visits to X+ and Y+ of :func:`walks._restart_visits`."""
     own = np.where(p.sides == 0, hits_x, hits_y)
     with np.errstate(invalid="ignore"):
         return own / (hits_x + hits_y)

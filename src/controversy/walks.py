@@ -86,12 +86,12 @@ def _walk_step(csr, stops, damping=1.0):
 
 def _restart_visits(g, x_plus, y_plus, cfg: RestartWalkConfig, what):
     """The restart walk whose excursions end at the authorities ``x_plus``
-    and ``y_plus`` and at every vertex without out-arcs.
-
-    Returns ``(ends, visits)``: the boolean mask of those end vertices, and
-    the function that maps an index array B to h = (I - diag(w) A)^-1 1_B,
-    the expected visits to B per excursion from every start vertex, for the
-    directed view's :func:`_walk_step` at damping d. Each call is one
+    and ``y_plus`` and at every vertex without out-arcs, solved once:
+    ``(hits_x, hits_y, hits_end)``. h_B = (I - diag(w) A)^-1 1_B is the
+    expected visits to B per excursion from every start vertex under the
+    directed view's :func:`_walk_step` at damping d, for B = X+ and Y+;
+    ``hits_end()`` gives h_D for the set D of all end vertices (h_X+ + h_Y+
+    where D is just the authorities, else one more solve). Each solve is a
     :func:`_solve` within ``max_iters`` iterations, stopped at the absolute
     residual (2-norm) tolerance * (1 - d): the inverse has max-norm at most
     1 / (1 - d), and a vector's max-norm is at most its 2-norm, so each
@@ -103,11 +103,13 @@ def _restart_visits(g, x_plus, y_plus, cfg: RestartWalkConfig, what):
     def visits(targets):
         b = np.zeros(g.n_vertices)
         b[targets] = 1.0
-        return _solve(adjacency, w, b,
-                      cfg.tolerance * (1.0 - cfg.damping) / math.sqrt(len(targets)),
-                      cfg.max_iters, what)
+        rtol = cfg.tolerance * (1.0 - cfg.damping) / math.sqrt(len(targets))
+        return _solve(adjacency, w, b, rtol, cfg.max_iters, what)
 
-    return w == 0.0, visits
+    hits_x, hits_y = visits(x_plus), visits(y_plus)
+    ends = np.flatnonzero(w == 0.0)
+    sinks = len(ends) > len(x_plus) + len(y_plus)
+    return hits_x, hits_y, (lambda: visits(ends)) if sinks else (lambda: hits_x + hits_y)
 
 
 def _dot(a, b) -> float:

@@ -19,6 +19,7 @@ import controversy.cli as cli
 import controversy.graph as graph_module
 import controversy.measures as measures_module
 import controversy.partition as partition_module
+import controversy.users as users_module
 import controversy.walks as walks_module
 from controversy import _pool
 from controversy.cli import main
@@ -35,8 +36,10 @@ def use_workers(monkeypatch, count):
 
 
 PARTITIONERS = {"spectral": "spectral_bisection", "import": "import_partition"}
-COUNTED = [*cv.MEASURE_NAMES, "force_layout", "user_score_table", "write_user_scores",
-           *PARTITIONERS.values()]
+# the names the pipeline calls; ``rwc_rwr`` and the user scores read one
+# ``_restart_visits``
+COUNTED = [*(m for m in cv.MEASURE_NAMES if m != "rwc_rwr"), "force_layout", "_restart_visits",
+           "write_user_scores", *PARTITIONERS.values()]
 
 
 def score_counted(tmp_path, mode, measures):
@@ -51,7 +54,8 @@ def score_counted(tmp_path, mode, measures):
         "--layout-out", tmp_path / "layout.tsv",
     ) == 0
     # the layout serves both ec and --layout-out
-    return wanted, dict.fromkeys([*wanted, "force_layout", "user_score_table",
+    called = [m for m in wanted if m != "rwc_rwr"]
+    return wanted, dict.fromkeys([*called, "force_layout", "_restart_visits",
                                   "write_user_scores", PARTITIONERS[mode]], 1)
 
 
@@ -241,9 +245,36 @@ class TestScore:
         wanted, expected = score_counted(tmp_path, mode, measures)
         assert {name: c.value for name, c in calls.items() if c.value} == expected
         # the parent computes ec from the coordinates, runs the short
-        # measures, partitions and writes
-        in_parent = ("ec" in wanted) + sum(m in wanted for m in ("rwc_rwr", "gmck", "mblb")) + 2
+        # measures, partitions, solves the restart walk and writes
+        in_parent = ("ec" in wanted) + sum(m in wanted for m in ("gmck", "mblb")) + 3
         assert elsewhere.value == sum(expected.values()) - in_parent
+
+    @pytest.mark.parametrize("directed, solves", [(False, 4), (True, 5)])
+    def test_one_restart_walk_for_rwc_rwr_and_user_scores(self, tmp_path, monkeypatch,
+                                                           directed, solves):
+        """The restart walk's systems (X+, Y+ and, on the directed graph with
+        sinks, every end vertex) are solved once and shared, beside the
+        two hitting-time solves, and both outputs equal the library's."""
+        calls = []
+        solve = walks_module._solve
+
+        def counted(*args):
+            calls.append(args[-1])
+            return solve(*args)
+
+        monkeypatch.setattr(walks_module, "_solve", counted)
+        assert run("score", "--edgelist", KARATE_EDGES, *(("--directed",) if directed else ()),
+                   "--partition-mode", "import", "--partition-file", KARATE_FACTIONS,
+                   "--measures", "rwc_rwr", "--out", tmp_path / "r.json",
+                   "--user-scores-out", tmp_path / "users.csv") == 0
+        assert calls == ["restart walk"] * (solves - 2) + ["hitting times"] * 2
+        g = cv.largest_component(cv.read_edgelist(KARATE_EDGES, directed=directed))
+        part = cv.import_partition(g, KARATE_FACTIONS)
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["measures"][0]["value"] == cv.rwc_rwr(g, part)
+        users_module.write_user_scores(g, part, cv.user_score_table(g, part),
+                                       tmp_path / "library.csv")
+        assert (tmp_path / "users.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
 
     def test_empty_graph_is_input_error(self, tmp_path, capsys):
         records = tmp_path / "r.jsonl"
@@ -436,18 +467,22 @@ class TestScoreProcesses:
         assert errors[0][0].startswith("measure: ") and errors[0][1] > 0
 
     def test_worker_error_keeps_its_traceback(self, monkeypatch):
-        cfg = cli.PipelineConfig(edgelist=str(KARATE_EDGES), measures="rwc_mc,bcc", max_iters=1,
-                                 n_walks=500, n_samples=500, user_scores_out="users.csv")
+        # a pooled task that fails inside the library; forked workers
+        # inherit the patched name
+        monkeypatch.setattr(cli, "bcc", lambda g, part, **kwargs: cv.rwc_user(
+            g, part, cfg=cv.RestartWalkConfig(max_iters=1)))
+        cfg = cli.PipelineConfig(edgelist=str(KARATE_EDGES), measures="rwc_mc,bcc",
+                                 n_walks=500)
         errors = []
         for count in (1, 2):
             use_workers(monkeypatch, count)
-            with pytest.raises(cv.ConvergenceError, match="^user-scores: ") as info:
+            with pytest.raises(cv.ConvergenceError, match="^measure: user restart walks ") as info:
                 cli.run_pipeline(cfg)
             errors.append(info.value)
         assert str(errors[0]) == str(errors[1])
         assert errors[0].residual == errors[1].residual > 0
         # the worker's traceback, as text, names where the error was raised
-        assert "users.py" in str(errors[1].__cause__)
+        assert "walks.py" in str(errors[1].__cause__)
 
     @pytest.mark.parametrize("source", ["factions", "spectral", "planted", "directed"])
     def test_no_pooled_task_warns(self, source, planted_edges):
@@ -463,7 +498,7 @@ class TestScoreProcesses:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for name in cli._POOLED:
-                cli._measure_task(name, g, part, cfg, cv.default_k(part), cfg.walk)
+                cli._measure_task(name, g, part, cfg, cv.default_k(part))
 
     def test_layout_only_for_output_fails_before_any_stage(self, tmp_path, monkeypatch, capsys):
         results = []

@@ -480,6 +480,12 @@ class TestMblb:
         with pytest.raises(ValueError, match=rf"^seed index {bad} out of range \[0, 4\)$"):
             propagate_polarity(path(4), plus, minus)
 
+    @pytest.mark.parametrize("plus, minus, both", [([0, 3], [3], 3), ([0, 2, 3], [1, 3, 2], 3)])
+    def test_seed_on_both_sides_rejected(self, plus, minus, both):
+        message = rf"^seed index {both} is both a plus and a minus seed$"
+        with pytest.raises(ValueError, match=message):
+            propagate_polarity(path(4), plus, minus)
+
     def test_one_sided_values_warn_and_zero(self):
         values = np.array([1.0, 0.5, 0.0, 0.2])
         with pytest.warns(UserWarning, match="one-sided"):

@@ -207,8 +207,7 @@ class TestRestartWalk:
         g, p = cv.planted_two_community(cv.PlantedConfig(1000, 0.02, 0.001, seed=1))
         x_plus, y_plus = cv.top_degree(g, p)
         cfg = cv.RestartWalkConfig(tolerance=tolerance)
-        _, visits = walks_module._restart_visits(g, x_plus, y_plus, cfg, "restart walk")
-        hits = visits(x_plus), visits(y_plus)
+        hits = walks_module._restart_visits(g, x_plus, y_plus, cfg, "restart walk")[:2]
         solve = sparse_rwr_solver(g, [*x_plus, *y_plus], cfg.damping)
         table = np.empty((2, 2))
         for start, side in enumerate((p.x, p.y)):
