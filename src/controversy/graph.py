@@ -74,10 +74,13 @@ def read_rows(path, parse, comments=False, what=None):
         yield row
 
 
-def _json_object(line, decode=json.JSONDecoder().raw_decode) -> dict:
-    """The one JSON object that fills the stripped ``line``."""
+def _json_object(line, scan=json.JSONDecoder().scan_once) -> dict:
+    """The one JSON object that fills the stripped ``line`` (``raw_decode``'s scanner and text)."""
     line = line.strip()
-    obj, end = decode(line)
+    try:
+        obj, end = scan(line, 0)
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", line, err.value) from None
     if end != len(line):
         raise json.JSONDecodeError("Extra data", line, end)
     if type(obj) is not dict:
@@ -120,63 +123,72 @@ class _Memo(dict):
     """Normalized values of one file, pair list or record list keyed by
     raw value, so that repeats share one object and are normalized once:
     an id is hashed and compared as one string, and shared tag sets are
-    fewer objects for the garbage collector to walk. A miss costs more
-    than normalizing afresh, so :func:`read_records` stops using a memo
-    (``keep`` false: normalize afresh, store nothing) that holds more than
-    ``PROBE / 2`` values after ``PROBE`` records."""
+    fewer objects for the garbage collector to walk. A miss costs more than
+    normalizing afresh, so where a memo :attr:`mostly_misses` after
+    ``PROBE`` records, :func:`read_records` and :func:`build_retweet_graph`
+    stop using it: they normalize afresh and store nothing."""
 
     PROBE = 2048
 
-    def __init__(self, normalize, keep=True):
+    def __init__(self, normalize):
         super().__init__()
-        self.normalize, self.keep = normalize, keep
+        self.normalize = normalize
 
     def __missing__(self, raw):
         found = self[raw] = self.normalize(raw)
         return found
 
-    def listed(self, values, field):
-        """The normalized list of strings ``values``, memoised by its tuple:
-        only all-str lists fill the memo and no other JSON value equals a
-        str, so only a miss needs :func:`_strings`' check."""
-        if not self.keep:
-            return self.normalize(_strings(values, field))
-        try:
-            found = self.get(tuple(values) if type(values) is list else values)
-        except TypeError:
-            found = None
-        return self[_strings(values, field)] if found is None else found
+    @property
+    def mostly_misses(self):
+        return len(self) > self.PROBE // 2
 
 
 def _id(raw, ids):
     """``_user_id`` through the memo ``ids``, for str ids only: 1, True and
     1.0 are equal keys but the ids "1", "true" and "1.0"."""
-    return ids[raw] if type(raw) is str and ids.keep else _user_id(raw)
+    return ids[raw] if type(raw) is str else _user_id(raw)
 
 
-def _timestamp(ts) -> int:
-    """An integer timestamp (not a bool); None counts as 0."""
-    if ts is not None and (isinstance(ts, bool) or not isinstance(ts, int)):
-        raise InputDataError(f"ts must be an integer, got {ts!r}")
-    return ts or 0
+def _record_maker(ids=None, tag_sets=None, url_sets=None):
+    """:meth:`InteractionRecord.make`, checking author, endorsed, hashtags,
+    urls and ts in turn, through the memos given (None: normalize afresh).
+    Only str ids (see :func:`_id`) and all-str lists, keyed by their tuple,
+    fill a memo; no other JSON value equals one, so only a miss needs
+    :func:`_strings`' check."""
+    new, cls = tuple.__new__, InteractionRecord
 
+    def record(author, endorsed, hashtags, urls, ts):
+        author = ids[author] if type(author) is str and ids is not None else _user_id(author)
+        if not author:
+            raise InputDataError("record with empty author")
+        if endorsed is not None:
+            endorsed = (ids[endorsed] if type(endorsed) is str and ids is not None
+                        else _user_id(endorsed))
+            if not endorsed or endorsed == author:
+                endorsed = None
+        if tag_sets is None:
+            tags = _tag_set(_strings(hashtags, "hashtags"))
+        else:
+            try:
+                tags = tag_sets.get(tuple(hashtags) if type(hashtags) is list else hashtags)
+            except TypeError:
+                tags = None
+            if tags is None:
+                tags = tag_sets[_strings(hashtags, "hashtags")]
+        if url_sets is None:
+            links = _url_set(_strings(urls, "urls"))
+        else:
+            try:
+                links = url_sets.get(tuple(urls) if type(urls) is list else urls)
+            except TypeError:
+                links = None
+            if links is None:
+                links = url_sets[_strings(urls, "urls")]
+        if ts is not None and (isinstance(ts, bool) or not isinstance(ts, int)):
+            raise InputDataError(f"ts must be an integer, got {ts!r}")
+        return new(cls, (author, endorsed, tags, links, ts or 0))
 
-def _record(author, endorsed, hashtags, urls, ts, ids, tag_sets, url_sets):
-    """:meth:`InteractionRecord.make` through the memos of :func:`_memos`."""
-    author = _id(author, ids)
-    if not author:
-        raise InputDataError("record with empty author")
-    if endorsed is not None:
-        endorsed = _id(endorsed, ids)
-        if not endorsed or endorsed == author:
-            endorsed = None
-    return InteractionRecord(author, endorsed, tag_sets.listed(hashtags, "hashtags"),
-                             url_sets.listed(urls, "urls"), _timestamp(ts))
-
-
-def _memos(keep=True):
-    """The id, tag-set and URL-set memos of one file (``keep`` true)."""
-    return _Memo(_user_id, keep), _Memo(_tag_set, keep), _Memo(_url_set, keep)
+    return record
 
 
 class InteractionRecord(NamedTuple):
@@ -198,7 +210,7 @@ class InteractionRecord(NamedTuple):
         ``hashtags`` and ``urls`` are lists of strings and ``timestamp``
         an integer; None stands for an absent field.
         """
-        return _record(author, endorsed, hashtags, urls, timestamp, *_memos(keep=False))
+        return _record_maker()(author, endorsed, hashtags, urls, timestamp)
 
 
 @dataclass(frozen=True)
@@ -423,11 +435,15 @@ def build_retweet_graph(records, topic, tau=2):
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
+    from itertools import islice
     members = set(topic.members)
-    # once per distinct tag set (read_records shares repeated ones)
+    # once per distinct tag set (read_records shares repeated ones), unless they mostly differ
     on_topic = _Memo(lambda tags: tuple(tags & members))
-    events = [(src, dst, topical) for src, dst, tags, _, _ in records
-              if dst is not None and (topical := on_topic[tags])]
+    records, events = iter(records), []
+    for part in (islice(records, _Memo.PROBE), records):
+        fresh = on_topic.mostly_misses
+        events += [(src, dst, topical) for src, dst, tags, _, _ in part if dst is not None and
+                   (topical := on_topic.normalize(tags) if fresh else on_topic[tags])]
     directed_counts = Counter((src, dst) for src, dst, _ in events)
     per_tag = Counter((tag, (src, dst) if src < dst else (dst, src))
                       for src, dst, topical in events for tag in topical)
@@ -567,19 +583,19 @@ def read_records(path):
     ``{"author": str, "endorsed": str|null, "hashtags": [str],
     "urls": [str], "ts": int}``. Exact duplicate records are dropped.
     """
-    memos = _memos()
+    memos = _Memo(_user_id), _Memo(_tag_set), _Memo(_url_set)
+    record = _record_maker(*memos)
 
     def parse(line):
         obj = _json_object(line)
-        return _record(obj["author"], obj.get("endorsed"), obj.get("hashtags"), obj.get("urls"),
-                       obj.get("ts"), *memos)
+        return record(obj["author"], obj.get("endorsed"), obj.get("hashtags"), obj.get("urls"),
+                      obj.get("ts"))
 
     records = {}  # insertion-ordered set
     for rec in read_rows(path, parse, what="bad record"):
         records[rec] = None
-        if len(records) == _Memo.PROBE:  # stop using a memo that mostly misses
-            for memo in memos:
-                memo.keep = len(memo) <= _Memo.PROBE // 2
+        if len(records) == _Memo.PROBE:
+            record = _record_maker(*(None if memo.mostly_misses else memo for memo in memos))
     return list(records)
 
 

@@ -24,9 +24,8 @@ from .walks import (
     RestartWalkConfig,
     _restart_visits,
     _walk_step,
-    draw_below,
+    _walker,
     highest_degree,
-    sample_walk,
     top_degree,
 )
 
@@ -75,18 +74,22 @@ def rwc_mc(g, p: Partition, k=None, n_walks=10000, seed=0) -> float:
             f"{len(stranded)} vertices lie in components without an authority "
             f"(first: {g.ids[stranded[0]]!r}); no walk from them can end"
         )
-    terminals = frozenset(authorities.tolist())
-    # sampling is keyed to vertex 0's side, so relabeling X/Y draws the same
-    # walks; every authority lies on its own side, so a walk ends on sides[end]
-    sides = p.sides.tolist()
-    pools = [p.x.tolist(), p.y.tolist()]
-    counts = [[0, 0], [0, 0]]  # [start side][end side]
     rng = random.Random(seed)
+    walk = _walker(g, authorities, rng)
+    # sampling is keyed to vertex 0's side, so relabeling X/Y draws the same
+    # walks; every authority lies on its own side, so a walk ends on sides[end];
+    # a start is drawn by the walker's rule, as rng.randrange(len(pool)) would
+    sides = p.sides.tolist()
+    pools = [(pool, len(pool).bit_length()) for pool in (p.x.tolist(), p.y.tolist())]
+    counts = [[0, 0], [0, 0]]  # [start side][end side]
+    getrandbits = rng.getrandbits
     for _ in range(n_walks):
         start = sides[0] if rng.random() < 0.5 else 1 - sides[0]
-        pool = pools[start]
-        end = sample_walk(g, pool[draw_below(rng, len(pool))], terminals, rng)
-        counts[start][sides[end]] += 1
+        pool, k = pools[start]
+        r = getrandbits(k)
+        while r >= len(pool):
+            r = getrandbits(k)
+        counts[start][sides[walk(pool[r])]] += 1
     return _rwc(_conditionals(np.array(counts, dtype=float), "insufficient terminations: "
                               "no walk ended on one side; try increasing n_walks"))
 

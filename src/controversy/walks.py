@@ -193,47 +193,48 @@ def _bicgstab(apply, b, atol, max_iters):
     return x, max_iters
 
 
-def draw_below(rng: random.Random, n: int) -> int:
-    """Uniform int in [0, n), drawn exactly as ``rng.randrange(n)`` draws
-    it: ``n.bit_length()`` random bits, redrawn while they reach n. The
-    stream is the same; randrange's argument checks are skipped."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
+def _walker(g, terminals, rng: random.Random):
+    """``walk(start)``: the first terminal (``start`` itself if it is one)
+    of the uniform-neighbour walk on the undirected view, each step drawn as
+    ``rng.randrange(degree)`` draws it: ``degree.bit_length()`` random bits,
+    redrawn while they reach the degree. The neighbour tuples, terminal marks
+    and bit lengths serve every walk; 10^6 steps raise ConvergenceError."""
+    indptr, indices = g.csr.indptr.tolist(), g.csr.indices.tolist()
+    neighbours = [tuple(indices[a:b]) for a, b in zip(indptr, indptr[1:])]
+    bits = [len(nbrs).bit_length() for nbrs in neighbours]
+    stop = bytearray(np.isin(np.arange(g.n_vertices), _vertex_indices(g, terminals, "terminal")))
+    getrandbits = rng.getrandbits
+
+    def walk(v):
+        if stop[v]:
+            return v
+        for _ in range(WALK_STEP_CAP):
+            nbrs, k = neighbours[v], bits[v]
+            if not k:
+                break
+            r = getrandbits(k)
+            while r >= len(nbrs):
+                r = getrandbits(k)
+            v = nbrs[r]
+            if stop[v]:
+                return v
+        raise ConvergenceError(
+            f"walk did not terminate within {WALK_STEP_CAP} steps; "
+            "are the terminals reachable from the start vertex?"
+        )
+
+    return walk
 
 
 def sample_walk(g, start, terminals, rng: random.Random) -> int:
-    """Uniform-neighbor walk on the undirected view until a terminal is hit.
-
-    Returns the terminal vertex; a start inside ``terminals`` returns
-    immediately. Aborts after 10^6 steps (unreachable terminals). Each
-    neighbor is drawn by ``draw_below``, as ``rng.randrange(degree)``
-    would draw it.
-    """
+    """One :func:`_walker` walk from vertex ``start`` to its first terminal; an
+    empty terminal set or an index outside [0, n) raises ValueError."""
     if not terminals:
         raise ValueError("terminals set is empty")
     v = int(start)
     if not 0 <= v < g.n_vertices:
         raise ValueError(f"start index {v} out of range [0, {g.n_vertices})")
-    terminal_set = terminals if isinstance(terminals, (set, frozenset)) else set(terminals)
-    if v in terminal_set:
-        return v
-    # memoryview items are Python ints, cheaper to index than numpy arrays
-    indptr, indices = memoryview(g.csr.indptr), memoryview(g.csr.indices)
-    for _ in range(WALK_STEP_CAP):
-        first = indptr[v]
-        deg = indptr[v + 1] - first
-        if deg == 0:
-            break
-        v = indices[first + draw_below(rng, deg)]
-        if v in terminal_set:
-            return v
-    raise ConvergenceError(
-        f"walk did not terminate within {WALK_STEP_CAP} steps; "
-        "are the terminals reachable from the start vertex?"
-    )
+    return _walker(g, terminals, rng)(v)
 
 
 def expected_hitting_times(g, targets) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Graph-level controversy measures."""
+import random
 import tracemalloc
 
 import numpy as np
@@ -69,10 +70,14 @@ class TestRwcMc:
         g = cv.ConversationGraph(ids, arcs, False)
         p = cv.Partition([0, 1, 0, 0, 1, 1, 0, 1])
 
-        def no_walk(*args):
-            raise AssertionError("walked")
+        class NoDraws(random.Random):
+            def random(self):
+                raise AssertionError("drew a side")
 
-        monkeypatch.setattr(measures_module, "sample_walk", no_walk)
+            def getrandbits(self, k):
+                raise AssertionError("drew a start or a step")
+
+        monkeypatch.setattr(measures_module.random, "Random", NoDraws)
         with pytest.raises(cv.DegenerateStructureError, match=r"5 vertices .* \(first: 'd'\)"):
             cv.rwc_mc(g, p, k=1, n_walks=100)
 
@@ -116,12 +121,18 @@ class TestRwcMc:
             p = cv.Partition(1 - p.sides)
         pairs = []
 
-        def recording_walk(g, start, terminals, rng):
-            end = cv.sample_walk(g, start, terminals, rng)
-            pairs.append((start, end))
-            return end
+        def recording_walker(g, terminals, rng):
+            walk = walker(g, terminals, rng)
 
-        monkeypatch.setattr(measures_module, "sample_walk", recording_walk)
+            def recording_walk(start):
+                end = walk(start)
+                pairs.append((start, end))
+                return end
+
+            return recording_walk
+
+        walker = measures_module._walker
+        monkeypatch.setattr(measures_module, "_walker", recording_walker)
         cv.rwc_mc(g, p, n_walks=2000, seed=5)
         assert pairs == randrange_walk_outcomes(g, p, None, 2000, 5)
 

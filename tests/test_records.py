@@ -193,6 +193,99 @@ def test_ingest_users_component_slices_like_rebuilt(ingest_users_seed1):
     assert_sliced_like_rebuilt(g, rng.choice(g.n_vertices, g.n_vertices // 3, replace=False))
 
 
+# lines with two faults each, and the message of the one reported first
+TWO_FAULTS = [
+    ('{"author": " ", "ts": true}', "record with empty author"),
+    ('{"author": "", "hashtags": [1]}', "record with empty author"),
+    ('{"author": "#a", "hashtags": [1]}',
+     "user id '#a' starts with '#' or holds a tab or line break"),
+    ('{"author": "a", "endorsed": "b\\tc", "urls": [2]}',
+     "user id 'b\\tc' starts with '#' or holds a tab or line break"),
+    ('{"author": "a", "endorsed": "", "ts": 0.5}', "ts must be an integer, got 0.5"),
+    ('{"endorsed": "b", "ts": true}', "'author'"),
+    ('{"author": "a", "hashtags": [1], "urls": "x.org"}',
+     "hashtags must be a list of strings, got [1]"),
+    ('{"author": "a", "hashtags": {"go": 1}, "ts": "3"}',
+     "hashtags must be a list of strings, got {'go': 1}"),
+    ('{"author": 5, "hashtags": [[]], "ts": "1"}', "hashtags must be a list of strings, got [[]]"),
+    ('{"author": "a", "urls": null, "hashtags": "go", "ts": false}',
+     "hashtags must be a list of strings, got 'go'"),
+    ('{"author": "a", "urls": [2], "ts": 1.5}', "urls must be a list of strings, got [2]"),
+    ('[{"author": "", "ts": true}]', """not a JSON object: '[{"author": "", "ts": true}]'"""),
+    ('{"author": "a", "ts": 1.5} {"author": ""}', "Extra data: line 1 column 27 (char 26)"),
+    ('{"author": "", "ts": 1.5', "Expecting ',' delimiter: line 1 column 25 (char 24)"),
+    ('nul {"author": ""}', "Expecting value: line 1 column 1 (char 0)"),
+]
+
+
+@pytest.mark.parametrize("line, message", TWO_FAULTS, ids=[line for line, _ in TWO_FAULTS])
+@pytest.mark.parametrize("dropped", [False, True], ids=["memos-on", "memos-dropped"])
+def test_first_fault_of_a_line_is_reported(line, message, dropped, tmp_path, monkeypatch):
+    """Each field is checked in order (the JSON text, author, endorsed,
+    hashtags, urls, ts), whether the memos are in use or were dropped
+    because the first ``PROBE`` records held distinct values."""
+    makers = []
+
+    def spy(*memos):
+        makers.append(memos)
+        return record_maker(*memos)
+
+    record_maker = graph._record_maker
+    monkeypatch.setattr(graph, "_record_maker", spy)
+    monkeypatch.setattr(graph._Memo, "PROBE", 8)
+    rows = [{"author": f"u{i}" if dropped else "u", "endorsed": "v", "ts": i,
+             "hashtags": [f"t{i}" if dropped else "t"], "urls": [f"x.org/{i}" if dropped else "x"]}
+            for i in range(12)]
+    path = tmp_path / "r.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows) + line + "\n")
+    with pytest.raises(cv.InputDataError) as exc:
+        cv.read_records(path)
+    assert str(exc.value) == f"{path}:13: bad record ({message})"
+    assert len(makers) == 2
+    assert all((memo is None) == dropped for memo in makers[-1])
+
+
+def test_make_and_read_records_agree(tmp_path):
+    """``InteractionRecord.make`` (memos off) and ``read_records`` (memos on,
+    then dropped) build equal records with fields of the same types."""
+    rows = random_rows(random.Random(3), 300) + [
+        {"author": f"u{i}", "endorsed": f"v{i}", "hashtags": [f"t{i}"], "urls": [f"x.org/{i}"],
+         "ts": i} for i in range(3 * graph._Memo.PROBE)]
+    path = tmp_path / "r.jsonl"
+    write_rows(path, rows)
+    made = list(dict.fromkeys(
+        cv.InteractionRecord.make(row["author"], row.get("endorsed"), row.get("hashtags"),
+                                  row.get("urls"), row.get("ts")) for row in rows))
+    read = cv.read_records(path)
+    assert read == made
+    assert [[type(f) for f in (rec, *rec)] for rec in read] == [
+        [type(f) for f in (rec, *rec)] for rec in made]
+
+
+def test_retweet_tag_memo_drops_on_distinct_tag_sets(monkeypatch):
+    """The retweet build's memo of topic tags per tag set stops storing
+    after ``PROBE`` records whose tag sets mostly differ, and keeps
+    storing while they repeat; the graph is the loop build's either way."""
+    monkeypatch.setattr(graph._Memo, "PROBE", 32)
+    stored = []
+
+    class Spy(graph._Memo):
+        def __missing__(self, raw):
+            if isinstance(raw, frozenset):
+                stored.append(raw)
+            return super().__missing__(raw)
+
+    monkeypatch.setattr(graph, "_Memo", Spy)
+    for distinct, expected in ((True, 32), (False, 5)):
+        stored.clear()
+        records = [cv.InteractionRecord.make(f"u{i % 7}", f"v{i % 5}",
+                                             ["go", f"t{i}" if distinct else f"t{i % 5}"])
+                   for i in range(100)]
+        g = cv.build_retweet_graph(records, TOPIC, 1)
+        assert len(stored) == expected
+        assert g == loop_build_retweet_graph(records, TOPIC, 1)
+
+
 class TestIllTypedFields:
     @pytest.mark.parametrize("field, value", [
         ("hashtags", [1]),

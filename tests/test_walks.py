@@ -10,7 +10,6 @@ from scipy.sparse.linalg import bicgstab as scipy_bicgstab
 
 import controversy as cv
 import controversy.walks as walks_module
-from controversy.walks import draw_below
 
 from conftest import barbell, complete, cycle, make_graph, path, random_connected_graph, random_partition
 from oracles import (absorbing_absorption_probabilities, dense_expected_steps,
@@ -304,12 +303,16 @@ class TestRestartWalk:
             cv.RestartWalkConfig(damping=1.0)
 
 
-class TestDrawBelow:
+class TestWalkDraws:
     @pytest.mark.parametrize("seed", [0, 1, "7:3", 2**70])
     def test_same_draws_as_randrange(self, seed):
+        # a star whose leaves are all terminals: a walk from the hub draws
+        # one neighbour, which must be randrange's pick from the same stream
         ours, theirs = random.Random(seed), random.Random(seed)
-        for n in [*range(1, 2050), 2**40 + 3]:
-            assert draw_below(ours, n) == theirs.randrange(n)
+        for degree in [*range(1, 70), 127, 128, 129, 1023, 1024, 1025, 2047, 2048, 2049]:
+            g = make_graph(degree + 1, [(0, leaf) for leaf in range(1, degree + 1)])
+            walk = walks_module._walker(g, range(1, degree + 1), ours)
+            assert walk(0) == 1 + theirs.randrange(degree)
         # the same number of bits was consumed, so later draws agree too
         assert ours.getstate() == theirs.getstate()
 
@@ -349,6 +352,11 @@ class TestSampleWalk:
     def test_out_of_range_start_rejected(self, start):
         with pytest.raises(ValueError, match=rf"^start index {start} out of range \[0, 3\)$"):
             cv.sample_walk(path(3), start, {0}, random.Random(0))
+
+    @pytest.mark.parametrize("terminal", [-1, 3])
+    def test_out_of_range_terminal_rejected(self, terminal):
+        with pytest.raises(ValueError, match=rf"^terminal index {terminal} out of range \[0, 3\)$"):
+            cv.sample_walk(path(3), 0, {terminal}, random.Random(0))
 
     def test_unreachable_terminal_errors(self):
         g = make_graph(3, [(0, 1)])  # 2 is isolated
