@@ -81,8 +81,6 @@ class PipelineConfig:
     measures: str = ",".join(MEASURE_NAMES)
     k: int | None = None
     damping: float = RestartWalkConfig.damping
-    tolerance: float = RestartWalkConfig.tolerance
-    max_iters: int = RestartWalkConfig.max_iters
     n_walks: int = 10000
     n_samples: int = 10000
     layout_iterations: int = 500
@@ -138,8 +136,7 @@ class PipelineConfig:
     @property
     def walk(self):
         """The restart-walk parameters."""
-        return RestartWalkConfig(damping=self.damping, tolerance=self.tolerance,
-                                 max_iters=self.max_iters)
+        return RestartWalkConfig(damping=self.damping)
 
     @property
     def expansion(self):
@@ -160,8 +157,6 @@ def _stage(name):
 
 
 def _resolve_topic(cfg: PipelineConfig) -> Topic:
-    if not cfg.topic_seed:
-        raise InputDataError("a topic seed is required for record-based graphs")
     if cfg.topic_tags:
         return Topic.make(cfg.topic_seed, cfg.topic_tags.split(","))
     if cfg.profiles:
@@ -176,10 +171,12 @@ def _build_graph(cfg: PipelineConfig):
         g = graphmod.read_edgelist(cfg.edgelist, directed=cfg.directed)
         label = cfg.topic_label or os.path.splitext(os.path.basename(cfg.edgelist))[0]
         return g, label
+    if cfg.kind == "follow" and not cfg.follows:
+        raise InputDataError("follow graphs need --follows")
+    if cfg.kind != "follow" and not cfg.topic_seed:
+        raise InputDataError("a topic seed is required for record-based graphs")
     records = graphmod.read_records(cfg.records)
     if cfg.kind == "follow":
-        if not cfg.follows:
-            raise InputDataError("follow graphs need --follows")
         g = graphmod.build_follow_graph(
             graphmod.read_follow_edges(cfg.follows),
             {r.author for r in records},
@@ -211,7 +208,11 @@ def _check_outputs(cfg):
 
 
 def _load_graph(cfg: PipelineConfig):
-    """The build and largest-component stages every graph command shares."""
+    """The build and largest-component stages every graph command shares.
+    The partition stage's option is checked here, before any input is read."""
+    with _stage("partition"):
+        if cfg.partition_mode == "import" and not cfg.partition_file:
+            raise InputDataError("partition import needs --partition-file")
     with _stage("build"):
         g, label = _build_graph(cfg)
     with _stage("component"):
@@ -224,8 +225,6 @@ def _partition(cfg: PipelineConfig, g):
     """The partition stage: spectral bisection or an imported label file."""
     with _stage("partition"):
         if cfg.partition_mode == "import":
-            if not cfg.partition_file:
-                raise InputDataError("partition import needs --partition-file")
             return import_partition(g, cfg.partition_file)
         return spectral_bisection(g, seed=cfg.seed)
 
@@ -272,8 +271,7 @@ def run_pipeline(cfg: PipelineConfig):
 
     k = cfg.k if cfg.k is not None else default_k(part)
     # the restart walk that rwc_rwr and the user scores read, solved on first use
-    what = "restart walk" if "rwc_rwr" in cfg.wanted else "user restart walks"
-    visits = cache(lambda: _restart_visits(g, *top_degree(g, part, k), cfg.walk, what))
+    visits = cache(lambda: _restart_visits(g, *top_degree(g, part, k), cfg.damping))
     report = ControversyReport(topic=label, n_vertices=g.n_vertices, n_edges=g.n_edges,
                                config={name: getattr(cfg, name) for name in _COMMANDS["score"][1]})
     needed = {"force_layout" if m == "ec" else m for m in cfg.wanted}
@@ -427,10 +425,6 @@ _HELP = {
     "partition_mode": "how the two sides are found",
     "measures": f"comma list from: {','.join(MEASURE_NAMES)}",
     "k": "authorities per side (default: 5%% of smaller side)",
-    "tolerance": "restart-walk stop: each BiCGSTAB solve behind rwc_rwr and the user "
-                 "scores stops where every expected visit count is within tolerance",
-    "max_iters": "restart-walk iteration budget: BiCGSTAB iterations per solve "
-                 "(exit 3 when exceeded)",
     "out": "output file (score, expand-topic and sentiment print to stdout without it)",
     "write_profiles": "also write the derived profiles here",
     "redetect": "re-partition spectrally instead of using ground truth",
@@ -551,7 +545,7 @@ def _cmd_sentiment(cfg):
 _GRAPH = ("edgelist", "directed", "records", "kind", "follows", "content_mode", "tau",
           "topic_seed", "topic_tags", "profiles", "expand_k", "expand_alpha", "largest_component")
 _SIDES = ("partition_mode", "partition_file", "seed")
-_WALK = ("k", "damping", "tolerance", "max_iters")
+_WALK = ("k", "damping")
 # the options that name output files
 _OUTPUTS = ("out", "csv_out", "user_scores_out", "layout_out", "write_profiles")
 

@@ -128,11 +128,10 @@ def rwr_conditionals(g, p: Partition, k=None, cfg: RestartWalkConfig | None = No
     visits to A that :func:`walks._restart_visits` solves for, and summing
     the system gives sum(x) = (|S| - d * 1_S . h_D) / (1 - d). Where D is
     just the authorities, h_D = h_X+ + h_Y+; otherwise h_D is one more
-    solve. The bound on each entry is in :class:`RestartWalkConfig`.
+    solve. The bound on each entry is at :data:`walks.RESTART_TOL`.
     """
-    cfg = cfg or RestartWalkConfig()
-    visits = _restart_visits(g, *top_degree(g, p, k), cfg, "restart walk")
-    return _visit_conditionals(p, cfg.damping, *visits)
+    d = (cfg or RestartWalkConfig()).damping
+    return _visit_conditionals(p, d, *_restart_visits(g, *top_degree(g, p, k), d))
 
 
 def _visit_conditionals(p: Partition, d, hits_x, hits_y, end_visits):

@@ -13,7 +13,6 @@ from .errors import InputDataError
 from .graph import CSR, ConversationGraph, largest_component
 from .partition import Partition, spectral_bisection
 from .measures import rwc_rwr
-from .walks import RestartWalkConfig
 
 DEFAULT_P1_GRID = tuple(round(0.002 * i, 3) for i in range(1, 11))
 DEFAULT_P2_GRID = (0.0005, 0.001, 0.002, 0.004)
@@ -119,7 +118,6 @@ def rwc_sweep(
     runs=10,
     base_seed=0,
     k=None,
-    cfg: RestartWalkConfig | None = None,
     use_largest_component=True,
     redetect=False,
 ):
@@ -145,7 +143,7 @@ def rwc_sweep(
         for i2, p2 in enumerate(p2_values)
         for run in range(runs)
     ]
-    score = partial(_score_run, k=k, cfg=cfg, use_largest_component=use_largest_component,
+    score = partial(_score_run, k=k, use_largest_component=use_largest_component,
                     redetect=redetect)
     scores = _pool.map_runs(score, planted)
     rows = []
@@ -156,7 +154,7 @@ def rwc_sweep(
     return rows
 
 
-def _score_run(planted, k, cfg, use_largest_component, redetect):
+def _score_run(planted, k, use_largest_component, redetect):
     """``rwc_rwr`` of one seeded planted graph; None when it has no edge."""
     graph, truth = planted_two_community(planted)
     if graph.n_edges == 0:
@@ -169,7 +167,7 @@ def _score_run(planted, k, cfg, use_largest_component, redetect):
             target, part = sub, sub_truth
     if redetect:
         part = spectral_bisection(target, seed=planted.seed)
-    return rwc_rwr(target, part, k=k, cfg=cfg)
+    return rwc_rwr(target, part, k=k)
 
 
 def write_sweep_csv(rows, path):

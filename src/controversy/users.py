@@ -20,11 +20,11 @@ def rwc_user(g, p: Partition, k=None, *, cfg: RestartWalkConfig | None = None) -
     X+ and Y+ per excursion from every start vertex are the rows of
     H = (I - d*Q)^-1 @ [1_X+, 1_Y+], and the score is H[u, own side] over
     H[u, X+] + H[u, Y+]. The columns of H are the two solves of
-    :func:`walks._restart_visits`, so each entry is within the configured
-    tolerance.
+    :func:`walks._restart_visits`; the bound on each score is at
+    :data:`walks.RESTART_TOL`.
     """
-    cfg = cfg or RestartWalkConfig()
-    return _own_share(p, *_restart_visits(g, *top_degree(g, p, k), cfg, "user restart walks")[:2])
+    d = (cfg or RestartWalkConfig()).damping
+    return _own_share(p, *_restart_visits(g, *top_degree(g, p, k), d)[:2])
 
 
 def _own_share(p: Partition, hits_x, hits_y) -> np.ndarray:

@@ -23,33 +23,32 @@ WALK_STEP_CAP = 10**6
 # hitting-time stop: the relative recurrence residual, then the backward error
 # ||b - Ax||_inf <= rtol (||A||_inf ||x||_inf + ||b||_inf), ||A||_inf = 1 + d <= 2
 HITTING_RTOL = 1e-13
+#: Restart-walk stop: each solve of :func:`_restart_visits` runs at most
+#: ``RESTART_MAX_ITERS`` BiCGSTAB iterations and stops where every expected
+#: visit count it returns is within ``RESTART_TOL``. A side S's sum of them,
+#: which :func:`rwr_conditionals` takes, is then within |S| * RESTART_TOL
+#: (the errors share a sign), but it is divided by the walk's mass
+#: sum(x) >= |S| (x >= 1_S solves (I - d*M^T) x = 1_S), so for any n each
+#: conditional is within RESTART_TOL / m + d * RESTART_TOL / (1 - d), to
+#: first order, where d is the damping and m the share of the walks'
+#: stationary mass on its end side's authorities (the column sum of the
+#: conditionals' table). Each user score a / (a + b) of :func:`rwc_user` is
+#: within RESTART_TOL / (a + b).
+RESTART_TOL = 1e-10
+RESTART_MAX_ITERS = 10000
 BREAKDOWN_RTOL = np.finfo(float).eps  # shadow product, relative, at which BiCGSTAB starts again
 
 
 @dataclass(frozen=True)
 class RestartWalkConfig:
-    """Parameters of the restart-walk solves (``rwc_rwr``, the user
-    scores). Each solve runs at most ``max_iters`` BiCGSTAB iterations and
-    stops where every expected visit count it returns is within
-    ``tolerance``. A side S's sum of them, which :func:`rwr_conditionals`
-    takes, is then within |S| * tolerance (the errors share a sign), but it
-    is divided by the walk's mass sum(x) >= |S| (x >= 1_S solves
-    (I - d*M^T) x = 1_S), so for any n each conditional is within
-    tolerance / m + damping * tolerance / (1 - damping), to first order,
-    where m is the share of the walks' stationary mass on its end side's
-    authorities (the column sum of the conditionals' table)."""
+    """The damping of the restart-walk solves (``rwc_rwr``, the user
+    scores); they stop at ``RESTART_TOL`` within ``RESTART_MAX_ITERS``."""
 
     damping: float = 0.85
-    tolerance: float = 1e-10
-    max_iters: int = 10000
 
     def __post_init__(self):
         if not 0.0 < self.damping < 1.0:
             raise ValueError("damping must be in (0, 1)")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be > 0 and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 def default_k(p) -> int:
@@ -84,7 +83,7 @@ def _walk_step(csr, stops, damping=1.0):
     return csr.matrix(weighted=False), w
 
 
-def _restart_visits(g, x_plus, y_plus, cfg: RestartWalkConfig, what):
+def _restart_visits(g, x_plus, y_plus, damping):
     """The restart walk whose excursions end at the authorities ``x_plus``
     and ``y_plus`` and at every vertex without out-arcs, solved once:
     ``(hits_x, hits_y, hits_end)``. h_B = (I - diag(w) A)^-1 1_B is the
@@ -92,19 +91,19 @@ def _restart_visits(g, x_plus, y_plus, cfg: RestartWalkConfig, what):
     directed view's :func:`_walk_step` at damping d, for B = X+ and Y+;
     ``hits_end()`` gives h_D for the set D of all end vertices (h_X+ + h_Y+
     where D is just the authorities, else one more solve). Each solve is a
-    :func:`_solve` within ``max_iters`` iterations, stopped at the absolute
-    residual (2-norm) tolerance * (1 - d): the inverse has max-norm at most
-    1 / (1 - d), and a vector's max-norm is at most its 2-norm, so each
-    entry of h is within the configured tolerance. A solve that misses its
-    stop raises ConvergenceError naming ``what``.
+    :func:`_solve` within ``RESTART_MAX_ITERS`` iterations, stopped at the
+    absolute residual (2-norm) RESTART_TOL * (1 - d): the inverse has
+    max-norm at most 1 / (1 - d), and a vector's max-norm is at most its
+    2-norm, so each entry of h is within ``RESTART_TOL``. A solve that
+    misses its stop raises ConvergenceError.
     """
-    adjacency, w = _walk_step(g.out_csr, np.concatenate((x_plus, y_plus)), cfg.damping)
+    adjacency, w = _walk_step(g.out_csr, np.concatenate((x_plus, y_plus)), damping)
 
     def visits(targets):
         b = np.zeros(g.n_vertices)
         b[targets] = 1.0
-        rtol = cfg.tolerance * (1.0 - cfg.damping) / math.sqrt(len(targets))
-        return _solve(adjacency, w, b, rtol, cfg.max_iters, what)
+        rtol = RESTART_TOL * (1.0 - damping) / math.sqrt(len(targets))
+        return _solve(adjacency, w, b, rtol, RESTART_MAX_ITERS, "restart walk")
 
     hits_x, hits_y = visits(x_plus), visits(y_plus)
     ends = np.flatnonzero(w == 0.0)
@@ -229,7 +228,8 @@ def _walker(g, terminals, rng: random.Random):
 def sample_walk(g, start, terminals, rng: random.Random) -> int:
     """One :func:`_walker` walk from vertex ``start`` to its first terminal; an
     empty terminal set or an index outside [0, n) raises ValueError."""
-    if not terminals:
+    terminals = _vertex_indices(g, terminals, "terminal")
+    if not terminals.size:
         raise ValueError("terminals set is empty")
     v = int(start)
     if not 0 <= v < g.n_vertices:

@@ -187,7 +187,7 @@ class TestScore:
         assert run(
             "score", "--edgelist", KARATE_EDGES,
             "--partition-mode", "import", "--partition-file", KARATE_FACTIONS,
-            "--seed", 3, "--k", 2, "--damping", 0.8, "--max-iters", 5000, "--n-walks", 2000,
+            "--seed", 3, "--k", 2, "--damping", 0.8, "--n-walks", 2000,
             "--n-samples", 2000, "--layout-iterations", 100, "--out", out,
         ) == 0
         payload = json.loads(out.read_text())
@@ -196,8 +196,8 @@ class TestScore:
         # each rerun takes every argument from the report entry, none by default
         rerun = {
             "rwc_mc": lambda seed, k, n_walks: cv.rwc_mc(g, p, k=k, n_walks=n_walks, seed=seed),
-            "rwc_rwr": lambda seed, k, damping, tolerance, max_iters: cv.rwc_rwr(
-                g, p, k=k, cfg=cv.RestartWalkConfig(damping, tolerance, max_iters)),
+            "rwc_rwr": lambda seed, k, damping: cv.rwc_rwr(
+                g, p, k=k, cfg=cv.RestartWalkConfig(damping)),
             "bcc": lambda seed, n_samples: cv.bcc(g, p, n_samples=n_samples, seed=seed),
             "ec": lambda seed, layout_iterations: cv.ec(
                 cv.force_layout(g, iterations=layout_iterations, seed=seed), p),
@@ -454,8 +454,8 @@ class TestScoreProcesses:
         assert list(tmp_path.iterdir()) == []
 
     def test_same_convergence_error(self, monkeypatch):
-        cfg = cli.PipelineConfig(edgelist=str(KARATE_EDGES), measures="gmck,rwc_rwr,mblb",
-                                 max_iters=1)
+        monkeypatch.setattr(walks_module, "RESTART_MAX_ITERS", 1)
+        cfg = cli.PipelineConfig(edgelist=str(KARATE_EDGES), measures="gmck,rwc_rwr,mblb")
         errors = []
         for count in (1, 2):
             use_workers(monkeypatch, count)
@@ -468,15 +468,15 @@ class TestScoreProcesses:
 
     def test_worker_error_keeps_its_traceback(self, monkeypatch):
         # a pooled task that fails inside the library; forked workers
-        # inherit the patched name
-        monkeypatch.setattr(cli, "bcc", lambda g, part, **kwargs: cv.rwc_user(
-            g, part, cfg=cv.RestartWalkConfig(max_iters=1)))
+        # inherit the patched name and budget
+        monkeypatch.setattr(walks_module, "RESTART_MAX_ITERS", 1)
+        monkeypatch.setattr(cli, "bcc", lambda g, part, **kwargs: cv.rwc_user(g, part))
         cfg = cli.PipelineConfig(edgelist=str(KARATE_EDGES), measures="rwc_mc,bcc",
                                  n_walks=500)
         errors = []
         for count in (1, 2):
             use_workers(monkeypatch, count)
-            with pytest.raises(cv.ConvergenceError, match="^measure: user restart walks ") as info:
+            with pytest.raises(cv.ConvergenceError, match="^measure: restart walk ") as info:
                 cli.run_pipeline(cfg)
             errors.append(info.value)
         assert str(errors[0]) == str(errors[1])
@@ -725,19 +725,15 @@ class TestGraphCommands:
                              for v, uid in enumerate(g.ids)]
         assert tables[3] != tables[1]
 
-    @pytest.mark.parametrize("option, value, code", [
-        pytest.param("max_iters", 1, 3, id="1-3"),
-        pytest.param("max_iters", 0, 2, id="0-2"),
-        *(pytest.param("tolerance", v, 2, id=f"tolerance={v}") for v in ("0", "-1", "nan")),
-    ])
-    def test_user_scores_iteration_budget(self, tmp_path, capsys, option, value, code):
+    def test_user_scores_iteration_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(walks_module, "RESTART_MAX_ITERS", 1)
         out = tmp_path / "u.csv"
         assert run(
             "user-scores", "--edgelist", KARATE_EDGES,
-            "--partition-mode", "import", "--partition-file", KARATE_FACTIONS,
-            "--" + option.replace("_", "-"), value, "--out", out,
-        ) == code
-        assert ("iterations" if code == 3 else cli._flag(option)) in capsys.readouterr().err
+            "--partition-mode", "import", "--partition-file", KARATE_FACTIONS, "--out", out,
+        ) == 3
+        assert capsys.readouterr().err.startswith(
+            "error [user-scores: restart walk did not converge in 1 iterations")
         assert list(tmp_path.iterdir()) == []
 
     def test_directed_user_scores_name_unreached_account(self, tmp_path, capsys):
@@ -842,13 +838,13 @@ class TestOtherCommands:
         conf.write_text(
             f"edgelist={KARATE_EDGES}\npartition_mode=import\n"
             f"partition_file={KARATE_FACTIONS}\nmeasures=gmck\n"
-            "expand_alpha=1\ntolerance=1e-9\nk=null\ntopic_label=2024\nforce=true\n"
+            "expand_alpha=1\ndamping=0.5\nk=null\ntopic_label=2024\nforce=true\n"
         )
         assert run("score", "--config", conf, "--out", out) == 0
         config = json.loads(out.read_text())["config"]
         # an int in a float field is a float; a number in a str field is its text
         assert config["expand_alpha"] == 1.0 and isinstance(config["expand_alpha"], float)
-        assert config["tolerance"] == 1e-9
+        assert config["damping"] == 0.5
         assert config["k"] is None
         assert config["topic_label"] == "2024"
         assert config["force"] is True
@@ -916,7 +912,7 @@ class TestOptions:
                    "--partition-file", KARATE_FACTIONS, "--measures", "gmck", "--seed", 4,
                    "--out", out) == 0
         config = json.loads(out.read_text())["config"]
-        assert sorted(config) == sorted(options) and len(config) == 30
+        assert sorted(config) == sorted(options) and len(config) == 28
         assert (config["seed"], config["out"], config["damping"]) == (4, str(out), 0.85)
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
@@ -986,8 +982,6 @@ class TestOptions:
 
     @pytest.mark.parametrize("option, value, message", [
         ("damping", 2, "--damping must be in (0, 1)"),
-        ("tolerance", 0, "--tolerance must be > 0 and finite"),
-        ("max_iters", 0, "--max-iters must be >= 1"),
         ("expand_alpha", 2, "--expand-alpha must be in [0, 1]"),
         ("expand_k", 0, "--expand-k must be >= 1"),
         ("k", 0, "--k must be >= 1"),
@@ -1073,6 +1067,53 @@ class TestOptions:
         assert not out.exists()
         with pytest.raises(cv.InputDataError, match="duplicate measures: ec, gmck"):
             cli.PipelineConfig(measures="gmck, ec,gmck,ec,mblb")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["build-graph", "--kind", "follow"], "build: follow graphs need --follows"),
+        (["build-graph"], "build: a topic seed is required for record-based graphs"),
+        (["score", "--kind", "content"], "build: a topic seed is required for record-based graphs"),
+        (["partition", "--topic-seed", "go", "--partition-mode", "import"],
+         "partition: partition import needs --partition-file"),
+        (["user-scores", "--topic-seed", "go", "--partition-mode", "import"],
+         "partition: partition import needs --partition-file"),
+    ], ids=["follows", "topic-seed", "topic-seed-score", "partition-file", "partition-file-users"])
+    def test_usage_error_exits_before_any_input_is_read(self, argv, message, tmp_path,
+                                                        monkeypatch, capsys):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for name in ("read_records", "read_edgelist", "read_follow_edges"):
+            monkeypatch.setattr(graph_module, name, unread)
+        monkeypatch.setattr(cli, "read_profiles", unread)
+        records, out = tmp_path / "r.jsonl", tmp_path / "out"
+        write_records(records)
+        assert run(*argv, "--records", records, "--out", out) == 2
+        assert capsys.readouterr().err == f"error [{message}]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["flag", "file"])
+    @pytest.mark.parametrize("option, value", [("tolerance", "1e-9"), ("max_iters", "5000")])
+    @pytest.mark.parametrize("command", ["score", "user-scores"])
+    def test_restart_walk_stop_is_no_option(self, command, option, value, given, tmp_path,
+                                            monkeypatch, capsys):
+        # the restart walk stops at walks.RESTART_TOL within walks.RESTART_MAX_ITERS
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(graph_module, "read_edgelist", unread)
+        conf, out = tmp_path / "run.conf", tmp_path / "out"
+        conf.write_text(f"{option}={value}\n" if given == "file" else "")
+        argv = [command, "--config", conf, "--edgelist", KARATE_EDGES, "--out", out]
+        if given == "flag":
+            with pytest.raises(SystemExit) as exit_:
+                run(*argv, cli._flag(option), value)
+            assert exit_.value.code == 2
+            assert (f"unrecognized arguments: {cli._flag(option)} {value}"
+                    in capsys.readouterr().err)
+        else:
+            assert run(*argv) == 2
+            assert f"run.conf: unknown config keys: {option}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
 
     @pytest.mark.parametrize("command, flag", [
         ("build-graph", "--out"), ("partition", "--out"), ("user-scores", "--out"),

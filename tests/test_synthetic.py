@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import controversy as cv
+import controversy.walks as walks_module
 from controversy import _pool
 from controversy.cli import main
 from controversy.synthetic import DEFAULT_P1_GRID, DEFAULT_P2_GRID, _cell_seed, _score_run
@@ -118,8 +119,7 @@ class TestStreamedDraws:
         assert g.index_of(str(cfg.n - 1)) == cfg.n - 1
         if cfg.p1 == cfg.p2 == 0.0:
             assert g.n_edges == 0
-            assert _score_run(cfg, k=None, cfg=None, use_largest_component=True,
-                              redetect=False) is None
+            assert _score_run(cfg, k=None, use_largest_component=True, redetect=False) is None
 
     def test_memory_is_not_quadratic(self):
         # the whole-block draws peak at about 67 MB here
@@ -203,12 +203,13 @@ class TestSweepProcesses:
         assert multiprocessing.active_children() == []
 
     def test_same_convergence_error(self, monkeypatch):
+        # forked workers inherit the patched budget
+        monkeypatch.setattr(walks_module, "RESTART_MAX_ITERS", 1)
         errors = []
         for count in (1, 2):
             _use_workers(monkeypatch, count)
             with pytest.raises(cv.ConvergenceError) as info:
-                cv.rwc_sweep(n=40, p1_values=[0.3, 0.5], p2_values=[0.05], runs=2,
-                             cfg=cv.RestartWalkConfig(max_iters=1))
+                cv.rwc_sweep(n=40, p1_values=[0.3, 0.5], p2_values=[0.05], runs=2)
             errors.append((str(info.value), info.value.residual))
             assert multiprocessing.active_children() == []
         assert errors[0] == errors[1]

@@ -87,11 +87,11 @@ class TestWalkStep:
         assert no_out_arcs.sum() == (2 if name == "directed" else 0)
 
 
-def rwr_bound(c_mass, cfg):
-    """The bound :class:`RestartWalkConfig` states on each conditional of
-    an end side with stationary mass ``c_mass``."""
-    d = cfg.damping
-    return cfg.tolerance / c_mass + d * cfg.tolerance / (1 - d)
+def rwr_bound(c_mass, d):
+    """The bound ``walks.RESTART_TOL`` states on each conditional of an end
+    side with stationary mass ``c_mass`` at damping ``d``."""
+    tol = walks_module.RESTART_TOL
+    return tol / c_mass + d * tol / (1 - d)
 
 
 class TestRestartWalk:
@@ -159,11 +159,11 @@ class TestRestartWalk:
         cfg = cv.RestartWalkConfig()
         c = cv.rwr_conditionals(g, p, cfg=cfg)
         oracle, mass = dense_rwr_conditionals(g, p, x_plus, y_plus, cfg.damping)
-        assert (np.abs(c - oracle) <= rwr_bound(mass, cfg)).all()
+        assert (np.abs(c - oracle) <= rwr_bound(mass, cfg.damping)).all()
         assert np.abs(c - oracle).max() < 1e-12
         assert cv.rwr_conditionals(g, p.swapped(), cfg=cfg).tolist() == c[::-1, ::-1].tolist()
-        # each user score a / (a + b) is within tolerance / (a + b) of the
-        # exact one, and a + b is at least the authorities' mass
+        # each user score a / (a + b) is within RESTART_TOL / (a + b) of
+        # the exact one, and a + b is at least the authorities' mass
         values = cv.rwc_user(g, p, cfg=cfg)
         for u in range(0, 300, 3):
             pi = dense_stationary_rwr(g, [u], [*x_plus, *y_plus], cfg.damping)
@@ -172,7 +172,7 @@ class TestRestartWalk:
                 assert np.isnan(values[u])
                 continue
             own = m_x if p.sides[u] == 0 else m_y
-            assert abs(values[u] - own / (m_x + m_y)) <= cfg.tolerance / (m_x + m_y)
+            assert abs(values[u] - own / (m_x + m_y)) <= walks_module.RESTART_TOL / (m_x + m_y)
 
     @pytest.mark.parametrize("case", ["planted 1000", "planted 3000", "directed with sinks"])
     def test_matches_exact_solve_to_1e_12(self, case):
@@ -200,14 +200,15 @@ class TestRestartWalk:
         assert np.abs(cv.rwr_conditionals(g, p) - table / table.sum(axis=0)).max() <= 1e-12
 
     @pytest.mark.parametrize("tolerance", [1e-10, 1e-6])
-    def test_side_sums_carry_the_side_size(self, tolerance):
+    def test_side_sums_carry_the_side_size(self, tolerance, monkeypatch):
         # the visit counts summed over a side are off by up to |S| *
         # tolerance, and the walk's total mass is at least |S|
+        monkeypatch.setattr(walks_module, "RESTART_TOL", tolerance)
         g, p = cv.planted_two_community(cv.PlantedConfig(1000, 0.02, 0.001, seed=1))
         x_plus, y_plus = cv.top_degree(g, p)
-        cfg = cv.RestartWalkConfig(tolerance=tolerance)
-        hits = walks_module._restart_visits(g, x_plus, y_plus, cfg, "restart walk")[:2]
-        solve = sparse_rwr_solver(g, [*x_plus, *y_plus], cfg.damping)
+        d = cv.RestartWalkConfig.damping
+        hits = walks_module._restart_visits(g, x_plus, y_plus, d)[:2]
+        solve = sparse_rwr_solver(g, [*x_plus, *y_plus], d)
         table = np.empty((2, 2))
         for start, side in enumerate((p.x, p.y)):
             restart = np.zeros(g.n_vertices)
@@ -218,11 +219,12 @@ class TestRestartWalk:
                 assert abs(h[side].sum() - x[authorities].sum()) <= len(side) * tolerance
                 table[start, end] = len(side) / g.n_vertices * x[authorities].sum() / x.sum()
         mass = table.sum(axis=0)
-        error = np.abs(cv.rwr_conditionals(g, p, cfg=cfg) - table / mass)
-        assert (error <= rwr_bound(mass, cfg)).all()
+        error = np.abs(cv.rwr_conditionals(g, p) - table / mass)
+        assert (error <= rwr_bound(mass, d)).all()
 
     @pytest.mark.parametrize("directed", [False, True])
-    def test_stated_bounds_hold_at_a_loose_tolerance(self, directed):
+    def test_stated_bounds_hold_at_a_loose_tolerance(self, directed, monkeypatch):
+        monkeypatch.setattr(walks_module, "RESTART_TOL", 1e-3)
         rng = np.random.default_rng(6)
         src, dst = rng.integers(0, 400, (2, 2400))
         keep = (src % 5 != 0) | (not directed)
@@ -231,26 +233,27 @@ class TestRestartWalk:
                                  directed)
         p = random_partition(rng, 400)
         x_plus, y_plus = cv.top_degree(g, p)
-        cfg = cv.RestartWalkConfig(tolerance=1e-3)
-        oracle, mass = dense_rwr_conditionals(g, p, x_plus, y_plus, cfg.damping)
-        error = np.abs(cv.rwr_conditionals(g, p, cfg=cfg) - oracle)
-        assert 1e-12 < error.max() and (error <= rwr_bound(mass, cfg)).all()
-        # every visit count within tolerance: a / (a + b) within
-        # tolerance / (a + b), and a + b is at least the authorities' mass
-        values = cv.rwc_user(g, p, cfg=cfg)
+        d = cv.RestartWalkConfig.damping
+        oracle, mass = dense_rwr_conditionals(g, p, x_plus, y_plus, d)
+        error = np.abs(cv.rwr_conditionals(g, p) - oracle)
+        assert 1e-12 < error.max() and (error <= rwr_bound(mass, d)).all()
+        # every visit count within 1e-3: a / (a + b) within 1e-3 / (a + b),
+        # and a + b is at least the authorities' mass
+        values = cv.rwc_user(g, p)
         for u in range(0, 400, 7):
-            pi = dense_stationary_rwr(g, [u], [*x_plus, *y_plus], cfg.damping)
+            pi = dense_stationary_rwr(g, [u], [*x_plus, *y_plus], d)
             m_x, m_y = pi[x_plus].sum(), pi[y_plus].sum()
             if m_x + m_y > 1e-12:
                 own = m_x if p.sides[u] == 0 else m_y
-                assert abs(values[u] - own / (m_x + m_y)) <= cfg.tolerance / (m_x + m_y)
+                assert abs(values[u] - own / (m_x + m_y)) <= 1e-3 / (m_x + m_y)
 
-    def test_nonconvergence_raises_with_residual(self):
+    def test_nonconvergence_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(walks_module, "RESTART_MAX_ITERS", 2)
         g = cycle(30)
         p = cv.Partition(np.repeat(np.array([0, 1], dtype=np.int8), 15))
         with pytest.raises(cv.ConvergenceError, match=r"^restart walk did not converge in "
                            r"2 iterations \(last relative residual ") as excinfo:
-            cv.rwc_rwr(g, p, 1, cv.RestartWalkConfig(max_iters=2))
+            cv.rwc_rwr(g, p, 1)
         assert excinfo.value.residual > 0
 
     @pytest.mark.parametrize("info, failure", [(10000, "did not converge in 10000 iterations"),
@@ -357,6 +360,16 @@ class TestSampleWalk:
     def test_out_of_range_terminal_rejected(self, terminal):
         with pytest.raises(ValueError, match=rf"^terminal index {terminal} out of range \[0, 3\)$"):
             cv.sample_walk(path(3), 0, {terminal}, random.Random(0))
+
+    @pytest.mark.parametrize("terminals, end", [([0], 0), ([0, 1], 1)])
+    def test_terminal_index_array(self, terminals, end):
+        # top_degree's authorities are index arrays; the walk 2 -> 1 -> 0 is forced
+        assert cv.sample_walk(path(3), 2, np.array(terminals), random.Random(0)) == end
+
+    @pytest.mark.parametrize("terminals", [set(), np.array([], dtype=np.int64)], ids=repr)
+    def test_empty_terminal_set_rejected(self, terminals):
+        with pytest.raises(ValueError, match="^terminals set is empty$"):
+            cv.sample_walk(path(3), 0, terminals, random.Random(0))
 
     def test_unreachable_terminal_errors(self):
         g = make_graph(3, [(0, 1)])  # 2 is isolated
