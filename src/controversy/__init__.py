@@ -62,7 +62,6 @@ from .synthetic import (
     write_sweep_csv,
 )
 from .topics import (
-    ExpansionConfig,
     HashtagProfile,
     build_profiles,
     expand_topic,
@@ -72,7 +71,6 @@ from .topics import (
 )
 from .users import hitting_score_all, rwc_user, user_score_table
 from .walks import (
-    RestartWalkConfig,
     default_k,
     expected_hitting_times,
     sample_walk,

@@ -19,7 +19,7 @@ import os
 import sys
 import typing
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cache, partial
 
@@ -44,12 +44,11 @@ from .measures import (
 from .partition import import_partition, spectral_bisection, write_partition
 from .sentiment import classify_by_variance, read_sentiment, sentiment_variance
 from .synthetic import DEFAULT_P1_GRID, DEFAULT_P2_GRID, rwc_sweep, write_sweep_csv
-from .topics import ExpansionConfig, build_profiles, expand_topic, read_profiles, write_profiles
+from .topics import (EXPAND_ALPHA, EXPAND_K, build_profiles, expand_topic, read_profiles,
+                     write_profiles)
 from .users import write_user_scores
-from .walks import RestartWalkConfig, _restart_visits, default_k, top_degree
+from .walks import DAMPING, _restart_visits, default_k, top_degree
 
-# the PipelineConfig option behind each ExpansionConfig field whose name differs
-_OPTION_OF = {"alpha": "expand_alpha", "k": "expand_k"}
 # the values each choice field of PipelineConfig takes
 CHOICES = {"kind": ("retweet", "follow", "content"), "content_mode": graphmod.CONTENT_MODES,
            "partition_mode": ("spectral", "import")}
@@ -71,8 +70,8 @@ class PipelineConfig:
     topic_seed: str | None = None
     topic_tags: str | None = None  # comma-separated explicit members
     profiles: str | None = None
-    expand_k: int = ExpansionConfig.k
-    expand_alpha: float = ExpansionConfig.alpha
+    expand_k: int = EXPAND_K
+    expand_alpha: float = EXPAND_ALPHA
     # stages
     largest_component: bool = True
     partition_mode: str = "spectral"
@@ -80,7 +79,7 @@ class PipelineConfig:
     # measure parameters
     measures: str = ",".join(MEASURE_NAMES)
     k: int | None = None
-    damping: float = RestartWalkConfig.damping
+    damping: float = DAMPING
     n_walks: int = 10000
     n_samples: int = 10000
     layout_iterations: int = 500
@@ -115,33 +114,23 @@ class PipelineConfig:
             raise InputDataError(f"unknown measures: {', '.join(unknown)}")
         if repeated := sorted({m for m in wanted if wanted.count(m) > 1}):
             raise InputDataError(f"duplicate measures: {', '.join(repeated)}")
-        # check the numeric options before any input is read; a library
-        # message starts with its field's name, which becomes the flag
+        # check the numeric options before any input is read; the library
+        # checks each again where it uses it
         for option, least in (("k", 1), ("n_walks", 1), ("n_samples", 1),
-                              ("layout_iterations", 0), ("tau", 1), ("seed", 0)):
+                              ("layout_iterations", 0), ("tau", 1), ("seed", 0),
+                              ("expand_k", 1)):
             value = getattr(self, option)
             if value is not None and value < least:
                 raise InputDataError(f"{_flag(option)} must be >= {least}")
-        try:
-            self.walk, self.expansion
-        except ValueError as exc:
-            field, _, rest = str(exc).partition(" ")
-            raise InputDataError(f"{_flag(_OPTION_OF.get(field, field))} {rest}") from None
+        if not 0.0 < self.damping < 1.0:
+            raise InputDataError("--damping must be in (0, 1)")
+        if not 0.0 <= self.expand_alpha <= 1.0:
+            raise InputDataError("--expand-alpha must be in [0, 1]")
 
     @property
     def wanted(self):
         """The names in ``measures``, in order."""
         return [m.strip() for m in self.measures.split(",") if m.strip()]
-
-    @property
-    def walk(self):
-        """The restart-walk parameters."""
-        return RestartWalkConfig(damping=self.damping)
-
-    @property
-    def expansion(self):
-        """The topic-expansion parameters."""
-        return ExpansionConfig(alpha=self.expand_alpha, k=self.expand_k)
 
 
 @contextmanager
@@ -160,7 +149,8 @@ def _resolve_topic(cfg: PipelineConfig) -> Topic:
     if cfg.topic_tags:
         return Topic.make(cfg.topic_seed, cfg.topic_tags.split(","))
     if cfg.profiles:
-        return expand_topic(cfg.topic_seed, read_profiles(cfg.profiles), cfg.expansion)
+        return expand_topic(cfg.topic_seed, read_profiles(cfg.profiles),
+                            alpha=cfg.expand_alpha, k=cfg.expand_k)
     return Topic.make(cfg.topic_seed)
 
 
@@ -250,7 +240,7 @@ def _measure_task(name, g, part, cfg, k, visits=None):
         return params, bcc(g, part, **params, seed=cfg.seed)
     if name == "rwc_rwr":
         conditionals = measures._visit_conditionals(part, cfg.damping, *visits())
-        return {"k": k, **asdict(cfg.walk)}, measures._rwc(conditionals)
+        return {"k": k, "damping": cfg.damping}, measures._rwc(conditionals)
     if name == "gmck":
         return {}, gmck(g, part)
     params = {"seed_fraction": 0.05, "tol": 1e-6, "max_iters": 1000}
@@ -479,7 +469,7 @@ def _cmd_expand_topic(cfg):
             profiles = build_profiles(graphmod.read_records(cfg.records))
         else:
             raise InputDataError("need --profiles or --records")
-        topic = expand_topic(cfg.seed_tag, profiles, cfg.expansion)
+        topic = expand_topic(cfg.seed_tag, profiles, alpha=cfg.expand_alpha, k=cfg.expand_k)
     payload = json.dumps({"seed": topic.seed, "members": list(topic.members)}, indent=2)
     writers = []
     if cfg.write_profiles:

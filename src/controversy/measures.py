@@ -21,7 +21,7 @@ from .errors import ConvergenceError, DegenerateStructureError
 from .graph import _vertex_indices
 from .partition import Partition
 from .walks import (
-    RestartWalkConfig,
+    DAMPING,
     _restart_visits,
     _walk_step,
     _walker,
@@ -113,7 +113,7 @@ def _rwc(c):
 # ---------------------------------------------------------------------------
 
 
-def rwr_conditionals(g, p: Partition, k=None, cfg: RestartWalkConfig | None = None):
+def rwr_conditionals(g, p: Partition, k=None, *, damping=DAMPING):
     """The start-side probabilities conditioned on where the restart walk
     sits at steady state (either side's top-degree vertices).
 
@@ -122,16 +122,15 @@ def rwr_conditionals(g, p: Partition, k=None, cfg: RestartWalkConfig | None = No
     column sums to 1 by construction.
 
     The walk restarting on side S has the stationary law x / sum(x), where
-    (I - d*M^T) x = 1_S and M is the step matrix with the rows of the
-    excursion ends D (the authorities and every vertex without out-arcs)
-    zeroed. Its mass on A is 1_A . x = 1_S . h_A, with h_A the expected
+    (I - d*M^T) x = 1_S at d = ``damping`` and M is the step matrix with
+    the rows of the excursion ends D (the authorities and every vertex
+    without out-arcs) zeroed. Its mass on A is 1_A . x = 1_S . h_A, with h_A the expected
     visits to A that :func:`walks._restart_visits` solves for, and summing
     the system gives sum(x) = (|S| - d * 1_S . h_D) / (1 - d). Where D is
     just the authorities, h_D = h_X+ + h_Y+; otherwise h_D is one more
     solve. The bound on each entry is at :data:`walks.RESTART_TOL`.
     """
-    d = (cfg or RestartWalkConfig()).damping
-    return _visit_conditionals(p, d, *_restart_visits(g, *top_degree(g, p, k), d))
+    return _visit_conditionals(p, damping, *_restart_visits(g, *top_degree(g, p, k), damping))
 
 
 def _visit_conditionals(p: Partition, d, hits_x, hits_y, end_visits):
@@ -145,7 +144,7 @@ def _visit_conditionals(p: Partition, d, hits_x, hits_y, end_visits):
     return _conditionals(table, "no stationary mass on a high-degree set; cannot condition")
 
 
-def rwc_rwr(g, p: Partition, k=None, cfg: RestartWalkConfig | None = None) -> float:
+def rwc_rwr(g, p: Partition, k=None, *, damping=DAMPING) -> float:
     """Restart-walk variant of the random-walk controversy score.
 
     Takes the steady states of the walks restarting on X and on Y (the
@@ -155,7 +154,7 @@ def rwc_rwr(g, p: Partition, k=None, cfg: RestartWalkConfig | None = None) -> fl
     Well-defined on disconnected graphs (two cross-free sides score
     exactly 1).
     """
-    return _rwc(rwr_conditionals(g, p, k, cfg))
+    return _rwc(rwr_conditionals(g, p, k, damping=damping))
 
 
 # ---------------------------------------------------------------------------

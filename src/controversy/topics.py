@@ -8,6 +8,10 @@ from dataclasses import dataclass, field
 from .errors import InputDataError
 from .graph import Topic, _json_object, normalize_tag, read_rows
 
+# the topic expansion's defaults: the word cosine's weight and the most tags added
+EXPAND_ALPHA = 0.3
+EXPAND_K = 20
+
 
 @dataclass(frozen=True)
 class HashtagProfile:
@@ -34,17 +38,20 @@ class HashtagProfile:
         df = _integer(df, "df")
         if df < 1:
             raise ValueError(f"df must be >= 1, got {df} for {tag!r}")
-        words = {
-            str(w).lower(): c
-            for w, c in (words or {}).items()
-            if _integer(c, f"count of {w!r}") > 0
-        }
-        tags = {
-            normalize_tag(t): c
-            for t, c in (tags or {}).items()
-            if _integer(c, f"count of {t!r}") > 0 and normalize_tag(t) != tag
-        }
-        return cls(tag=tag, df=df, words=words, tags=tags)
+        tags = _counts(tags, normalize_tag)
+        tags.pop(tag, None)
+        return cls(tag=tag, df=df, words=_counts(words, lambda w: str(w).lower()), tags=tags)
+
+
+def _counts(counts, key):
+    """The positive counts of ``counts`` keyed by ``key(name)``; names that
+    give one key (case or '#' variants) add up."""
+    out = {}
+    for name, c in (counts or {}).items():
+        if _integer(c, f"count of {name!r}") > 0:
+            name = key(name)
+            out[name] = out.get(name, 0) + c
+    return out
 
 
 def _integer(value, what):
@@ -53,18 +60,6 @@ def _integer(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputDataError(f"{what} must be an integer, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class ExpansionConfig:
-    alpha: float = 0.3
-    k: int = 20
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
 
 def _cosine(a: dict, b: dict) -> float:
@@ -81,13 +76,15 @@ def _cosine(a: dict, b: dict) -> float:
     return dot / (na * nb)
 
 
-def hashtag_similarity(seed: HashtagProfile, cand: HashtagProfile, alpha=0.3) -> float:
+def hashtag_similarity(seed: HashtagProfile, cand: HashtagProfile, alpha=EXPAND_ALPHA) -> float:
     """Similarity of a candidate tag to the seed, penalized by popularity.
 
     Combines the word-vector and tag-vector cosines with weight ``alpha``
-    and divides by 1 + ln(df) of the candidate. Natural log, fixed for
-    reproducibility. Result is in [0, 1].
+    in [0, 1] (else ValueError, NaN too) and divides by 1 + ln(df) of the
+    candidate. Natural log, fixed for reproducibility. Result is in [0, 1].
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must be in [0, 1]")
     if cand.df < 1:
         raise ValueError("candidate document frequency must be >= 1")
     mix = alpha * _cosine(seed.words, cand.words) + (1 - alpha) * _cosine(
@@ -96,13 +93,15 @@ def hashtag_similarity(seed: HashtagProfile, cand: HashtagProfile, alpha=0.3) ->
     return mix / (1.0 + math.log(cand.df))
 
 
-def expand_topic(seed_tag, profiles, cfg: ExpansionConfig | None = None) -> Topic:
-    """Topic made of the seed plus its k most similar hashtags.
+def expand_topic(seed_tag, profiles, *, alpha=EXPAND_ALPHA, k=EXPAND_K) -> Topic:
+    """Topic made of the seed plus its k (>= 1, else ValueError) most
+    similar hashtags by :func:`hashtag_similarity` at ``alpha``.
 
     Candidates with similarity 0 are excluded even if k is not filled;
     ties break lexicographically by tag.
     """
-    cfg = cfg or ExpansionConfig()
+    if k < 1:
+        raise ValueError("k must be >= 1")
     seed_tag = normalize_tag(seed_tag)
     by_tag = {p.tag: p for p in profiles}
     if seed_tag not in by_tag:
@@ -112,11 +111,11 @@ def expand_topic(seed_tag, profiles, cfg: ExpansionConfig | None = None) -> Topi
     for tag, prof in by_tag.items():
         if tag == seed_tag:
             continue
-        sim = hashtag_similarity(seed, prof, cfg.alpha)
+        sim = hashtag_similarity(seed, prof, alpha)
         if sim > 0:
             scored.append((-sim, tag))
     scored.sort()
-    return Topic.make(seed_tag, [tag for _, tag in scored[: cfg.k]])
+    return Topic.make(seed_tag, [tag for _, tag in scored[:k]])
 
 
 def build_profiles(records):
@@ -144,10 +143,17 @@ def build_profiles(records):
 
 def read_profiles(path):
     """Read profiles from JSON lines:
-    ``{"tag": str, "df": int, "words": {str: int}, "tags": {str: int}}``."""
+    ``{"tag": str, "df": int, "words": {str: int}, "tags": {str: int}}``;
+    a tag that an earlier line holds (up to case and '#') is a bad line."""
+    seen = set()
+
     def parse(line):
         obj = _json_object(line)
-        return HashtagProfile.make(obj["tag"], obj["df"], obj.get("words"), obj.get("tags"))
+        profile = HashtagProfile.make(obj["tag"], obj["df"], obj.get("words"), obj.get("tags"))
+        if profile.tag in seen:
+            raise InputDataError(f"repeated tag {profile.tag!r}")
+        seen.add(profile.tag)
+        return profile
 
     return list(read_rows(path, parse, what="bad profile"))
 

@@ -6,10 +6,10 @@ import csv
 import numpy as np
 
 from .partition import Partition
-from .walks import RestartWalkConfig, _restart_visits, expected_hitting_times, top_degree
+from .walks import DAMPING, _restart_visits, expected_hitting_times, top_degree
 
 
-def rwc_user(g, p: Partition, k=None, *, cfg: RestartWalkConfig | None = None) -> np.ndarray:
+def rwc_user(g, p: Partition, k=None, *, damping=DAMPING) -> np.ndarray:
     """Own-side share of the authority mass of each user's restart walk:
     one value per vertex in [0, 1], NaN where the walk reaches no authority.
 
@@ -23,8 +23,7 @@ def rwc_user(g, p: Partition, k=None, *, cfg: RestartWalkConfig | None = None) -
     :func:`walks._restart_visits`; the bound on each score is at
     :data:`walks.RESTART_TOL`.
     """
-    d = (cfg or RestartWalkConfig()).damping
-    return _own_share(p, *_restart_visits(g, *top_degree(g, p, k), d)[:2])
+    return _own_share(p, *_restart_visits(g, *top_degree(g, p, k), damping)[:2])
 
 
 def _own_share(p: Partition, hits_x, hits_y) -> np.ndarray:
@@ -69,7 +68,7 @@ def hitting_score_all(g, p: Partition, k=None) -> np.ndarray:
     return _strict_rank_fraction(l_x) - _strict_rank_fraction(l_y)
 
 
-def user_score_table(g, p: Partition, k=None, cfg: RestartWalkConfig | None = None):
+def user_score_table(g, p: Partition, k=None, *, damping=DAMPING):
     """``(rwc_user, rho)``: the restart-walk score and the hitting rank of
     every vertex, as two arrays in vertex order.
 
@@ -79,7 +78,7 @@ def user_score_table(g, p: Partition, k=None, cfg: RestartWalkConfig | None = No
     times and is always defined.
     """
     rho = hitting_score_all(g, p, k)
-    return rwc_user(g, p, k, cfg=cfg), rho
+    return rwc_user(g, p, k, damping=damping), rho
 
 
 def write_user_scores(g, p: Partition, scores, path):

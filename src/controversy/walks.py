@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,18 +36,9 @@ HITTING_RTOL = 1e-13
 RESTART_TOL = 1e-10
 RESTART_MAX_ITERS = 10000
 BREAKDOWN_RTOL = np.finfo(float).eps  # shadow product, relative, at which BiCGSTAB starts again
-
-
-@dataclass(frozen=True)
-class RestartWalkConfig:
-    """The damping of the restart-walk solves (``rwc_rwr``, the user
-    scores); they stop at ``RESTART_TOL`` within ``RESTART_MAX_ITERS``."""
-
-    damping: float = 0.85
-
-    def __post_init__(self):
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must be in (0, 1)")
+#: The restart walk's default damping: the chance that an excursion takes
+#: one more step (``rwc_rwr``, the user scores, ``--damping``).
+DAMPING = 0.85
 
 
 def default_k(p) -> int:
@@ -95,8 +85,11 @@ def _restart_visits(g, x_plus, y_plus, damping):
     absolute residual (2-norm) RESTART_TOL * (1 - d): the inverse has
     max-norm at most 1 / (1 - d), and a vector's max-norm is at most its
     2-norm, so each entry of h is within ``RESTART_TOL``. A solve that
-    misses its stop raises ConvergenceError.
+    misses its stop raises ConvergenceError. ``damping`` must lie in
+    (0, 1), else ValueError (NaN too).
     """
+    if not 0.0 < damping < 1.0:
+        raise ValueError("damping must be in (0, 1)")
     adjacency, w = _walk_step(g.out_csr, np.concatenate((x_plus, y_plus)), damping)
 
     def visits(targets):

@@ -22,6 +22,7 @@ import pytest
 
 import controversy as cv
 from controversy.synthetic import ground_truth_partition_for
+from controversy.walks import DAMPING
 
 from conftest import ACCEPTANCE_LINES, KARATE_EDGES, KARATE_FACTIONS, barbell, cycle, keyed_betweenness, path, random_connected_graph, random_partition, two_cliques
 from oracles import (
@@ -254,17 +255,17 @@ def test_criterion_5_oracle_equivalence():
         p = random_partition(rng, n)
         x_plus, y_plus = cv.top_degree(g, p)
         authorities = np.concatenate((x_plus, y_plus))
-        cfg = cv.RestartWalkConfig()
-        oracle, _ = dense_rwr_conditionals(g, p, x_plus, y_plus, cfg.damping)
-        worst_rwr = max(worst_rwr, float(np.abs(cv.rwr_conditionals(g, p, cfg=cfg) - oracle).max()))
+        d = DAMPING
+        oracle, _ = dense_rwr_conditionals(g, p, x_plus, y_plus, d)
+        worst_rwr = max(worst_rwr, float(np.abs(cv.rwr_conditionals(g, p, damping=d) - oracle).max()))
         u = int(rng.integers(0, n))
-        user_pi = dense_stationary_rwr(g, [u], authorities, cfg.damping)
+        user_pi = dense_stationary_rwr(g, [u], authorities, d)
         m_x = user_pi[x_plus].sum()
         m_y = user_pi[y_plus].sum()
         if m_x + m_y > 0:
             expected = (m_x if p.side_of(u) == "X" else m_y) / (m_x + m_y)
             worst_user = max(
-                worst_user, abs(cv.rwc_user(g, p, cfg=cfg)[u] - expected)
+                worst_user, abs(cv.rwc_user(g, p, damping=d)[u] - expected)
             )
     walks_ok = worst_rwr < 1e-8 and worst_user < 1e-8
 

@@ -196,8 +196,7 @@ class TestScore:
         # each rerun takes every argument from the report entry, none by default
         rerun = {
             "rwc_mc": lambda seed, k, n_walks: cv.rwc_mc(g, p, k=k, n_walks=n_walks, seed=seed),
-            "rwc_rwr": lambda seed, k, damping: cv.rwc_rwr(
-                g, p, k=k, cfg=cv.RestartWalkConfig(damping)),
+            "rwc_rwr": lambda seed, k, damping: cv.rwc_rwr(g, p, k=k, damping=damping),
             "bcc": lambda seed, n_samples: cv.bcc(g, p, n_samples=n_samples, seed=seed),
             "ec": lambda seed, layout_iterations: cv.ec(
                 cv.force_layout(g, iterations=layout_iterations, seed=seed), p),
@@ -798,6 +797,16 @@ class TestOtherCommands:
         assert run("expand-topic", "--config", conf, "--seed-tag", "go", "--expand-k", 5) == 0
         assert len(json.loads(capsys.readouterr().out)["members"]) == 3
 
+    def test_expand_topic_repeated_profile_tag_exits_2(self, tmp_path, capsys):
+        profiles, out = tmp_path / "p.jsonl", tmp_path / "topic.json"
+        profiles.write_text('{"tag": "go", "df": 1, "tags": {"fast": 1}}\n'
+                            '{"tag": "#GO", "df": 2}\n{"tag": "fast", "df": 1}\n')
+        assert run("expand-topic", "--seed-tag", "go", "--profiles", profiles,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error [expand: {profiles}:2: bad profile (repeated tag 'go')]\n")
+        assert not out.exists()
+
     def test_simulate_config_file(self, tmp_path):
         conf, out = tmp_path / "run.conf", tmp_path / "sweep.csv"
         conf.write_text('n=20\np1_grid="0.3"\np2_grid="0.05"\nruns=1\n')
@@ -982,7 +991,9 @@ class TestOptions:
 
     @pytest.mark.parametrize("option, value, message", [
         ("damping", 2, "--damping must be in (0, 1)"),
+        ("damping", "nan", "--damping must be in (0, 1)"),
         ("expand_alpha", 2, "--expand-alpha must be in [0, 1]"),
+        ("expand_alpha", "nan", "--expand-alpha must be in [0, 1]"),
         ("expand_k", 0, "--expand-k must be >= 1"),
         ("k", 0, "--k must be >= 1"),
         ("k", -3, "--k must be >= 1"),

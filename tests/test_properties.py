@@ -8,6 +8,7 @@ import controversy as cv
 from conftest import keyed_betweenness, random_connected_graph
 from controversy.synthetic import ground_truth_partition_for
 from controversy.users import _strict_rank_fraction
+from controversy.walks import DAMPING
 from oracles import (
     dense_stationary_rwr,
     loop_gmck,
@@ -179,8 +180,7 @@ def dense_rwc_user(g, p, u):
     restarting at u (default-k authorities dangling), and the total
     authority mass."""
     x_plus, y_plus = cv.top_degree(g, p)
-    pi = dense_stationary_rwr(g, [u], np.concatenate((x_plus, y_plus)),
-                              cv.RestartWalkConfig().damping)
+    pi = dense_stationary_rwr(g, [u], np.concatenate((x_plus, y_plus)), DAMPING)
     m_x, m_y = pi[x_plus].sum(), pi[y_plus].sum()
     total = m_x + m_y
     return ((m_x if p.sides[u] == 0 else m_y) / total if total > 0 else None), total

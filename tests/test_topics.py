@@ -54,6 +54,16 @@ class TestSimilarity:
             s = cv.hashtag_similarity(a, b, rng.random())
             assert 0.0 <= s <= 1.0
 
+    @pytest.mark.parametrize("alpha", [2.0, -1.0, math.nan])
+    def test_alpha_outside_zero_one_rejected(self, alpha):
+        # unchecked, alpha 2.0 gives -1.0 here and alpha -1.0 gives 2.0
+        a = profile("a", 1, words={"a": 1}, tags={"t": 1})
+        b = profile("b", 1, words={"b": 1}, tags={"t": 1})
+        with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1\]$"):
+            cv.hashtag_similarity(a, b, alpha)
+        with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1\]$"):
+            cv.expand_topic("a", [a, b], alpha=alpha)
+
     def test_df_below_one_rejected(self):
         with pytest.raises(ValueError):
             profile("a", 0)
@@ -68,36 +78,41 @@ class TestExpansion:
             profile("b", 1, tags={"t1": 1, "t2": 1}),
             profile("c", 1, tags={"t1": 1, "t2": 3}),
         ]
-        topic = cv.expand_topic("s", [seed] + cands, cv.ExpansionConfig(alpha=0.3, k=2))
+        topic = cv.expand_topic("s", [seed] + cands, alpha=0.3, k=2)
         assert topic.members == ("s", "a", "b")
 
     def test_zero_similarity_excluded(self):
         seed = profile("s", 1, tags={"q": 1})
         cands = [profile("a", 1, tags={"zz": 1}), profile("b", 1, tags={"ww": 1})]
-        topic = cv.expand_topic("s", [seed] + cands, cv.ExpansionConfig(k=5))
+        topic = cv.expand_topic("s", [seed] + cands, k=5)
         assert topic.members == ("s",)
 
     def test_k_saturation(self):
         seed = profile("s", 1, tags={"a": 1, "b": 1})
         cands = [profile("a", 1, tags={"b": 1}), profile("b", 1, tags={"a": 1})]
-        topic = cv.expand_topic("s", [seed] + cands, cv.ExpansionConfig(k=50))
+        topic = cv.expand_topic("s", [seed] + cands, k=50)
         assert set(topic.members) == {"s", "a", "b"}
 
     def test_lexicographic_tie_break(self):
         seed = profile("s", 1, tags={"x": 1})
         cands = [profile(t, 1, tags={"x": 1}) for t in ("zq", "aq", "mq")]
-        topic = cv.expand_topic("s", [seed] + cands, cv.ExpansionConfig(k=2))
+        topic = cv.expand_topic("s", [seed] + cands, k=2)
         assert topic.members == ("s", "aq", "mq")
 
     def test_unknown_seed(self):
         with pytest.raises(cv.InputDataError, match="unknown seed"):
-            cv.expand_topic("nope", [profile("a", 1)], cv.ExpansionConfig())
+            cv.expand_topic("nope", [profile("a", 1)])
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            cv.expand_topic("s", [profile("s", 1, tags={"a": 1}), profile("a", 1)], k=k)
 
     def test_output_size_bound_and_contains_seed(self):
         seed = profile("s", 1, tags={c: 1 for c in "abcdefgh"})
         cands = [profile(c, 1, tags={"s": 1, c * 2: 1}) for c in "abcdefgh"]
         for k in (1, 3, 8):
-            topic = cv.expand_topic("s", [seed] + cands, cv.ExpansionConfig(k=k))
+            topic = cv.expand_topic("s", [seed] + cands, k=k)
             assert topic.members[0] == "s"
             assert len(topic.members) <= k + 1
 
@@ -119,6 +134,11 @@ class TestProfiles:
         p = profile("a", 3, tags={"a": 9, "b": 1})
         assert "a" not in p.tags
 
+    def test_keys_that_normalize_alike_add_up(self):
+        p = profile("x", 3, words={"Go": 1, "go": 2, "GO": 0}, tags={"#y": 2, "Y": 3, "#X": 4})
+        assert p.words == {"go": 3}
+        assert p.tags == {"y": 5}
+
     def test_round_trip(self, tmp_path):
         profiles = [
             profile("a", 2, words={"x": 1}, tags={"b": 3}),
@@ -128,6 +148,13 @@ class TestProfiles:
         cv.write_profiles(profiles, path)
         again = cv.read_profiles(path)
         assert again == profiles
+
+    def test_repeated_tag_is_a_bad_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"tag": "go", "df": 1}\n{"tag": "#GO", "df": 2}\n')
+        with pytest.raises(cv.InputDataError,
+                           match=r":2: bad profile \(repeated tag 'go'\)$"):
+            cv.read_profiles(path)
 
     def test_bad_profile_line(self, tmp_path):
         path = tmp_path / "p.jsonl"

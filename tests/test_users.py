@@ -22,6 +22,15 @@ class TestRwcUser:
         g, p = karate
         with pytest.raises(TypeError):
             cv.rwc_user(g, p, 1, 4)
+        # the damping and the expansion's alpha and k are keywords only, so a
+        # number (or an old config object) passed by position is never read
+        for call in (cv.rwc_rwr, cv.rwr_conditionals, cv.rwc_user, cv.user_score_table):
+            with pytest.raises(TypeError):
+                call(g, p, 1, 0.5)
+        profiles = [cv.HashtagProfile.make("a", 1, tags={"b": 1}),
+                    cv.HashtagProfile.make("b", 1, tags={"a": 1})]
+        with pytest.raises(TypeError):
+            cv.expand_topic("a", profiles, 0.5)
         # so is an authority pair passed where k belongs
         with pytest.raises(TypeError):
             cv.user_score_table(g, p, cv.top_degree(g, p, 1))
@@ -40,10 +49,10 @@ class TestRwcUser:
         p = cv.Partition(np.array([0, 0, 0, 1, 1, 1], dtype=np.int8))
         x_plus, y_plus = cv.top_degree(g, p, 1)
         authorities = np.concatenate((x_plus, y_plus))
-        cfg = cv.RestartWalkConfig()
-        values = cv.rwc_user(g, p, 1, cfg=cfg)
+        d = walks_module.DAMPING
+        values = cv.rwc_user(g, p, 1, damping=d)
         for u in range(6):
-            oracle = dense_stationary_rwr(g, [u], authorities, cfg.damping)
+            oracle = dense_stationary_rwr(g, [u], authorities, d)
             m_x = oracle[x_plus].sum()
             m_y = oracle[y_plus].sum()
             own = m_x if p.side_of(u) == "X" else m_y
@@ -87,8 +96,7 @@ class TestRwcUser:
             g, p = cv.planted_two_community(cv.PlantedConfig(1000, 0.02, 0.001, seed=1))
             vertices = range(0, g.n_vertices, 10)
         x_plus, y_plus = cv.top_degree(g, p)
-        cfg = cv.RestartWalkConfig()
-        table, _ = cv.user_score_table(g, p, cfg=cfg)
+        table, _ = cv.user_score_table(g, p, damping=walks_module.DAMPING)
         worst = np.abs(table[list(vertices)] - power_rwc_user(g, p, x_plus, y_plus, vertices)).max()
         assert worst < 1e-9
 

@@ -113,7 +113,7 @@ class TestRestartWalk:
         p = cv.Partition(np.array([0, 0, 1, 0, 1, 0], dtype=np.int8))
         assert [a.tolist() for a in cv.top_degree(g, p)] == [[0], [2]]
         d = 0.85
-        c = cv.rwr_conditionals(g, p, cfg=cv.RestartWalkConfig(damping=d))
+        c = cv.rwr_conditionals(g, p, damping=d)
         c_xy = 4 * d / (12 + 13 * d)
         np.testing.assert_allclose(c, [[1.0, c_xy], [0.0, 1.0 - c_xy]], rtol=0, atol=1e-14)
         assert cv.rwc_rwr(g, p) == pytest.approx(1.0 - c_xy, abs=1e-14)
@@ -134,9 +134,9 @@ class TestRestartWalk:
             g = random_connected_graph(rng, n, extra_edge_prob=0.1)
             p = random_partition(rng, n)
             k = int(rng.integers(1, 3))
-            cfg = cv.RestartWalkConfig(damping=float(rng.uniform(0.3, 0.95)))
-            c = cv.rwr_conditionals(g, p, k, cfg)
-            oracle, _ = dense_rwr_conditionals(g, p, *cv.top_degree(g, p, k), cfg.damping)
+            d = float(rng.uniform(0.3, 0.95))
+            c = cv.rwr_conditionals(g, p, k, damping=d)
+            oracle, _ = dense_rwr_conditionals(g, p, *cv.top_degree(g, p, k), d)
             assert np.abs(c - oracle).max() < 1e-8
 
     def test_directed_sink_restarts(self):
@@ -156,17 +156,17 @@ class TestRestartWalk:
         x_plus, y_plus = cv.top_degree(g, p)
         sinks = np.flatnonzero(np.diff(g.out_csr.indptr) == 0)
         assert 0 in x_plus and len(np.setdiff1d(sinks, [*x_plus, *y_plus])) >= 30
-        cfg = cv.RestartWalkConfig()
-        c = cv.rwr_conditionals(g, p, cfg=cfg)
-        oracle, mass = dense_rwr_conditionals(g, p, x_plus, y_plus, cfg.damping)
-        assert (np.abs(c - oracle) <= rwr_bound(mass, cfg.damping)).all()
+        d = walks_module.DAMPING
+        c = cv.rwr_conditionals(g, p, damping=d)
+        oracle, mass = dense_rwr_conditionals(g, p, x_plus, y_plus, d)
+        assert (np.abs(c - oracle) <= rwr_bound(mass, d)).all()
         assert np.abs(c - oracle).max() < 1e-12
-        assert cv.rwr_conditionals(g, p.swapped(), cfg=cfg).tolist() == c[::-1, ::-1].tolist()
+        assert cv.rwr_conditionals(g, p.swapped(), damping=d).tolist() == c[::-1, ::-1].tolist()
         # each user score a / (a + b) is within RESTART_TOL / (a + b) of
         # the exact one, and a + b is at least the authorities' mass
-        values = cv.rwc_user(g, p, cfg=cfg)
+        values = cv.rwc_user(g, p, damping=d)
         for u in range(0, 300, 3):
-            pi = dense_stationary_rwr(g, [u], [*x_plus, *y_plus], cfg.damping)
+            pi = dense_stationary_rwr(g, [u], [*x_plus, *y_plus], d)
             m_x, m_y = pi[x_plus].sum(), pi[y_plus].sum()
             if m_x + m_y < 1e-12:
                 assert np.isnan(values[u])
@@ -206,7 +206,7 @@ class TestRestartWalk:
         monkeypatch.setattr(walks_module, "RESTART_TOL", tolerance)
         g, p = cv.planted_two_community(cv.PlantedConfig(1000, 0.02, 0.001, seed=1))
         x_plus, y_plus = cv.top_degree(g, p)
-        d = cv.RestartWalkConfig.damping
+        d = walks_module.DAMPING
         hits = walks_module._restart_visits(g, x_plus, y_plus, d)[:2]
         solve = sparse_rwr_solver(g, [*x_plus, *y_plus], d)
         table = np.empty((2, 2))
@@ -233,7 +233,7 @@ class TestRestartWalk:
                                  directed)
         p = random_partition(rng, 400)
         x_plus, y_plus = cv.top_degree(g, p)
-        d = cv.RestartWalkConfig.damping
+        d = walks_module.DAMPING
         oracle, mass = dense_rwr_conditionals(g, p, x_plus, y_plus, d)
         error = np.abs(cv.rwr_conditionals(g, p) - oracle)
         assert 1e-12 < error.max() and (error <= rwr_bound(mass, d)).all()
@@ -302,8 +302,13 @@ class TestRestartWalk:
         assert len(digests) == 1
 
     def test_damping_validation(self):
-        with pytest.raises(ValueError):
-            cv.RestartWalkConfig(damping=1.0)
+        g, p = barbell(5)
+        with pytest.raises(ValueError, match=r"damping must be in \(0, 1\)"):
+            cv.rwc_rwr(g, p, damping=1.0)
+        with pytest.raises(ValueError, match=r"damping must be in \(0, 1\)"):
+            cv.rwc_user(g, p, damping=0.0)
+        with pytest.raises(ValueError, match=r"damping must be in \(0, 1\)"):
+            cv.user_score_table(g, p, damping=float("nan"))
 
 
 class TestWalkDraws:
