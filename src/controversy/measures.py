@@ -37,8 +37,9 @@ DENSITY_FLOOR = 1e-12
 # KDE_BLOCK_ELEMENTS float64 (512 KiB).
 KDE_REACH = 39.0
 KDE_BLOCK_ELEMENTS = 1 << 16
-# Elements of one (n, b) temporary of the layout's repulsion step
-# (float64, 512 KiB): b = min(n, LAYOUT_BLOCK_ELEMENTS // n) columns at a time.
+# Elements of the one (n, b) buffer of the layout's repulsion step
+# (float64, 512 KiB): b = min(n, LAYOUT_BLOCK_ELEMENTS // n) columns at a
+# time. ec sums its distances in row blocks of at most as many elements.
 LAYOUT_BLOCK_ELEMENTS = 1 << 16
 # Elements of one (n, b) plus one (m, b) temporary of the batched Brandes
 # pass (2 MiB): b = BETWEENNESS_BLOCK_ELEMENTS // (n + m) sources at a time.
@@ -308,14 +309,20 @@ def force_layout(g, iterations=500, seed=0):
     """Two-dimensional spring-electrical layout (repulsion ~ 1/d,
     attraction ~ d^2/k along edges, annealed displacement cap).
 
-    Deterministic given (graph, seed, iterations). Returns an (n, 2)
-    coordinate array indexed by vertex, bit-identical to the full
-    (n, n, 2) form. The repulsion is summed over (n, b) column blocks,
-    b = min(n, LAYOUT_BLOCK_ELEMENTS // n), in buffers allocated once:
-    entry [j, i] of a block is vertex j's push on vertex i, and each
-    column sums its n terms in index order. ``np.subtract.at`` and
-    ``np.add.at`` then take every edge's pull off its first end and add
-    it to its second, in edge order.
+    Deterministic given (graph, seed, iterations): the bits are fixed
+    for a given NumPy / BLAS build and CPU type on any thread count.
+    Returns an (n, 2) coordinate array indexed by vertex. The repulsion
+    on vertex i is p_i * sum_j w_ij - sum_j w_ij p_j with w_ij = k^2 /
+    max(d_ij^2, 1e-18): the k^2 / d force of the full (n, n, 2) form in
+    another rounding order, except that two vertices that coincide to
+    rounding push each other by rounding noise rather than by 0. It runs
+    over (n, b) column blocks, b = min(n, LAYOUT_BLOCK_ELEMENTS // n), in
+    one buffer allocated once: ``cdist`` writes a block's squared
+    distances, three in-place passes turn them into weights, and one
+    ``matmul`` against the rows [x_j, y_j, 1] gives every column's three
+    weighted sums. ``np.subtract.at`` and ``np.add.at`` then take every
+    edge's pull off its first end and add it to its second, in edge
+    order.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
@@ -324,32 +331,31 @@ def force_layout(g, iterations=500, seed=0):
     pos = rng.random((n, 2))
     if n <= 1 or iterations < 1:
         return pos
+    # imported here: scipy.spatial adds ~0.1 s and ~7 MB to every CLI start
+    from scipy.spatial.distance import cdist
+
     k = math.sqrt(1.0 / n)
     e0, e1 = g.edge_array[:, 0], g.edge_array[:, 1]
     block = max(1, min(n, LAYOUT_BLOCK_ELEMENTS // n))
-    dx, dy, w, dy2 = (np.empty((n, block)) for _ in range(4))
+    buf = np.empty(n * block)
     diag = np.arange(block)
-    disp_x, disp_y = np.empty(n), np.empty(n)
-    xs, ys = pos[:, 0].copy(), pos[:, 1].copy()
+    pts = np.ones((n, 3))  # [x, y, 1] per vertex
+    sums = np.empty((n, 3))  # [sum_j w_ij x_j, sum_j w_ij y_j, sum_j w_ij] per i
     t0 = 0.1
     for it in range(iterations):
         temp = t0 * (1.0 - it / iterations)
+        pts[:, :2] = pos
         for lo in range(0, n, block):
             hi = min(n, lo + block)
-            bx, by, bw, b2 = (a[:, : hi - lo] for a in (dx, dy, w, dy2))
-            np.subtract(xs[None, lo:hi], xs[:, None], out=bx)
-            np.subtract(ys[None, lo:hi], ys[:, None], out=by)
-            np.multiply(bx, bx, out=bw)
-            bw += np.multiply(by, by, out=b2)
-            np.sqrt(bw, out=bw)
-            bw[diag[: hi - lo] + lo, diag[: hi - lo]] = np.inf
-            np.maximum(bw, 1e-9, out=bw)
-            bw *= bw
-            np.divide(k * k, bw, out=bw)
-            bx *= bw
-            by *= bw
-            np.sum(bx, axis=0, out=disp_x[lo:hi])
-            np.sum(by, axis=0, out=disp_y[lo:hi])
+            w = buf[: n * (hi - lo)].reshape(n, hi - lo)
+            cdist(pos, pos[lo:hi], "sqeuclidean", out=w)
+            w[diag[: hi - lo] + lo, diag[: hi - lo]] = np.inf
+            np.maximum(w, 1e-18, out=w)
+            np.divide(k * k, w, out=w)
+            np.matmul(w.T, pts, out=sums[lo:hi])
+        xs, ys = pos[:, 0], pos[:, 1]
+        disp_x = xs * sums[:, 2] - sums[:, 0]
+        disp_y = ys * sums[:, 2] - sums[:, 1]
         ex, ey = xs[e0] - xs[e1], ys[e0] - ys[e1]
         pull = np.maximum(np.sqrt(ex * ex + ey * ey), 1e-9) / k
         ex *= pull
@@ -360,28 +366,50 @@ def force_layout(g, iterations=500, seed=0):
         np.add.at(disp_y, e1, ey)
         length = np.maximum(np.sqrt(disp_x * disp_x + disp_y * disp_y), 1e-12)
         step = np.minimum(length, temp)
-        xs = xs + disp_x / length * step
-        ys = ys + disp_y / length * step
-    return np.column_stack((xs, ys))
+        pos = np.column_stack((xs + disp_x / length * step, ys + disp_y / length * step))
+    return pos
 
 
 def ec(embedding, p: Partition) -> float:
     """Embedding controversy: 1 - (d_X + d_Y) / (2 * d_XY) where d_* are
     mean pairwise Euclidean distances within and across the sides.
-    Singleton sides contribute a within-distance of 0."""
-    # imported here: scipy.spatial adds ~0.1 s and ~7 MB to every CLI start
-    from scipy.spatial.distance import cdist, pdist
-
+    Singleton sides contribute a within-distance of 0. Each mean is
+    summed over row blocks of at most LAYOUT_BLOCK_ELEMENTS distances, so
+    its memory does not grow with |X| * |Y|."""
     pos = np.asarray(embedding, dtype=float)
     xs, ys = pos[p.x], pos[p.y]
-    # orient the cross matrix by the side holding vertex 0 so the float
+    if not (len(xs) and len(ys)):
+        raise DegenerateStructureError("ec needs two non-empty sides")
+    # orient the cross sum by the side holding vertex 0 so the float
     # summation order (hence the result, bit for bit) survives relabeling
     first, second = (xs, ys) if p.side_of(0) == "X" else (ys, xs)
-    d_xy = float(cdist(first, second).mean())
+    d_xy = _mean_distance(first, second)
     if d_xy == 0.0:
         raise DegenerateStructureError("coincident partitions: zero cross distance")
-    d_x, d_y = (float(pdist(pts).mean()) if len(pts) > 1 else 0.0 for pts in (xs, ys))
+    d_x, d_y = (_mean_distance(pts) if len(pts) > 1 else 0.0 for pts in (xs, ys))
     return float(1.0 - (d_x + d_y) / (2.0 * d_xy))
+
+
+def _mean_distance(a, b=None) -> float:
+    """Mean Euclidean distance from a's rows to b's, or over the pairs
+    i < j of a's rows when b is None, summed in order over blocks of a's
+    rows. For the pairs a block holds its rows against its own and every
+    later row: the part past the block counts whole, its own square
+    half."""
+    # imported here: scipy.spatial adds ~0.1 s and ~7 MB to every CLI start
+    from scipy.spatial.distance import cdist
+
+    rows = max(1, LAYOUT_BLOCK_ELEMENTS // len(a if b is None else b))
+    total = 0.0
+    for lo in range(0, len(a), rows):
+        block = a[lo : lo + rows]
+        if b is not None:
+            total += cdist(block, b).sum()
+        else:
+            d = cdist(block, a[lo:])
+            total += d[:, len(block) :].sum() + d[:, : len(block)].sum() / 2.0
+    pairs = len(a) * len(b) if b is not None else len(a) * (len(a) - 1) / 2.0
+    return float(total / pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -386,7 +386,9 @@ def networkx_edge_betweenness(g):
 
 def dense_force_layout(g, iterations=500, seed=0):
     """The spring-electrical layout with the full (n, n, 2) displacement
-    tensor per iteration; the library must reproduce it bit for bit."""
+    tensor per iteration. The library sums the same forces in another
+    order: it must match this to rounding over a few iterations, and
+    give ``ec`` close to this layout's after 500."""
     n = g.n_vertices
     rng = np.random.default_rng(seed)
     pos = rng.random((n, 2))

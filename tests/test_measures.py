@@ -1,5 +1,8 @@
 """Graph-level controversy measures."""
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -380,23 +383,63 @@ class TestForceLayout:
         b = cv.force_layout(g, iterations=120, seed=7)
         assert (a == b).all()
 
+    @staticmethod
+    def oracle_graph(name):
+        if name == "karate":
+            return cv.read_edgelist(KARATE_EDGES, directed=False)
+        if name == "barbell":
+            return barbell(5)[0]
+        if name == "isolated":
+            return make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4)])  # vertex 5 has no edge
+        if name == "edgeless":
+            return make_graph(5, [])
+        g, _ = cv.planted_two_community(cv.PlantedConfig(300, 0.04, 0.004, seed=1))
+        assert g.n_vertices > LAYOUT_BLOCK_ELEMENTS // g.n_vertices  # more than one block
+        return g
+
+    @pytest.mark.parametrize("iterations", [1, 5])
     @pytest.mark.parametrize("graph", ["karate", "barbell", "planted", "isolated", "edgeless"])
-    def test_bit_identical_to_dense_oracle(self, graph):
-        iterations = 500
-        if graph == "karate":
-            g = cv.read_edgelist(KARATE_EDGES, directed=False)
-        elif graph == "barbell":
-            g, _ = barbell(5)
-        elif graph == "isolated":
-            g = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4)])  # vertex 5 has no edge
-        elif graph == "edgeless":
-            g = make_graph(5, [])
-        else:
-            g, _ = cv.planted_two_community(cv.PlantedConfig(300, 0.04, 0.004, seed=1))
-            assert g.n_vertices > LAYOUT_BLOCK_ELEMENTS // g.n_vertices
-            iterations = 60
+    def test_matches_dense_oracle(self, graph, iterations):
+        # the same forces in another rounding order; the layout is chaotic,
+        # so a few iterations keep the gap at rounding (<= 5.4e-13 measured)
+        g = self.oracle_graph(graph)
         fast = cv.force_layout(g, iterations=iterations, seed=2)
-        assert (fast == dense_force_layout(g, iterations=iterations, seed=2)).all()
+        assert np.abs(fast - dense_force_layout(g, iterations=iterations, seed=2)).max() <= 1e-10
+
+    def test_block_size_does_not_change_bits(self, monkeypatch):
+        g = self.oracle_graph("planted")
+        layouts = []
+        for elements in (1 << 10, 1 << 16, 1 << 20):  # 3 columns a block, 218, all 300
+            monkeypatch.setattr(measures_module, "LAYOUT_BLOCK_ELEMENTS", elements)
+            layouts.append(cv.force_layout(g, iterations=60, seed=2))
+        assert all((layout == layouts[0]).all() for layout in layouts[1:])
+
+    @pytest.mark.parametrize("graph", [*(f"karate-{s}" for s in range(5)),
+                                       *(f"planted-{s}" for s in (1, 2, 3))])
+    def test_ec_of_full_layout_near_oracle(self, karate, graph):
+        name, seed = graph.split("-")
+        if name == "karate":
+            (g, p), seed = karate, int(seed)
+        else:
+            g, p = cv.planted_two_community(cv.PlantedConfig(200, 0.08, 0.004, seed=int(seed)))
+            seed = 0
+        fast = cv.ec(cv.force_layout(g, iterations=500, seed=seed), p)
+        assert fast == pytest.approx(cv.ec(dense_force_layout(g, iterations=500, seed=seed), p),
+                                     abs=0.01)
+
+    def test_same_bits_for_any_blas_thread_count(self):
+        # 16 blocks of at most 65 columns, each one matmul
+        code = ("import hashlib, controversy as cv\n"
+                "g, _ = cv.planted_two_community(cv.PlantedConfig(1000, 0.02, 0.001, seed=1))\n"
+                "print(hashlib.sha256(cv.force_layout(g, iterations=20).tobytes()).hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                       **{var: threads for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                                   "MKL_NUM_THREADS")})
+            digests.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert len(digests) == 1
 
     def test_iterations(self):
         g, _ = barbell(4)
@@ -438,6 +481,35 @@ class TestEc:
         p = cv.Partition(np.array([0, 1, 1], dtype=np.int8))
         expected = 1 - (0.0 + 1.0) / (2 * 3.5)
         assert cv.ec(pos, p) == pytest.approx(expected)
+
+    def test_blocked_sums_match_whole_matrices(self):
+        from scipy.spatial.distance import cdist, pdist
+
+        rng = np.random.default_rng(4)
+        pos = rng.random((1000, 2))
+        p = cv.Partition(rng.integers(0, 2, 1000, dtype=np.int8))
+        xs, ys = pos[p.x], pos[p.y]
+        whole = 1 - (pdist(xs).mean() + pdist(ys).mean()) / (2 * cdist(xs, ys).mean())
+        assert len(xs) * len(ys) > LAYOUT_BLOCK_ELEMENTS  # more than one block
+        assert cv.ec(pos, p) == pytest.approx(whole, rel=0, abs=1e-14)
+        assert cv.ec(pos, p.swapped()) == cv.ec(pos, p)
+
+    def test_one_vertex_has_no_second_side(self):
+        with pytest.raises(cv.DegenerateStructureError, match="two non-empty sides"):
+            cv.ec(np.zeros((1, 2)), cv.Partition(np.array([0], dtype=np.int8)))
+
+    def test_memory_stays_bounded(self):
+        rng = np.random.default_rng(7)
+        pos = rng.random((6000, 2))
+        p = cv.Partition(np.array([0, 1] * 3000, dtype=np.int8))
+        tracemalloc.start()
+        try:
+            cv.ec(pos, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the cross distances would be 72 MB at once; one block is 512 KiB
+        assert peak < 2 * 2**20
 
 
 class TestGmck:
