@@ -268,9 +268,6 @@ def run_pipeline(cfg: PipelineConfig):
     if cfg.layout_out:
         needed.add("force_layout")
     tasks = {name: (name, g, part, cfg, k) for name in _POOLED if name in needed}
-    if "force_layout" in tasks:
-        # the layout and ec both use scipy.spatial: import it once, before any fork
-        import scipy.spatial.distance  # noqa: F401
     with _pool.results(_measure_task, tasks) as result:
         with _stage("measure"):
             for name in cfg.wanted:

@@ -309,8 +309,14 @@ def force_layout(g, iterations=500, seed=0):
     """Two-dimensional spring-electrical layout (repulsion ~ 1/d,
     attraction ~ d^2/k along edges, annealed displacement cap).
 
-    Deterministic given (graph, seed, iterations): the bits are fixed
-    for a given NumPy / BLAS build and CPU type on any thread count.
+    Deterministic given (graph, seed, iterations) for a given NumPy /
+    BLAS build and CPU type. With OpenBLAS the thread count does not
+    change the bits either, because every block's matmul is small enough
+    to run on one thread: m * n * k = 3 * b * n <= 3 *
+    LAYOUT_BLOCK_ELEMENTS for n up to 65,536 (OpenBLAS 0.3.31 kept this
+    shape on one thread up to m * n * k = 3e6). That is a property of
+    the BLAS build, not of matmul; MKL, for one, promises nothing of the
+    kind.
     Returns an (n, 2) coordinate array indexed by vertex. The repulsion
     on vertex i is p_i * sum_j w_ij - sum_j w_ij p_j with w_ij = k^2 /
     max(d_ij^2, 1e-18): the k^2 / d force of the full (n, n, 2) form in
@@ -374,8 +380,11 @@ def ec(embedding, p: Partition) -> float:
     """Embedding controversy: 1 - (d_X + d_Y) / (2 * d_XY) where d_* are
     mean pairwise Euclidean distances within and across the sides.
     Singleton sides contribute a within-distance of 0. Each mean is
-    summed over row blocks of at most LAYOUT_BLOCK_ELEMENTS distances, so
-    its memory does not grow with |X| * |Y|."""
+    summed in order over row blocks of at most LAYOUT_BLOCK_ELEMENTS
+    distances, so its memory does not grow with |X| * |Y|."""
+    # imported here: scipy.spatial adds ~0.1 s and ~7 MB to every CLI start
+    from scipy.spatial.distance import cdist
+
     pos = np.asarray(embedding, dtype=float)
     xs, ys = pos[p.x], pos[p.y]
     if not (len(xs) and len(ys)):
@@ -383,33 +392,30 @@ def ec(embedding, p: Partition) -> float:
     # orient the cross sum by the side holding vertex 0 so the float
     # summation order (hence the result, bit for bit) survives relabeling
     first, second = (xs, ys) if p.side_of(0) == "X" else (ys, xs)
-    d_xy = _mean_distance(first, second)
+    rows = max(1, LAYOUT_BLOCK_ELEMENTS // len(second))
+    total = 0.0
+    for lo in range(0, len(first), rows):
+        total += cdist(first[lo : lo + rows], second).sum()
+    d_xy = float(total / (len(first) * len(second)))
     if d_xy == 0.0:
         raise DegenerateStructureError("coincident partitions: zero cross distance")
-    d_x, d_y = (_mean_distance(pts) if len(pts) > 1 else 0.0 for pts in (xs, ys))
+    d_x, d_y = (_mean_pair_distance(pts) if len(pts) > 1 else 0.0 for pts in (xs, ys))
     return float(1.0 - (d_x + d_y) / (2.0 * d_xy))
 
 
-def _mean_distance(a, b=None) -> float:
-    """Mean Euclidean distance from a's rows to b's, or over the pairs
-    i < j of a's rows when b is None, summed in order over blocks of a's
-    rows. For the pairs a block holds its rows against its own and every
-    later row: the part past the block counts whole, its own square
-    half."""
-    # imported here: scipy.spatial adds ~0.1 s and ~7 MB to every CLI start
+def _mean_pair_distance(a) -> float:
+    """Mean Euclidean distance over the pairs i < j of a's rows, summed in
+    order over row blocks: each block is taken against its own and every
+    later row, the later rows counted whole and its own square half."""
     from scipy.spatial.distance import cdist
 
-    rows = max(1, LAYOUT_BLOCK_ELEMENTS // len(a if b is None else b))
+    rows = max(1, LAYOUT_BLOCK_ELEMENTS // len(a))
     total = 0.0
     for lo in range(0, len(a), rows):
-        block = a[lo : lo + rows]
-        if b is not None:
-            total += cdist(block, b).sum()
-        else:
-            d = cdist(block, a[lo:])
-            total += d[:, len(block) :].sum() + d[:, : len(block)].sum() / 2.0
-    pairs = len(a) * len(b) if b is not None else len(a) * (len(a) - 1) / 2.0
-    return float(total / pairs)
+        d = cdist(a[lo : lo + rows], a[lo:])
+        own = min(rows, len(a) - lo)
+        total += d[:, own:].sum() + d[:, :own].sum() / 2.0
+    return float(total / (len(a) * (len(a) - 1) / 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ import json
 import math
 import multiprocessing
 import os
-import subprocess
-import sys
 import warnings
 from collections import Counter
 
@@ -484,26 +482,6 @@ class TestScoreProcesses:
         assert errors[0].residual == errors[1].residual > 0
         # the worker's traceback, as text, names where the error was raised
         assert "walks.py" in str(errors[1].__cause__)
-
-    @pytest.mark.parametrize("measures, pooled", [("ec", "True True"), ("gmck", "False False")])
-    def test_scipy_spatial_imported_once_before_the_pool(self, measures, pooled):
-        # the CLI starts without it; a pooled layout's workers inherit the
-        # caller's import rather than each making their own
-        code = ("import sys\n"
-                "import controversy.cli as cli\n"
-                "from controversy import _pool\n"
-                "assert not [m for m in sys.modules if m.startswith('scipy.spatial')]\n"
-                "results = _pool.results\n"
-                "def spy(fn, tasks):\n"
-                "    print('force_layout' in tasks, 'scipy.spatial.distance' in sys.modules)\n"
-                "    return results(fn, tasks)\n"
-                "_pool.results = spy\n"
-                f"cli.run_pipeline(cli.PipelineConfig(edgelist={str(KARATE_EDGES)!r},\n"
-                f"                 measures={measures!r}, layout_iterations=5))\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out == pooled + "\n"
 
     @pytest.mark.parametrize("source", ["factions", "spectral", "planted", "directed"])
     def test_no_pooled_task_warns(self, source, planted_edges):
