@@ -243,8 +243,7 @@ def _measure_task(name, g, part, cfg, k, visits=None):
         return {"k": k, "damping": cfg.damping}, measures._rwc(conditionals)
     if name == "gmck":
         return {}, gmck(g, part)
-    params = {"seed_fraction": 0.05, "tol": 1e-6, "max_iters": 1000}
-    return params, mblb(g, part, **params)
+    return {}, mblb(g, part)
 
 
 def run_pipeline(cfg: PipelineConfig):

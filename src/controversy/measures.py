@@ -1,6 +1,6 @@
 """Graph-level controversy scores.
 
-Five measures over a partitioned conversation graph: two random-walk
+Six measures over a partitioned conversation graph: two random-walk
 scores (Monte Carlo and restart-walk variants), a betweenness-divergence
 score, an embedding-separation score, a boundary-connectivity score, and
 a label-propagation dipole score.
@@ -44,6 +44,12 @@ LAYOUT_BLOCK_ELEMENTS = 1 << 16
 # Elements of one (n, b) plus one (m, b) temporary of the batched Brandes
 # pass (2 MiB): b = BETWEENNESS_BLOCK_ELEMENTS // (n + m) sources at a time.
 BETWEENNESS_BLOCK_ELEMENTS = 1 << 18
+# ``mblb`` clamps the top MBLB_SEED_FRACTION highest-degree vertices of each
+# side; :func:`propagate_polarity` stops when no vertex moves by
+# POLARITY_TOL in a sweep, and fails after POLARITY_MAX_ITERS sweeps.
+MBLB_SEED_FRACTION = 0.05
+POLARITY_TOL = 1e-6
+POLARITY_MAX_ITERS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +459,14 @@ def gmck(g, p: Partition) -> float:
 # ---------------------------------------------------------------------------
 
 
-def propagate_polarity(g, plus_seeds, minus_seeds, tol=1e-6, max_iters=1000):
+def propagate_polarity(g, plus_seeds, minus_seeds):
     """Clamp +1/-1 on the seed vertices and sweep every other vertex to
-    the mean of its neighbors until the max change drops below tol (the
-    Jacobi sweep of the undirected :func:`walks._walk_step` stopped at the
-    seeds). Raises ValueError naming the first seed outside [0, n) or the
-    first minus seed that is also a plus seed, and ConvergenceError, with
-    the last change, when max_iters sweeps do not get there."""
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    the mean of its neighbors until the max change drops below
+    POLARITY_TOL (the Jacobi sweep of the undirected
+    :func:`walks._walk_step` stopped at the seeds). Raises ValueError naming
+    the first seed outside [0, n) or the first minus seed that is also a
+    plus seed, and ConvergenceError, with the last change, when
+    POLARITY_MAX_ITERS sweeps do not get there."""
     plus = _vertex_indices(g, plus_seeds, "seed")
     minus = _vertex_indices(g, minus_seeds, "seed")
     if (both := minus[np.isin(minus, plus)]).size:
@@ -471,44 +476,43 @@ def propagate_polarity(g, plus_seeds, minus_seeds, tol=1e-6, max_iters=1000):
     seeded[minus] = -1.0
     adjacency, w = _walk_step(g.csr, seeded != 0.0)
     values = seeded
-    for _ in range(max_iters):
+    for _ in range(POLARITY_MAX_ITERS):
         new = seeded + w * (adjacency @ values)
         change = np.abs(new - values).max(initial=0.0)  # seeds never move
         values = new
-        if change < tol:
+        if change < POLARITY_TOL:
             return values
-    raise ConvergenceError(f"label propagation did not converge in {max_iters} iterations "
-                           f"(last change {change:.3e})", residual=change)
+    raise ConvergenceError(f"label propagation did not converge in {POLARITY_MAX_ITERS} "
+                           f"iterations (last change {change:.3e})", residual=change)
 
 
-def dipole_of_polarities(values, n) -> float:
-    """(1 - |n+ - n-|/n) * |gc+ - gc-|/2; zero-polarity vertices count to
-    neither group."""
+def dipole_of_polarities(values) -> float:
+    """(1 - |n+ - n-|/n) * |gc+ - gc-|/2 over the n = len(values) vertices;
+    zero-polarity vertices count to neither group, but to n."""
     n_pos = int((values > 0).sum())
     n_neg = int((values < 0).sum())
     if n_pos == 0 or n_neg == 0:
         warnings.warn("one-sided propagation: no vertices on one polarity", stacklevel=3)
         return 0.0
-    delta_a = abs(n_pos - n_neg) / n
+    delta_a = abs(n_pos - n_neg) / len(values)
     gc_pos = float(values[values > 0].mean())
     gc_neg = float(values[values < 0].mean())
     d = abs(gc_pos - gc_neg) / 2.0
     return float((1.0 - delta_a) * d)
 
 
-def mblb(g, p: Partition, seed_fraction=0.05, tol=1e-6, max_iters=1000) -> float:
+def mblb(g, p: Partition) -> float:
     """Label-propagation dipole moment.
 
-    Clamps +1/-1 on the top seed_fraction highest-degree vertices of each
+    Clamps +1/-1 on the top MBLB_SEED_FRACTION highest-degree vertices of each
     side, propagates neighbor means synchronously to the rest, then
     combines the polarity-group imbalance and the gap between the group
     means: (1 - |n+ - n-|/|V|) * |gc+ - gc-|/2.
     """
     def seeds_of(side):
-        return highest_degree(g, side, max(1, math.ceil(seed_fraction * len(side))))
+        return highest_degree(g, side, max(1, math.ceil(MBLB_SEED_FRACTION * len(side))))
 
-    values = propagate_polarity(g, seeds_of(p.x), seeds_of(p.y), tol, max_iters)
-    return dipole_of_polarities(values, g.n_vertices)
+    return dipole_of_polarities(propagate_polarity(g, seeds_of(p.x), seeds_of(p.y)))
 
 
 # ---------------------------------------------------------------------------

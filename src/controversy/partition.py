@@ -24,10 +24,6 @@ class Partition:
         self.sides = sides
 
     @property
-    def n(self):
-        return len(self.sides)
-
-    @property
     def x(self):
         """Vertex indices on side X."""
         return np.flatnonzero(self.sides == 0)

@@ -43,7 +43,7 @@ DAMPING = 0.85
 
 def default_k(p) -> int:
     """5% of the smaller side, at least 1, on both sides (``mblb`` seeds
-    differ: ceil(0.05 * |side|) of each side)."""
+    differ: ceil(measures.MBLB_SEED_FRACTION * |side|) of each side)."""
     return max(1, math.ceil(0.05 * min(len(p.x), len(p.y))))
 
 

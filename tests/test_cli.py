@@ -201,8 +201,7 @@ class TestScore:
             "ec": lambda seed, layout_iterations: cv.ec(
                 cv.force_layout(g, iterations=layout_iterations, seed=seed), p),
             "gmck": lambda seed: cv.gmck(g, p),
-            "mblb": lambda seed, seed_fraction, tol, max_iters: cv.mblb(
-                g, p, seed_fraction=seed_fraction, tol=tol, max_iters=max_iters),
+            "mblb": lambda seed: cv.mblb(g, p),
         }
         assert [m["name"] for m in payload["measures"]] == list(cv.MEASURE_NAMES)
         for m in payload["measures"]:

@@ -516,18 +516,25 @@ class TestGmck:
 
 
 class TestMblb:
-    def test_disconnected_cliques_score_one(self):
+    def test_disconnected_cliques_score_one(self, monkeypatch):
+        monkeypatch.setattr(measures_module, "POLARITY_TOL", 1e-12)
         g, p = two_cliques(10)
-        assert cv.mblb(g, p, tol=1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert cv.mblb(g, p) == pytest.approx(1.0, abs=1e-9)
 
-    def test_path_fixed_point_with_explicit_seeds(self):
+    def test_path_fixed_point_with_explicit_seeds(self, monkeypatch):
+        monkeypatch.setattr(measures_module, "POLARITY_TOL", 1e-12)
         g = path(4)
-        values = propagate_polarity(g, [0], [3], tol=1e-12, max_iters=5000)
+        values = propagate_polarity(g, [0], [3])
         assert values[1] == pytest.approx(1 / 3, abs=1e-9)
         assert values[2] == pytest.approx(-1 / 3, abs=1e-9)
-        assert dipole_of_polarities(values, 4) == pytest.approx(2 / 3, abs=1e-9)
+        assert dipole_of_polarities(values) == pytest.approx(2 / 3, abs=1e-9)
 
-    def test_unconverged_propagation_raises(self):
+    def test_zero_polarity_vertex_counts_in_n(self):
+        # n+ = 2, n- = 1 over n = 4, not 3: (1 - 1/4) * |0.75 - (-1)| / 2
+        values = np.array([1.0, 0.5, 0.0, -1.0])
+        assert dipole_of_polarities(values) == pytest.approx(0.75 * 1.75 / 2, abs=1e-15)
+
+    def test_unconverged_propagation_raises(self, monkeypatch):
         # on a 400-vertex path the sweep shrinks the error by about
         # cos(pi/400) per sweep: nowhere near 1e-6 after 1000 sweeps
         g = path(400)
@@ -538,8 +545,9 @@ class TestMblb:
         p = cv.Partition(np.array([0] * 200 + [1] * 200, dtype=np.int8))
         with pytest.raises(cv.ConvergenceError):
             cv.mblb(g, p)
-        with pytest.raises(ValueError, match="max_iters"):
-            propagate_polarity(g, [0], [399], max_iters=0)
+        monkeypatch.setattr(measures_module, "POLARITY_MAX_ITERS", 3)
+        with pytest.raises(cv.ConvergenceError, match=r"did not converge in 3 iterations "):
+            propagate_polarity(path(40), [0], [39])
 
     @pytest.mark.parametrize("plus, minus, bad", [([-1], [0], -1), ([0], [4], 4)])
     def test_out_of_range_seed_rejected(self, plus, minus, bad):
@@ -555,7 +563,7 @@ class TestMblb:
     def test_one_sided_values_warn_and_zero(self):
         values = np.array([1.0, 0.5, 0.0, 0.2])
         with pytest.warns(UserWarning, match="one-sided"):
-            assert dipole_of_polarities(values, 4) == 0.0
+            assert dipole_of_polarities(values) == 0.0
 
     def test_residual_contracts_after_first_sweep(self):
         rng = np.random.default_rng(2)
